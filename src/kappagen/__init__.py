@@ -52,7 +52,6 @@ from .distributions import (
     mixture_sample,
 )
 from .errors import (
-    ConvergenceError,
     CurveNonexistenceError,
     DataFormatError,
     DegenerateDataError,
@@ -93,7 +92,6 @@ from .inequality import (
     quantile_mean,
 )
 from .special import (
-    ToleranceConfig,
     beta_fn,
     digamma,
     gamma_fn,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +76,9 @@ def _parse_line(line, line_number):
         raise DataFormatError(
             f"line {line_number}: non-numeric field in {tokens!r}",
             line_number=line_number) from None
+    if not (math.isfinite(value) and math.isfinite(weight)):
+        raise DataFormatError(
+            f"line {line_number}: non-finite field in {tokens!r}", line_number=line_number)
     if weight < 0.0:
         raise DataFormatError(
             f"line {line_number}: negative weight {weight}", line_number=line_number)

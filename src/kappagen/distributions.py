@@ -21,20 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformed import SMALL_KAPPA, kappa_exp, log_kappa_exp
+from .deformed import SMALL_KAPPA, _asarray, _restore, kappa_exp, log_kappa_exp
 from .errors import DomainError, MomentDivergenceError
 from .special import inv_reg_inc_beta, log_gamma, reg_inc_beta
 
 _TINY_KAPPA = 1e-10  # below this the Weibull closed forms are exact to 1e-9
-
-
-def _asarray(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _restore(arr, scalar):
-    return float(arr) if scalar else arr
 
 
 # ---------------------------------------------------------------------------
@@ -443,17 +434,30 @@ def ekg2_cdf(x, p: EKG2Params):
 
 def ekg2_quantile(u, p: EKG2Params):
     """Closed-form quantile b z^(1/a) (1-z)^(-1/(2a)) with z the inverse
-    regularized incomplete beta of u."""
+    regularized incomplete beta of u.
+
+    Above the median, w = 1 - z is inverted directly from
+    I_w(q, p) = 1 - u, so the upper tail keeps its relative precision
+    where z itself would round to 1.
+    """
     arr, scalar = _asarray(u)
     if np.any(~((arr >= 0.0) & (arr < 1.0))):
         raise DomainError("ekg2_quantile requires 0 <= u < 1")
-    z = np.asarray(inv_reg_inc_beta(arr, p.p, p.q), dtype=float)
-    out = np.zeros_like(z)
-    pos = z > 0.0
-    if np.any(pos):
-        zp = z[pos]
-        with np.errstate(over="ignore"):
-            out[pos] = p.b * np.exp(np.log(zp) / p.a - np.log1p(-zp) / (2.0 * p.a))
+    lnz = np.full_like(arr, -np.inf)
+    log1mz = np.zeros_like(arr)
+    upper = arr > 0.5
+    lower = (arr > 0.0) & ~upper
+    with np.errstate(divide="ignore"):
+        if np.any(lower):
+            z = inv_reg_inc_beta(arr[lower], p.p, p.q)
+            lnz[lower] = np.log(z)
+            log1mz[lower] = np.log1p(-z)
+        if np.any(upper):
+            w = inv_reg_inc_beta(1.0 - arr[upper], p.q, p.p)
+            lnz[upper] = np.log1p(-w)
+            log1mz[upper] = np.log(w)
+    with np.errstate(over="ignore"):
+        out = p.b * np.exp(lnz / p.a - log1mz / (2.0 * p.a))
     return _restore(out, scalar)
 
 

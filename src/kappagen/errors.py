@@ -40,7 +40,3 @@ class DataFormatError(KappagenError, ValueError):
     def __init__(self, message, line_number=None):
         super().__init__(message)
         self.line_number = line_number
-
-
-class ConvergenceError(KappagenError, RuntimeError):
-    """An iterative numerical scheme failed to converge."""

@@ -21,6 +21,7 @@ from .distributions import (
     EKG2Params,
     KappaGenParams,
     NetWealthMixtureParams,
+    _TINY_KAPPA,
     kgen_mean,
     kgen_moment,
 )
@@ -41,7 +42,6 @@ from .special import (
 )
 
 _EULER_GAMMA = np.euler_gamma
-_TINY_KAPPA = 1e-10
 _GE_LIMIT_WINDOW = 1e-5
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)

@@ -1,86 +1,19 @@
 """Gamma- and beta-family special functions.
 
-Self-contained implementations sized for double precision: Lanczos
-log-gamma, asymptotic digamma with upward recurrence, modified-Lentz
-continued fractions for the incomplete beta and gamma functions, and a
-Newton-with-bisection inverse of the regularized incomplete beta.
-
-Shape parameters (a, b) are scalars; the evaluation point may be a scalar
-or a numpy array.  scipy is deliberately not used here so that library
-results can be cross-checked against it independently.
+Thin wrappers over ``scipy.special`` that keep the package's argument
+order and domain checks: shape parameters (a, b) are scalars, the
+evaluation point may be a scalar or a numpy array, and arguments outside
+the mathematical domain raise ``DomainError`` instead of returning nan.
+This module is the one place that knows which backend evaluates them.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
+from scipy import special as sc
 
-from .errors import ConvergenceError, DomainError
-
-_FPMIN = 1e-300
-_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-# Lanczos approximation, g = 7, 9 coefficients (double precision).
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-# Asymptotic digamma series coefficients: -B_2n / (2n), n = 1..6.
-_DIGAMMA_TAIL = (
-    -1.0 / 12.0,
-    1.0 / 120.0,
-    -1.0 / 252.0,
-    1.0 / 240.0,
-    -1.0 / 132.0,
-    691.0 / 32760.0,
-)
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Stopping control for the iterative evaluations in this module."""
-
-    rel_tol: float = 1e-12
-    max_iter: int = 300
-
-    def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise DomainError("rel_tol must be positive")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be at least 1")
-
-
-DEFAULT_TOL = ToleranceConfig()
-
-
-def _asarray(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _restore(arr, scalar):
-    return float(arr) if scalar else arr
-
-
-def _lanczos_lgamma(z):
-    """Log-gamma via Lanczos for z >= 0.5 (array-safe)."""
-    zm1 = z - 1.0
-    series = np.full_like(zm1, _LANCZOS[0])
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        series = series + c / (zm1 + i)
-    t = zm1 + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (zm1 + 0.5) * np.log(t) - t + np.log(series)
+from .deformed import _asarray, _restore
+from .errors import DomainError
 
 
 def log_gamma(z):
@@ -88,15 +21,7 @@ def log_gamma(z):
     arr, scalar = _asarray(z)
     if np.any(~(arr > 0.0)):
         raise DomainError("log_gamma requires z > 0")
-    small = arr < 0.5
-    out = np.empty_like(arr)
-    # recurrence lgamma(z) = lgamma(z + 1) - ln z keeps Lanczos in its sweet spot
-    if np.any(small):
-        zs = arr[small]
-        out[small] = _lanczos_lgamma(zs + 1.0) - np.log(zs)
-    if np.any(~small):
-        out[~small] = _lanczos_lgamma(arr[~small])
-    return _restore(out, scalar)
+    return _restore(sc.gammaln(arr), scalar)
 
 
 def gamma_fn(z):
@@ -104,16 +29,7 @@ def gamma_fn(z):
     arr, scalar = _asarray(z)
     if np.any((arr <= 0.0) & (arr == np.floor(arr))):
         raise DomainError("gamma function pole at nonpositive integer")
-    out = np.empty_like(arr)
-    pos = arr >= 0.5
-    with np.errstate(over="ignore"):
-        if np.any(pos):
-            out[pos] = np.exp(_lanczos_lgamma(arr[pos]))
-        if np.any(~pos):
-            # reflection: Gamma(z) = pi / (sin(pi z) * Gamma(1 - z))
-            zr = arr[~pos]
-            out[~pos] = math.pi / (np.sin(math.pi * zr) * np.exp(_lanczos_lgamma(1.0 - zr)))
-    return _restore(out, scalar)
+    return _restore(sc.gamma(arr), scalar)
 
 
 def digamma(z):
@@ -121,216 +37,74 @@ def digamma(z):
     arr, scalar = _asarray(z)
     if np.any(~(arr > 0.0)):
         raise DomainError("digamma requires z > 0")
-    zz = arr.copy()
-    acc = np.zeros_like(zz)
-    # shift into the asymptotic region z >= 10
-    for _ in range(10):
-        small = zz < 10.0
-        if not np.any(small):
-            break
-        acc[small] -= 1.0 / zz[small]
-        zz[small] += 1.0
-    inv2 = 1.0 / (zz * zz)
-    tail = np.zeros_like(zz)
-    power = inv2
-    for c in _DIGAMMA_TAIL:
-        tail += c * power
-        power = power * inv2
-    out = acc + np.log(zz) - 0.5 / zz + tail
-    return _restore(out, scalar)
+    return _restore(sc.digamma(arr), scalar)
+
+
+def _check_shapes(name, a, b):
+    a = float(a)
+    b = float(b)
+    if a <= 0.0 or b <= 0.0:
+        raise DomainError(f"{name} requires a > 0 and b > 0")
+    return a, b
 
 
 def beta_fn(a, b):
     """Complete beta function B(a, b)."""
-    a = float(a)
-    b = float(b)
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError("beta_fn requires a > 0 and b > 0")
-    return math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))
+    a, b = _check_shapes("beta_fn", a, b)
+    return float(sc.beta(a, b))
 
 
-def _betacf(a, b, x, tol):
-    """Modified-Lentz continued fraction for the incomplete beta (array x)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
-    d = 1.0 / d
-    h = d.copy()
-    for m in range(1, tol.max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
-        c = 1.0 + aa / c
-        np.copyto(c, _FPMIN, where=np.abs(c) < _FPMIN)
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
-        c = 1.0 + aa / c
-        np.copyto(c, _FPMIN, where=np.abs(c) < _FPMIN)
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if np.all(np.abs(delta - 1.0) < tol.rel_tol):
-            return h
-    raise ConvergenceError(
-        f"incomplete beta continued fraction did not converge for a={a}, b={b}")
-
-
-def reg_inc_beta(x, a, b, tol=None):
-    """Regularized incomplete beta function I_x(a, b) on [0, 1].
-
-    Continued fraction with the symmetry split at x = (a+1)/(a+b+2).
-    """
-    tol = tol or DEFAULT_TOL
-    a = float(a)
-    b = float(b)
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError("reg_inc_beta requires a > 0 and b > 0")
+def reg_inc_beta(x, a, b):
+    """Regularized incomplete beta function I_x(a, b) on [0, 1]."""
+    a, b = _check_shapes("reg_inc_beta", a, b)
     arr, scalar = _asarray(x)
     if np.any(~((arr >= 0.0) & (arr <= 1.0))):
         raise DomainError("reg_inc_beta requires 0 <= x <= 1")
-    out = np.empty_like(arr)
-    ln_beta = log_gamma(a) + log_gamma(b) - log_gamma(a + b)
-    split = (a + 1.0) / (a + b + 2.0)
-    interior = (arr > 0.0) & (arr < 1.0)
-    lower = interior & (arr < split)
-    upper = interior & ~lower
-    with np.errstate(divide="ignore"):
-        if np.any(lower):
-            xs = arr[lower]
-            front = np.exp(a * np.log(xs) + b * np.log1p(-xs) - ln_beta)
-            out[lower] = front * _betacf(a, b, xs, tol) / a
-        if np.any(upper):
-            xs = arr[upper]
-            front = np.exp(a * np.log(xs) + b * np.log1p(-xs) - ln_beta)
-            out[upper] = 1.0 - front * _betacf(b, a, 1.0 - xs, tol) / b
-    out[arr == 0.0] = 0.0
-    out[arr == 1.0] = 1.0
-    return _restore(np.clip(out, 0.0, 1.0), scalar)
+    return _restore(sc.betainc(a, b, arr), scalar)
 
 
-def inc_beta(x, a, b, tol=None):
+def inc_beta(x, a, b):
     """Unregularized incomplete beta B_x(a, b) = I_x(a, b) * B(a, b)."""
-    return reg_inc_beta(x, a, b, tol) * beta_fn(a, b)
+    return reg_inc_beta(x, a, b) * beta_fn(a, b)
 
 
-def inv_reg_inc_beta(u, a, b, tol=None):
+def inv_reg_inc_beta(u, a, b):
     """Inverse of reg_inc_beta in its first argument.
 
-    Safeguarded Newton iteration: every step that leaves the current
-    bracket falls back to bisection, so convergence is unconditional.
+    Where the root x is tiny it comes from the two-term expansion
+    I_x(a, b) = x^a / (a B(a, b)) * (1 + a (1 - b) x / (a + 1) + O(x^2)),
+    which is exact in double once x0 (1 + |1 - b|) < 1e-9 (x0 the
+    leading-term root).  scipy's betaincinv returns nan for some shapes
+    there, e.g. 1 < a < 1.05, b < 1 and u < 5.4e-17.
     """
-    tol = tol or DEFAULT_TOL
-    a = float(a)
-    b = float(b)
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError("inv_reg_inc_beta requires a > 0 and b > 0")
+    a, b = _check_shapes("inv_reg_inc_beta", a, b)
     arr, scalar = _asarray(u)
     if np.any(~((arr >= 0.0) & (arr <= 1.0))):
         raise DomainError("inv_reg_inc_beta requires 0 <= u <= 1")
-
-    ln_beta = log_gamma(a) + log_gamma(b) - log_gamma(a + b)
-    lo = np.zeros_like(arr)
-    hi = np.ones_like(arr)
-    x = np.full_like(arr, a / (a + b))
-    atol = max(tol.rel_tol, 1e-14)
-    for _ in range(max(tol.max_iter, 60)):
-        resid = reg_inc_beta(x, a, b, tol) - arr
-        np.copyto(lo, x, where=resid < 0.0)
-        np.copyto(hi, x, where=resid >= 0.0)
-        if np.all(np.abs(resid) <= atol) or np.all(hi - lo <= 1e-17):
-            break
-        with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-            dens = np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - ln_beta)
-            step = np.where(dens > 0.0, resid / dens, np.inf)
-            trial = x - step
-        bad = ~np.isfinite(trial) | (trial <= lo) | (trial >= hi)
-        x = np.where(bad, 0.5 * (lo + hi), trial)
-    out = x
-    out[arr == 0.0] = 0.0
-    out[arr == 1.0] = 1.0
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        x0 = (arr * (a * sc.beta(a, b))) ** (1.0 / a)
+        series = x0 * (1.0 - (1.0 - b) * x0 / (a + 1.0))
+        out = np.where(x0 * (1.0 + abs(1.0 - b)) < 1e-9, series, sc.betaincinv(a, b, arr))
     return _restore(out, scalar)
 
 
-def _lower_gamma_series(a, x, tol):
-    """Regularized lower incomplete gamma by series (x < a + 1, array x)."""
-    term = np.full_like(x, 1.0 / a)
-    total = term.copy()
-    ap = a
-    for _ in range(tol.max_iter):
-        ap += 1.0
-        term = term * x / ap
-        total += term
-        if np.all(np.abs(term) < np.abs(total) * tol.rel_tol):
-            with np.errstate(divide="ignore"):
-                return total * np.exp(-x + a * np.log(x) - log_gamma(a))
-    raise ConvergenceError(f"incomplete gamma series did not converge for a={a}")
+def _check_gamma_args(name, a, x):
+    a = float(a)
+    if a <= 0.0:
+        raise DomainError(f"{name} requires a > 0")
+    arr, scalar = _asarray(x)
+    if np.any(arr < 0.0):
+        raise DomainError(f"{name} requires x >= 0")
+    return a, arr, scalar
 
 
-def _upper_gamma_cf(a, x, tol):
-    """Regularized upper incomplete gamma by Lentz CF (x >= a + 1, array x)."""
-    b = x + 1.0 - a
-    c = np.full_like(x, 1.0 / _FPMIN)
-    d = 1.0 / b
-    h = d.copy()
-    for i in range(1, tol.max_iter + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
-        c = b + an / c
-        np.copyto(c, _FPMIN, where=np.abs(c) < _FPMIN)
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if np.all(np.abs(delta - 1.0) < tol.rel_tol):
-            return h * np.exp(-x + a * np.log(x) - log_gamma(a))
-    raise ConvergenceError(
-        f"incomplete gamma continued fraction did not converge for a={a}")
-
-
-def reg_lower_inc_gamma(a, x, tol=None):
+def reg_lower_inc_gamma(a, x):
     """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0."""
-    tol = tol or DEFAULT_TOL
-    a = float(a)
-    if a <= 0.0:
-        raise DomainError("reg_lower_inc_gamma requires a > 0")
-    arr, scalar = _asarray(x)
-    if np.any(arr < 0.0):
-        raise DomainError("reg_lower_inc_gamma requires x >= 0")
-    out = np.empty_like(arr)
-    series = (arr < a + 1.0) & (arr > 0.0)
-    cf = ~series & (arr > 0.0)
-    if np.any(series):
-        out[series] = _lower_gamma_series(a, arr[series], tol)
-    if np.any(cf):
-        out[cf] = 1.0 - _upper_gamma_cf(a, arr[cf], tol)
-    out[arr == 0.0] = 0.0
-    return _restore(np.clip(out, 0.0, 1.0), scalar)
+    a, arr, scalar = _check_gamma_args("reg_lower_inc_gamma", a, x)
+    return _restore(sc.gammainc(a, arr), scalar)
 
 
-def upper_inc_gamma(a, x, tol=None):
+def upper_inc_gamma(a, x):
     """Upper incomplete gamma Gamma(a, x); Gamma(a, 0) equals Gamma(a)."""
-    tol = tol or DEFAULT_TOL
-    a = float(a)
-    if a <= 0.0:
-        raise DomainError("upper_inc_gamma requires a > 0")
-    arr, scalar = _asarray(x)
-    if np.any(arr < 0.0):
-        raise DomainError("upper_inc_gamma requires x >= 0")
-    out = np.empty_like(arr)
-    series = (arr < a + 1.0) & (arr > 0.0)
-    cf = ~series & (arr > 0.0)
-    gamma_a = math.exp(log_gamma(a))
-    if np.any(series):
-        out[series] = gamma_a * (1.0 - _lower_gamma_series(a, arr[series], tol))
-    if np.any(cf):
-        out[cf] = gamma_a * _upper_gamma_cf(a, arr[cf], tol)
-    out[arr == 0.0] = gamma_a
-    return _restore(out, scalar)
+    a, arr, scalar = _check_gamma_args("upper_inc_gamma", a, x)
+    return _restore(sc.gammaincc(a, arr) * sc.gamma(a), scalar)

@@ -8,7 +8,15 @@ import sys
 import numpy as np
 import pytest
 
-from kappagen import KappaGenParams, kgen_cdf, kgen_gini, kgen_pdf, kgen_sample
+from kappagen import (
+    DataFormatError,
+    KappaGenParams,
+    kgen_cdf,
+    kgen_gini,
+    kgen_pdf,
+    kgen_sample,
+    load_dataset,
+)
 from kappagen.cli import main
 
 
@@ -152,6 +160,13 @@ class TestDatasetParsing:
         code = run_cli("fit", str(path), "--model", "kappagen")
         assert code == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_non_finite_value_reported_with_number(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("income,weight\n1.0,1\nnan,2\n1.5,1\n")
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(path)
+        assert info.value.line_number == 3
 
 
 class TestEval:

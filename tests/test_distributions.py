@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -38,6 +39,7 @@ from kappagen import (
     mixture_moment,
     mixture_pdf,
     mixture_sample,
+    quantile_gini,
 )
 
 U_GRID = np.array([0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999])
@@ -335,6 +337,21 @@ class TestEkg2:
         slope = (math.log(ekg2_pdf(x2, p)) - math.log(ekg2_pdf(x1, p))) / (
             math.log(x2) - math.log(x1))
         assert slope == pytest.approx(-2.0 * p.a * p.q - 1.0, rel=5e-3)
+
+    def test_upper_tail_quantile(self):
+        # fitted to base-model data; here z = I^-1_u(p, q) rounds to 1 in double
+        p = EKG2Params(2.78, 0.94, 0.84, 0.73)
+        u = 1.0 - 1e-13
+        with mp.workdps(40):
+            a, q, pp, v = (mp.mpf(t) for t in (p.a, p.q, p.p, 1.0 - u))
+            w0 = (v * q * mp.beta(q, pp)) ** (1 / q)
+            w = mp.findroot(lambda t: mp.betainc(q, pp, 0, t, regularized=True) - v,
+                            (w0 / 2, w0 * 2), solver="anderson")
+            want = float(p.b * ((1 - w) / mp.sqrt(w)) ** (1 / a))
+        got = ekg2_quantile(u, p)
+        assert math.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-10)
+        assert quantile_gini(lambda t: ekg2_quantile(t, p)) == pytest.approx(0.2872, abs=2e-4)
 
     def test_sampling_determinism(self):
         a = ekg2_sample(500, self.P, seed=5)
