@@ -25,11 +25,13 @@ from .distributions import (
     KappaGenParams,
     NetWealthMixtureParams,
     WeibullParams,
+    ekg1_ccdf,
     ekg1_cdf,
     ekg1_density_at_u,
     ekg1_pdf,
     ekg1_quantile,
     ekg1_sample,
+    ekg2_ccdf,
     ekg2_cdf,
     ekg2_pdf,
     ekg2_quantile,
@@ -45,6 +47,7 @@ from .distributions import (
     kgen_quantile,
     kgen_sample,
     kgen_variance,
+    mixture_ccdf,
     mixture_cdf,
     mixture_mean,
     mixture_moment,

@@ -16,38 +16,13 @@ import numpy as np
 
 from . import __version__
 from .data import load_dataset
-from .distributions import (
-    EKG1Params,
-    EKG2Params,
-    KappaGenParams,
-    NetWealthMixtureParams,
-    WeibullParams,
-    ekg1_cdf,
-    ekg1_pdf,
-    ekg1_quantile,
-    ekg1_sample,
-    ekg2_cdf,
-    ekg2_pdf,
-    ekg2_quantile,
-    ekg2_sample,
-    kgen_cdf,
-    kgen_ccdf,
-    kgen_pdf,
-    kgen_quantile,
-    kgen_sample,
-    mixture_cdf,
-    mixture_pdf,
-    mixture_sample,
-)
 from .errors import KappagenError
-from .fitting import FitConfig, FitResult, fit_mle
+from .fitting import FAMILIES, FitConfig, FitResult, fit_mle
 from . import inequality as ineq
 
 _EXIT_OK = 0
 _EXIT_INPUT = 1
 _EXIT_NOCONV = 2
-
-PARAM_MODELS = ("kappagen", "weibull", "ekg1", "ekg2", "mixture")
 
 
 class UsageError(Exception):
@@ -67,29 +42,6 @@ def _fmt(x):
     return f"{x:.15g}"
 
 
-def _params_to_dict(model, params):
-    if model in ("kappagen", "kappagen_normalized"):
-        return {"alpha": params.alpha, "beta": params.beta, "kappa": params.kappa}
-    if model == "weibull":
-        return {"shape": params.shape, "scale": params.scale}
-    if model == "ekg1":
-        return {"a": params.a, "b": params.b, "q": params.q, "r": params.r}
-    if model == "ekg2":
-        return {"a": params.a, "b": params.b, "p": params.p, "q": params.q}
-    if model == "mixture":
-        return {
-            "weibull_shape": params.negative_branch.shape,
-            "weibull_scale": params.negative_branch.scale,
-            "theta1": params.theta1,
-            "theta2": params.theta2,
-            "theta3": params.theta3,
-            "alpha": params.positive_branch.alpha,
-            "beta": params.positive_branch.beta,
-            "kappa": params.positive_branch.kappa,
-        }
-    raise KappagenError(f"unknown model {model!r}")
-
-
 def _add_param_flags(parser):
     parser.add_argument("--alpha", type=float, help="shape of the base model")
     parser.add_argument("--beta", type=float, help="scale of the base model")
@@ -105,73 +57,13 @@ def _add_param_flags(parser):
     parser.add_argument("--theta2", type=float)
 
 
-def _require(args, names, model):
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        raise UsageError(f"model {model!r} needs flags: {', '.join('--' + n for n in missing)}")
-
-
 def _params_from_args(args):
-    model = args.model
-    if model == "kappagen":
-        _require(args, ("alpha", "beta", "kappa"), model)
-        return KappaGenParams(args.alpha, args.beta, args.kappa)
-    if model == "weibull":
-        _require(args, ("shape", "scale"), model)
-        return WeibullParams(args.shape, args.scale)
-    if model == "ekg1":
-        _require(args, ("a", "b", "q", "r"), model)
-        return EKG1Params(args.a, args.b, args.q, args.r)
-    if model == "ekg2":
-        _require(args, ("a", "b", "p", "q"), model)
-        return EKG2Params(args.a, args.b, args.p, args.q)
-    if model == "mixture":
-        _require(args, ("shape", "scale", "theta1", "theta2", "alpha", "beta", "kappa"), model)
-        theta3 = 1.0 - args.theta1 - args.theta2
-        return NetWealthMixtureParams(
-            negative_branch=WeibullParams(args.shape, args.scale),
-            theta1=args.theta1, theta2=args.theta2, theta3=theta3,
-            positive_branch=KappaGenParams(args.alpha, args.beta, args.kappa))
-    raise UsageError(f"unsupported model {model!r}")
-
-
-def _pdf_for(model):
-    return {
-        "kappagen": kgen_pdf,
-        "weibull": lambda x, p: kgen_pdf(x, KappaGenParams(p.shape, p.scale, 0.0)),
-        "ekg1": ekg1_pdf,
-        "ekg2": ekg2_pdf,
-        "mixture": lambda x, p: mixture_pdf(x, p)[0],
-    }[model]
-
-
-def _cdf_for(model):
-    return {
-        "kappagen": kgen_cdf,
-        "weibull": lambda x, p: kgen_cdf(x, KappaGenParams(p.shape, p.scale, 0.0)),
-        "ekg1": ekg1_cdf,
-        "ekg2": ekg2_cdf,
-        "mixture": mixture_cdf,
-    }[model]
-
-
-def _quantile_for(model):
-    return {
-        "kappagen": kgen_quantile,
-        "weibull": lambda u, p: kgen_quantile(u, KappaGenParams(p.shape, p.scale, 0.0)),
-        "ekg1": ekg1_quantile,
-        "ekg2": ekg2_quantile,
-    }[model]
-
-
-def _sampler_for(model):
-    return {
-        "kappagen": kgen_sample,
-        "weibull": lambda n, p, seed: kgen_sample(n, KappaGenParams(p.shape, p.scale, 0.0), seed),
-        "ekg1": ekg1_sample,
-        "ekg2": ekg2_sample,
-        "mixture": mixture_sample,
-    }[model]
+    family = FAMILIES[args.model]
+    missing = [n for n in family.flags if getattr(args, n) is None]
+    if missing:
+        raise UsageError(
+            f"model {args.model!r} needs flags: {', '.join('--' + n for n in missing)}")
+    return family.from_flags(*(getattr(args, n) for n in family.flags))
 
 
 def _write_text(path, text):
@@ -196,7 +88,7 @@ def _float_list(raw):
 def _fit_report(args, result: FitResult, input_path):
     report = {
         "model": result.model,
-        "params": _params_to_dict(result.model, result.params),
+        "params": FAMILIES[result.model].to_dict(result.params),
         "loglik": result.loglik,
         "converged": result.converged,
         "iterations": result.iterations,
@@ -228,6 +120,7 @@ def _cmd_fit(args):
 
 
 def _cmd_eval(args):
+    family = FAMILIES[args.model]
     params = _params_from_args(args)
     funcs = [f.strip() for f in args.funcs.split(",") if f.strip()]
     rows = []
@@ -237,28 +130,19 @@ def _cmd_eval(args):
         for x in xs:
             row = [x]
             for f in funcs:
-                if f == "pdf":
-                    row.append(_pdf_for(args.model)(x, params))
-                elif f == "cdf":
-                    row.append(_cdf_for(args.model)(x, params))
-                elif f == "ccdf":
-                    if args.model == "kappagen":
-                        row.append(kgen_ccdf(x, params))
-                    else:
-                        row.append(1.0 - _cdf_for(args.model)(x, params))
-                else:
+                if f not in ("pdf", "cdf", "ccdf"):
                     raise UsageError(f"with --x, funcs must be pdf/cdf/ccdf, got {f!r}")
+                row.append(getattr(family, f)(x, params))
             rows.append(row)
     elif args.u is not None:
         us = _float_list(args.u)
         if funcs != ["quantile"]:
             raise UsageError("with --u, the only supported func is 'quantile'")
-        if args.model == "mixture":
+        if family.quantile is None:
             raise UsageError("quantile evaluation is not supported for the mixture")
         header = ["u", "quantile"]
-        qf = _quantile_for(args.model)
         for u in us:
-            rows.append([u, qf(u, params)])
+            rows.append([u, family.quantile(u, params)])
     else:
         raise UsageError("eval needs either --x or --u")
     lines = ["\t".join(header)]
@@ -268,14 +152,11 @@ def _cmd_eval(args):
 
 
 def _cmd_inequality(args):
+    family = FAMILIES[args.model]
     thetas = _float_list(args.theta) if args.theta else []
     report = {"model": args.model, "provenance": {"seed": args.seed,
                                                   "tool_version": __version__}}
     if args.input is not None:
-        if args.model not in ("kappagen", "kappagen_normalized", "weibull"):
-            raise UsageError(
-                "inequality reporting from data supports kappagen, "
-                "kappagen_normalized, and weibull models")
         sample = load_dataset(args.input, no_header=args.no_header)
         report["provenance"]["input"] = args.input
         report["empirical"] = {"gini": ineq.empirical_gini(sample)}
@@ -287,11 +168,8 @@ def _cmd_inequality(args):
         except KappagenError as exc:
             report["fit_error"] = str(exc)
         else:
-            params = result.params
-            if args.model == "weibull":
-                params = KappaGenParams(params.shape, params.scale, 0.0)
-            fitted = ineq.kgen_inequality_report(params, thetas)
-            report["fitted"] = _params_to_dict(args.model, result.params)
+            fitted = ineq.kgen_inequality_report(family.as_kgen(result.params), thetas)
+            report["fitted"] = family.to_dict(result.params)
             report["converged"] = result.converged
             report["inequality"] = {
                 "gini": fitted.gini, "mld": fitted.mld, "theil": fitted.theil,
@@ -300,15 +178,11 @@ def _cmd_inequality(args):
             if not result.converged:
                 exit_code = _EXIT_NOCONV
     else:
-        if args.model == "weibull":
-            base = _params_from_args(args)
-            params = KappaGenParams(base.shape, base.scale, 0.0)
-        elif args.model == "kappagen":
-            params = _params_from_args(args)
-        else:
+        if not family.flags:
             raise UsageError("parameter-based inequality supports kappagen and weibull")
+        params = family.as_kgen(_params_from_args(args))
         rep = ineq.kgen_inequality_report(params, thetas)
-        report["params"] = _params_to_dict("kappagen", params)
+        report["params"] = FAMILIES["kappagen"].to_dict(params)
         report["inequality"] = {
             "gini": rep.gini, "mld": rep.mld, "theil": rep.theil,
             "ge": [{"theta": t, "value": v} for t, v in rep.ge_values],
@@ -322,7 +196,7 @@ def _cmd_sample(args):
     params = _params_from_args(args)
     if args.n < 1:
         raise UsageError(f"sample size must be at least 1, got {args.n}")
-    draws = _sampler_for(args.model)(args.n, params, args.seed)
+    draws = FAMILIES[args.model].sample(args.n, params, args.seed)
     text = "\n".join(f"{v:.17g}" for v in np.asarray(draws)) + "\n"
     _write_text(args.output, text)
     return _EXIT_OK
@@ -342,7 +216,7 @@ def _cmd_compare(args):
             result = fit_mle(sample, config)
             entry.update(loglik=result.gof.loglik, lrsse=result.gof.lrsse,
                          aeg=result.gof.aeg, converged=result.converged,
-                         params=_params_to_dict(model, result.params))
+                         params=FAMILIES[model].to_dict(result.params))
         except KappagenError as exc:
             entry.update(error=str(exc))
         rows.append(entry)
@@ -401,40 +275,26 @@ def _cmd_plotdata(args):
         else:
             raise UsageError("pdf plot data needs model parameters, not a file")
     else:
+        family = FAMILIES[args.model]
         params = _params_from_args(args)
         if args.kind == "pdf":
-            if args.model == "mixture":
+            if family.quantile is None:
                 raise UsageError("pdf plot data for the mixture is not supported")
-            qf = _quantile_for(args.model)
             grid = np.linspace(0.005, 0.995, args.points)
-            xs = np.asarray(qf(grid, params), dtype=float)
-            ys = np.asarray(_pdf_for(args.model)(xs, params), dtype=float)
+            xs = np.asarray(family.quantile(grid, params), dtype=float)
+            ys = np.asarray(family.pdf(xs, params), dtype=float)
             pairs = np.column_stack([xs, ys])
         elif args.kind == "ccdf-loglog":
-            if args.model == "mixture":
+            if family.quantile is None:
                 raise UsageError("ccdf plot data for the mixture is not supported")
-            qf = _quantile_for(args.model)
             grid = np.linspace(0.005, 0.9995, args.points)
-            xs = np.asarray(qf(grid, params), dtype=float)
-            cdf = _cdf_for(args.model)
-            cc = 1.0 - np.asarray(cdf(xs, params), dtype=float)
+            xs = np.asarray(family.quantile(grid, params), dtype=float)
+            cc = 1.0 - np.asarray(family.cdf(xs, params), dtype=float)
             keep = (xs > 0.0) & (cc > 0.0)
             pairs = np.column_stack([np.log10(xs[keep]), np.log10(cc[keep])])
         elif args.kind == "lorenz":
             grid = np.linspace(0.0, 1.0, args.points)
-            if args.model in ("kappagen", "weibull"):
-                base = params if args.model == "kappagen" else KappaGenParams(
-                    params.shape, params.scale, 0.0)
-                ys = np.asarray(ineq.kgen_lorenz(grid, base), dtype=float)
-            elif args.model == "ekg2":
-                ys = np.asarray(ineq.ekg2_lorenz(grid, params), dtype=float)
-            elif args.model == "mixture":
-                ys = np.asarray(ineq.mixture_lorenz(grid, params), dtype=float)
-            else:
-                qf = _quantile_for(args.model)
-                mean = ineq.quantile_mean(lambda t: qf(t, params))
-                ys = np.array([ineq.quantile_lorenz(float(u), lambda t: qf(t, params), mean)
-                               for u in grid])
+            ys = np.asarray(family.lorenz(grid, params), dtype=float)
             pairs = np.column_stack([grid, ys])
         else:
             raise UsageError(f"unknown plot kind {args.kind!r}")
@@ -452,6 +312,7 @@ def _build_parser():
                      description="Deformed-exponential income/wealth distribution toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    param_models = tuple(m for m, f in FAMILIES.items() if f.flags)
 
     def common_fit_flags(sp):
         sp.add_argument("--seed", type=int, default=0)
@@ -463,14 +324,12 @@ def _build_parser():
 
     sp = sub.add_parser("fit", help="fit a model to a dataset")
     sp.add_argument("input")
-    sp.add_argument("--model", default="kappagen",
-                    choices=("kappagen", "weibull", "ekg1", "ekg2", "mixture",
-                             "kappagen_normalized"))
+    sp.add_argument("--model", default="kappagen", choices=tuple(FAMILIES))
     common_fit_flags(sp)
     sp.set_defaults(func=_cmd_fit)
 
     sp = sub.add_parser("eval", help="tabulate pdf/cdf/ccdf or quantiles")
-    sp.add_argument("--model", default="kappagen", choices=PARAM_MODELS)
+    sp.add_argument("--model", default="kappagen", choices=param_models)
     _add_param_flags(sp)
     sp.add_argument("--x", help="comma-separated evaluation points")
     sp.add_argument("--u", help="comma-separated probabilities for quantiles")
@@ -482,7 +341,7 @@ def _build_parser():
     sp = sub.add_parser("inequality", help="inequality indices from parameters or data")
     sp.add_argument("--input", default=None)
     sp.add_argument("--model", default="kappagen",
-                    choices=("kappagen", "weibull", "kappagen_normalized"))
+                    choices=tuple(m for m, f in FAMILIES.items() if f.as_kgen))
     _add_param_flags(sp)
     sp.add_argument("--theta", default=None,
                     help="comma-separated generalized-entropy orders")
@@ -490,7 +349,7 @@ def _build_parser():
     sp.set_defaults(func=_cmd_inequality)
 
     sp = sub.add_parser("sample", help="draw seed-deterministic samples")
-    sp.add_argument("--model", default="kappagen", choices=PARAM_MODELS)
+    sp.add_argument("--model", default="kappagen", choices=param_models)
     _add_param_flags(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
@@ -506,7 +365,7 @@ def _build_parser():
 
     sp = sub.add_parser("plotdata", help="two-column tables for plotting")
     sp.add_argument("--input", default=None)
-    sp.add_argument("--model", default="kappagen", choices=PARAM_MODELS)
+    sp.add_argument("--model", default="kappagen", choices=param_models)
     _add_param_flags(sp)
     sp.add_argument("--kind", required=True, choices=("ccdf-loglog", "lorenz", "pdf"))
     sp.add_argument("--points", type=int, default=200)

@@ -69,6 +69,11 @@ class WeibullParams:
             raise DomainError(f"scale must be positive, got {self.scale}")
 
 
+def _weibull_as_kgen(w: WeibullParams):
+    """The Weibull law is the base model at kappa = 0."""
+    return KappaGenParams(w.shape, w.scale, 0.0)
+
+
 @dataclass(frozen=True)
 class EKG1Params:
     """Quantile-defined four-parameter extension: a, b, q > 0 and r < 1/(2q)."""
@@ -353,6 +358,16 @@ def ekg1_cdf(x, p: EKG1Params):
     return _restore(out, scalar)
 
 
+def ekg1_ccdf(x, p: EKG1Params):
+    """Survival function exp(-t), t = -ln(1-u) from the inverted quantile."""
+    arr, scalar = _asarray(x)
+    out = np.ones_like(arr)
+    pos = arr > 0.0
+    if np.any(pos):
+        out[pos] = np.exp(-_ekg1_t_from_x(arr[pos], p))
+    return _restore(out, scalar)
+
+
 def _ekg1_log_density_at_t(t, p: EKG1Params):
     """Log density expressed through t = -ln(1-u) > 0."""
     a, b, q, r = p.a, p.b, p.q, p.r
@@ -432,6 +447,14 @@ def ekg2_cdf(x, p: EKG2Params):
     return _restore(np.asarray(out, dtype=float), scalar)
 
 
+def ekg2_ccdf(x, p: EKG2Params):
+    """Survival function I_(1-z)(q, p), with 1 - z taken from its logarithm."""
+    arr, scalar = _asarray(x)
+    _, _, log1mz = _ekg2_transform(np.maximum(arr, 0.0), p)
+    out = reg_inc_beta(np.exp(log1mz), p.q, p.p)
+    return _restore(np.asarray(out, dtype=float), scalar)
+
+
 def ekg2_quantile(u, p: EKG2Params):
     """Closed-form quantile b z^(1/a) (1-z)^(-1/(2a)) with z the inverse
     regularized incomplete beta of u.
@@ -495,14 +518,6 @@ def ekg2_sample(n, p: EKG2Params, seed):
 # net-wealth mixture
 
 
-def _weibull_logpdf(z, w: WeibullParams):
-    """Weibull log-density at z > 0."""
-    s, lam = w.shape, w.scale
-    rel = z / lam
-    with np.errstate(over="ignore", divide="ignore"):
-        return math.log(s / lam) + (s - 1.0) * np.log(rel) - rel ** s
-
-
 def mixture_pdf(w, p: NetWealthMixtureParams):
     """Continuous density plus atom report: returns (density, atom).
 
@@ -517,7 +532,8 @@ def mixture_pdf(w, p: NetWealthMixtureParams):
     pos = arr > 0.0
     if np.any(neg):
         with np.errstate(under="ignore"):
-            dens[neg] = p.theta1 * np.exp(_weibull_logpdf(-arr[neg], p.negative_branch))
+            dens[neg] = p.theta1 * np.exp(
+                kgen_logpdf(-arr[neg], _weibull_as_kgen(p.negative_branch)))
     if np.any(pos):
         dens[pos] = p.theta3 * kgen_pdf(arr[pos], p.positive_branch)
     atom[arr == 0.0] = p.theta2
@@ -541,6 +557,15 @@ def mixture_cdf(w, p: NetWealthMixtureParams):
     if np.any(pos):
         out[pos] = rho + (1.0 - rho) * np.asarray(
             kgen_cdf(arr[pos], p.positive_branch), dtype=float)
+    return _restore(out, scalar)
+
+
+def mixture_ccdf(w, p: NetWealthMixtureParams):
+    """Survival function; above zero it is (1 - rho) times the positive
+    branch's own survival function, so the upper tail does not cancel."""
+    arr, scalar = _asarray(w)
+    upper = (1.0 - p.rho) * np.asarray(kgen_ccdf(arr, p.positive_branch), dtype=float)
+    out = np.where(arr > 0.0, upper, 1.0 - np.asarray(mixture_cdf(arr, p), dtype=float))
     return _restore(out, scalar)
 
 

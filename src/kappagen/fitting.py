@@ -1,4 +1,10 @@
-"""Weighted maximum-likelihood estimation and goodness-of-fit reporting.
+"""Weighted maximum-likelihood estimation, goodness of fit, and the family
+registry.
+
+FAMILIES describes each model once, keyed by its tag: parameter class,
+CLI flags, distribution functions, Lorenz curve and Gini, and the
+transform the fitting engine optimizes over.  The Weibull law is the base
+model at kappa = 0 throughout.
 
 All families are fitted by the same two-stage scheme: derivative-free
 simplex descent to locate the basin, then quasi-Newton polish driven by
@@ -12,7 +18,8 @@ the numerical surrogate for the score equations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
@@ -24,11 +31,30 @@ from .distributions import (
     KappaGenParams,
     NetWealthMixtureParams,
     WeibullParams,
+    _weibull_as_kgen,
+    ekg1_ccdf,
+    ekg1_cdf,
     ekg1_logpdf,
+    ekg1_pdf,
+    ekg1_quantile,
+    ekg1_sample,
+    ekg2_ccdf,
+    ekg2_cdf,
     ekg2_logpdf,
+    ekg2_pdf,
+    ekg2_quantile,
+    ekg2_sample,
+    kgen_ccdf,
+    kgen_cdf,
     kgen_from_normalized,
     kgen_logpdf,
-    _weibull_logpdf,
+    kgen_pdf,
+    kgen_quantile,
+    kgen_sample,
+    mixture_ccdf,
+    mixture_cdf,
+    mixture_pdf,
+    mixture_sample,
 )
 from .errors import (
     DegenerateDataError,
@@ -37,8 +63,6 @@ from .errors import (
     SupportViolationError,
 )
 from . import inequality as ineq
-
-MODEL_TAGS = ("kappagen", "weibull", "ekg1", "ekg2", "mixture", "kappagen_normalized")
 
 _SCORE_TOL = 1e-4
 _MIN_EFFECTIVE_BRANCH = 30.0
@@ -55,8 +79,7 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.model not in MODEL_TAGS:
-            raise DomainError(f"unknown model {self.model!r}; expected one of {MODEL_TAGS}")
+        _family(self.model)
         if self.max_iter < 1:
             raise DomainError("max_iter must be at least 1")
         if not self.rel_tol > 0.0:
@@ -90,55 +113,49 @@ class FitResult:
 
 
 # ---------------------------------------------------------------------------
-# log-likelihood
+# the family registry
 
 
-def _mixture_loglik_terms(values, p: NetWealthMixtureParams):
-    out = np.empty_like(values)
-    neg = values < 0.0
-    zero = values == 0.0
-    pos = values > 0.0
-    with np.errstate(divide="ignore"):
-        if np.any(neg):
-            out[neg] = math.log(p.theta1) if p.theta1 > 0.0 else -math.inf
-            if p.theta1 > 0.0:
-                out[neg] += _weibull_logpdf(-values[neg], p.negative_branch)
-        out[zero] = math.log(p.theta2) if p.theta2 > 0.0 else -math.inf
-        if np.any(pos):
-            out[pos] = math.log(p.theta3) if p.theta3 > 0.0 else -math.inf
-            if p.theta3 > 0.0:
-                out[pos] += kgen_logpdf(values[pos], p.positive_branch)
-    return out
+@dataclass(frozen=True)
+class Family:
+    """Everything the fitting engine and the CLI know about one model.
+
+    Entries call layer functions through their module-level names, so a
+    rebinding of those names (such as a tracing wrapper) reaches every
+    call.  decode, encode and start are set for the families fitted on
+    transformed coordinates; as_kgen for those the closed-form base-model
+    indices cover.
+    """
+
+    params: type
+    flags: tuple  # CLI parameter flags, in the order from_flags takes them
+    from_flags: Callable | None
+    to_dict: Callable
+    logpdf: Callable
+    pdf: Callable
+    cdf: Callable
+    ccdf: Callable
+    quantile: Callable | None
+    sample: Callable
+    lorenz: Callable
+    gini: Callable
+    decode: Callable | None = None  # optimizer vector -> parameters
+    encode: Callable | None = None  # parameters -> optimizer vector
+    start: Callable | None = None  # (alpha0, beta0, kappa0) -> initial parameters
+    as_kgen: Callable | None = None
+    positive: bool = True  # support is x > 0
 
 
-def _logpdf_terms(model, params, values):
-    if model == "mixture":
-        return _mixture_loglik_terms(values, params)
-    bad = ~(values > 0.0)
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise SupportViolationError(
-            f"observation {idx} (value {values[idx]}) outside the positive support "
-            f"of model {model!r}", index=idx, value=float(values[idx]))
-    if model in ("kappagen", "kappagen_normalized"):
-        return kgen_logpdf(values, params)
-    if model == "weibull":
-        return _weibull_logpdf(values, params)
-    if model == "ekg1":
-        return ekg1_logpdf(values, params)
-    if model == "ekg2":
-        return ekg2_logpdf(values, params)
-    raise DomainError(f"unknown model {model!r}")
+def _family(model):
+    try:
+        return FAMILIES[model]
+    except KeyError:
+        raise DomainError(
+            f"unknown model {model!r}; expected one of {tuple(FAMILIES)}") from None
 
 
-def loglik(sample: WeightedSample, model, params):
-    """Weighted log-likelihood sum(w_i * ln f(x_i)), computed in log space."""
-    terms = _logpdf_terms(model, params, sample.values)
-    return float(np.sum(sample.weights * np.asarray(terms, dtype=float)))
-
-
-# ---------------------------------------------------------------------------
-# transforms between optimizer coordinates and parameter objects
+def _attrs(*names):
+    return lambda p: {name: getattr(p, name) for name in names}
 
 
 def _sigmoid(t):
@@ -150,35 +167,151 @@ def _logit(x):
     return math.log(x / (1.0 - x))
 
 
-def _decode(model, vec):
-    if model == "kappagen":
-        return KappaGenParams(math.exp(vec[0]), math.exp(vec[1]),
-                              min(_sigmoid(vec[2]), 1.0 - 1e-12))
-    if model == "weibull":
-        return WeibullParams(math.exp(vec[0]), math.exp(vec[1]))
-    if model == "ekg1":
-        q = math.exp(vec[2])
-        return EKG1Params(math.exp(vec[0]), math.exp(vec[1]), q,
-                          1.0 / (2.0 * q) - math.exp(vec[3]))
-    if model == "ekg2":
-        return EKG2Params(math.exp(vec[0]), math.exp(vec[1]),
-                          math.exp(vec[2]), math.exp(vec[3]))
-    raise DomainError(f"no continuous transform for model {model!r}")
+def _ekg1_decode(vec):
+    q = math.exp(vec[2])
+    return EKG1Params(math.exp(vec[0]), math.exp(vec[1]), q,
+                      1.0 / (2.0 * q) - math.exp(vec[3]))
 
 
-def _encode(model, params):
-    if model == "kappagen":
-        return np.array([math.log(params.alpha), math.log(params.beta),
-                         _logit(params.kappa)])
-    if model == "weibull":
-        return np.array([math.log(params.shape), math.log(params.scale)])
-    if model == "ekg1":
-        return np.array([math.log(params.a), math.log(params.b), math.log(params.q),
-                         math.log(max(1.0 / (2.0 * params.q) - params.r, 1e-12))])
-    if model == "ekg2":
-        return np.array([math.log(params.a), math.log(params.b),
-                         math.log(params.p), math.log(params.q)])
-    raise DomainError(f"no continuous transform for model {model!r}")
+def _ekg1_lorenz(u, p: EKG1Params):
+    qf = lambda t: ekg1_quantile(t, p)
+    mean = ineq.quantile_mean(qf)
+    return np.array([ineq.quantile_lorenz(float(ui), qf, mean) for ui in u])
+
+
+def _mixture_logpdf(values, p: NetWealthMixtureParams):
+    out = np.empty_like(values)
+    neg = values < 0.0
+    zero = values == 0.0
+    pos = values > 0.0
+    with np.errstate(divide="ignore"):
+        if np.any(neg):
+            out[neg] = math.log(p.theta1) if p.theta1 > 0.0 else -math.inf
+            if p.theta1 > 0.0:
+                out[neg] += kgen_logpdf(-values[neg], _weibull_as_kgen(p.negative_branch))
+        out[zero] = math.log(p.theta2) if p.theta2 > 0.0 else -math.inf
+        if np.any(pos):
+            out[pos] = math.log(p.theta3) if p.theta3 > 0.0 else -math.inf
+            if p.theta3 > 0.0:
+                out[pos] += kgen_logpdf(values[pos], p.positive_branch)
+    return out
+
+
+def _mixture_from_flags(shape, scale, theta1, theta2, alpha, beta, kappa):
+    return NetWealthMixtureParams(
+        negative_branch=WeibullParams(shape, scale),
+        theta1=theta1, theta2=theta2, theta3=1.0 - theta1 - theta2,
+        positive_branch=KappaGenParams(alpha, beta, kappa))
+
+
+def _mixture_to_dict(p: NetWealthMixtureParams):
+    return {"weibull_shape": p.negative_branch.shape, "weibull_scale": p.negative_branch.scale,
+            "theta1": p.theta1, "theta2": p.theta2, "theta3": p.theta3,
+            **_KAPPAGEN.to_dict(p.positive_branch)}
+
+
+_KAPPAGEN = Family(
+    params=KappaGenParams, flags=("alpha", "beta", "kappa"), from_flags=KappaGenParams,
+    to_dict=_attrs("alpha", "beta", "kappa"),
+    logpdf=lambda x, p: kgen_logpdf(x, p), pdf=lambda x, p: kgen_pdf(x, p),
+    cdf=lambda x, p: kgen_cdf(x, p), ccdf=lambda x, p: kgen_ccdf(x, p),
+    quantile=lambda u, p: kgen_quantile(u, p),
+    sample=lambda n, p, seed: kgen_sample(n, p, seed),
+    lorenz=lambda u, p: ineq.kgen_lorenz(u, p), gini=lambda p: ineq.kgen_gini(p),
+    decode=lambda v: KappaGenParams(math.exp(v[0]), math.exp(v[1]),
+                                    min(_sigmoid(v[2]), 1.0 - 1e-12)),
+    encode=lambda p: np.array([math.log(p.alpha), math.log(p.beta), _logit(p.kappa)]),
+    start=KappaGenParams, as_kgen=lambda p: p,
+)
+
+FAMILIES = {
+    "kappagen": _KAPPAGEN,
+    "weibull": Family(
+        params=WeibullParams, flags=("shape", "scale"), from_flags=WeibullParams,
+        to_dict=_attrs("shape", "scale"),
+        logpdf=lambda x, p: kgen_logpdf(x, _weibull_as_kgen(p)),
+        pdf=lambda x, p: kgen_pdf(x, _weibull_as_kgen(p)),
+        cdf=lambda x, p: kgen_cdf(x, _weibull_as_kgen(p)),
+        ccdf=lambda x, p: kgen_ccdf(x, _weibull_as_kgen(p)),
+        quantile=lambda u, p: kgen_quantile(u, _weibull_as_kgen(p)),
+        sample=lambda n, p, seed: kgen_sample(n, _weibull_as_kgen(p), seed),
+        lorenz=lambda u, p: ineq.kgen_lorenz(u, _weibull_as_kgen(p)),
+        gini=lambda p: ineq.kgen_gini(_weibull_as_kgen(p)),
+        decode=lambda v: WeibullParams(math.exp(v[0]), math.exp(v[1])),
+        encode=lambda p: np.array([math.log(p.shape), math.log(p.scale)]),
+        start=lambda alpha0, beta0, kappa0: WeibullParams(alpha0, beta0),
+        as_kgen=_weibull_as_kgen,
+    ),
+    "ekg1": Family(
+        params=EKG1Params, flags=("a", "b", "q", "r"), from_flags=EKG1Params,
+        to_dict=_attrs("a", "b", "q", "r"),
+        logpdf=lambda x, p: ekg1_logpdf(x, p), pdf=lambda x, p: ekg1_pdf(x, p),
+        cdf=lambda x, p: ekg1_cdf(x, p), ccdf=lambda x, p: ekg1_ccdf(x, p),
+        quantile=lambda u, p: ekg1_quantile(u, p),
+        sample=lambda n, p, seed: ekg1_sample(n, p, seed),
+        lorenz=_ekg1_lorenz,
+        gini=lambda p: ineq.quantile_gini(lambda t: ekg1_quantile(t, p)),
+        decode=_ekg1_decode,
+        encode=lambda p: np.array([math.log(p.a), math.log(p.b), math.log(p.q),
+                                   math.log(max(1.0 / (2.0 * p.q) - p.r, 1e-12))]),
+        start=lambda alpha0, beta0, kappa0: EKG1Params(alpha0, beta0,
+                                                       1.0 / (2.0 * kappa0), 0.0),
+    ),
+    "ekg2": Family(
+        params=EKG2Params, flags=("a", "b", "p", "q"), from_flags=EKG2Params,
+        to_dict=_attrs("a", "b", "p", "q"),
+        logpdf=lambda x, p: ekg2_logpdf(x, p), pdf=lambda x, p: ekg2_pdf(x, p),
+        cdf=lambda x, p: ekg2_cdf(x, p), ccdf=lambda x, p: ekg2_ccdf(x, p),
+        quantile=lambda u, p: ekg2_quantile(u, p),
+        sample=lambda n, p, seed: ekg2_sample(n, p, seed),
+        lorenz=lambda u, p: ineq.ekg2_lorenz(u, p),
+        gini=lambda p: ineq.quantile_gini(lambda t: ekg2_quantile(t, p)),
+        decode=lambda v: EKG2Params(*(math.exp(t) for t in v)),
+        encode=lambda p: np.array([math.log(t) for t in (p.a, p.b, p.p, p.q)]),
+        # the base model is ekg2 at p = 1, q = 1/(2 kappa), b = beta (2 kappa)^(-1/alpha)
+        start=lambda alpha0, beta0, kappa0: EKG2Params(
+            alpha0, beta0 * (2.0 * kappa0) ** (-1.0 / alpha0), 1.0, 1.0 / (2.0 * kappa0)),
+    ),
+    "mixture": Family(
+        params=NetWealthMixtureParams,
+        flags=("shape", "scale", "theta1", "theta2", "alpha", "beta", "kappa"),
+        from_flags=_mixture_from_flags, to_dict=_mixture_to_dict,
+        logpdf=_mixture_logpdf, pdf=lambda x, p: mixture_pdf(x, p)[0],
+        cdf=lambda x, p: mixture_cdf(x, p), ccdf=lambda x, p: mixture_ccdf(x, p),
+        quantile=None, sample=lambda n, p, seed: mixture_sample(n, p, seed),
+        lorenz=lambda u, p: ineq.mixture_lorenz(u, p), gini=lambda p: ineq.mixture_gini(p),
+        positive=False,
+    ),
+    # two parameters on mean-scaled data, with the scale pinned to unit mean
+    "kappagen_normalized": replace(
+        _KAPPAGEN, flags=(), from_flags=None,
+        decode=lambda v: kgen_from_normalized(math.exp(v[0]),
+                                              min(_sigmoid(v[1]), 1.0 - 1e-12)),
+        encode=lambda p: np.array([math.log(p.alpha), _logit(p.kappa)]),
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# log-likelihood
+
+
+def _check_support(values, model):
+    bad = ~(values > 0.0)
+    if np.any(bad):
+        idx = int(np.argmax(bad))
+        raise SupportViolationError(
+            f"observation {idx} (value {values[idx]}) outside the positive support "
+            f"of model {model!r}", index=idx, value=float(values[idx]))
+
+
+def loglik(sample: WeightedSample, model, params):
+    """Weighted log-likelihood sum(w_i * ln f(x_i)), computed in log space."""
+    family = _family(model)
+    if family.positive:
+        _check_support(sample.values, model)
+    terms = family.logpdf(sample.values, params)
+    return float(np.sum(sample.weights * np.asarray(terms, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -232,22 +365,6 @@ def _initial_kgen(values, weights):
     return alpha0, beta0, min(max(kappa0, 0.01), 0.9)
 
 
-def _initial_vector(model, values, weights):
-    alpha0, beta0, kappa0 = _initial_kgen(values, weights)
-    if model == "kappagen":
-        return _encode(model, KappaGenParams(alpha0, beta0, kappa0))
-    if model == "weibull":
-        return _encode(model, WeibullParams(alpha0, beta0))
-    if model == "ekg1":
-        q0 = 1.0 / (2.0 * kappa0)
-        return _encode(model, EKG1Params(alpha0, beta0, q0, 0.0))
-    if model == "ekg2":
-        q0 = 1.0 / (2.0 * kappa0)
-        b0 = beta0 * (2.0 * kappa0) ** (-1.0 / alpha0)
-        return _encode(model, EKG2Params(alpha0, b0, 1.0, q0))
-    raise DomainError(f"no initializer for model {model!r}")
-
-
 # ---------------------------------------------------------------------------
 # optimizer core
 
@@ -278,21 +395,20 @@ def _two_stage_minimize(fun, x0, config):
     return best.x, float(best.fun), iterations
 
 
-def _fit_transformed(model, sample, config, objective_params=None):
+def _fit_transformed(model, sample, config):
     """Multistart two-stage maximization of the mean log-likelihood."""
+    family = FAMILIES[model]
     values = sample.values
     weights = sample.weights
     total_w = sample.total_weight
     if np.unique(values[weights > 0.0]).size < 2:
         raise DegenerateDataError("sample has a single distinct value")
 
-    decode = objective_params or (lambda vec: _decode(model, vec))
-
     def negative_mean_loglik(vec):
         if np.any(np.abs(vec) > 60.0):
             return 1e12
         try:
-            params = decode(vec)
+            params = family.decode(vec)
             value = loglik(sample, model, params) / total_w
         except (DomainError, MomentDivergenceError, OverflowError):
             return 1e12
@@ -300,11 +416,7 @@ def _fit_transformed(model, sample, config, objective_params=None):
             return 1e12
         return -value
 
-    if objective_params is None:
-        x0 = _initial_vector(model, values, weights)
-    else:
-        alpha0, _, kappa0 = _initial_kgen(values, weights)
-        x0 = np.array([math.log(alpha0), _logit(kappa0)])
+    x0 = family.encode(family.start(*_initial_kgen(values, weights)))
 
     best = None
     iterations = 0
@@ -319,7 +431,7 @@ def _fit_transformed(model, sample, config, objective_params=None):
     score = _central_gradient(negative_mean_loglik, x_opt)
     score_norm = float(np.max(np.abs(score)))
     converged = math.isfinite(f_opt) and f_opt < 1e11 and score_norm <= _SCORE_TOL
-    params = decode(x_opt)
+    params = family.decode(x_opt)
     return params, -f_opt * total_w, converged, iterations, score_norm
 
 
@@ -345,28 +457,12 @@ def fit_normalized(sample: WeightedSample, config: FitConfig):
     """Two-parameter fit on mean-scaled data with the scale pinned to
     give unit mean; returns unit-mean-scale parameters plus the scaling
     factor used."""
-    bad = ~(sample.values > 0.0)
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise SupportViolationError(
-            f"observation {idx} (value {sample.values[idx]}) outside the positive support",
-            index=idx, value=float(sample.values[idx]))
+    _check_support(sample.values, "kappagen_normalized")
     scale = sample.weighted_mean()
     scaled = WeightedSample(sample.values / scale, sample.weights)
-
-    def decode(vec):
-        alpha = math.exp(vec[0])
-        kappa = min(_sigmoid(vec[1]), 1.0 - 1e-12)
-        if kappa > 0.0 and alpha / kappa <= 1.0:
-            raise MomentDivergenceError("unit-mean scale needs alpha/kappa > 1")
-        return kgen_from_normalized(alpha, kappa)
-
-    cfg = FitConfig(model="kappagen", max_iter=config.max_iter,
-                    rel_tol=config.rel_tol, multistart=config.multistart,
-                    seed=config.seed)
     params, ll, converged, iterations, score_norm = _fit_transformed(
-        "kappagen", scaled, cfg, objective_params=decode)
-    gof = goodness_of_fit(scaled, "kappagen", params)
+        "kappagen_normalized", scaled, config)
+    gof = goodness_of_fit(scaled, "kappagen_normalized", params)
     return FitResult(model="kappagen_normalized", params=params, loglik=ll,
                      converged=converged, iterations=iterations,
                      score_norm=score_norm, gof=gof, scale=scale)
@@ -405,12 +501,9 @@ def fit_mixture(sample: WeightedSample, config: FitConfig):
         neg_sample = WeightedSample(-values[neg], weights[neg])
         if neg_sample.effective_size() < _MIN_EFFECTIVE_BRANCH:
             flags.append("negative branch has fewer than 30 effective observations")
-        cfg = FitConfig(model="weibull", max_iter=config.max_iter,
-                        rel_tol=config.rel_tol, multistart=config.multistart,
-                        seed=config.seed)
         try:
             wb_params, _, wb_conv, wb_iter, wb_score = _fit_transformed(
-                "weibull", neg_sample, cfg)
+                "weibull", neg_sample, config)
             converged &= wb_conv
             iterations += wb_iter
             score_norm = max(score_norm, wb_score)
@@ -426,11 +519,8 @@ def fit_mixture(sample: WeightedSample, config: FitConfig):
     pos_sample = WeightedSample(values[pos], weights[pos])
     if pos_sample.effective_size() < _MIN_EFFECTIVE_BRANCH:
         flags.append("positive branch has fewer than 30 effective observations")
-    cfg = FitConfig(model="kappagen", max_iter=config.max_iter,
-                    rel_tol=config.rel_tol, multistart=config.multistart,
-                    seed=config.seed)
     kg_params, _, kg_conv, kg_iter, kg_score = _fit_transformed(
-        "kappagen", pos_sample, cfg)
+        "kappagen", pos_sample, config)
     converged &= kg_conv
     iterations += kg_iter
     score_norm = max(score_norm, kg_score)
@@ -449,41 +539,6 @@ def fit_mixture(sample: WeightedSample, config: FitConfig):
 # goodness of fit
 
 
-def _model_lorenz(model, params, u):
-    from .distributions import ekg1_quantile, ekg2_quantile
-
-    if model in ("kappagen", "kappagen_normalized"):
-        return np.asarray(ineq.kgen_lorenz(u, params), dtype=float)
-    if model == "weibull":
-        proxy = KappaGenParams(params.shape, params.scale, 0.0)
-        return np.asarray(ineq.kgen_lorenz(u, proxy), dtype=float)
-    if model == "ekg2":
-        return np.asarray(ineq.ekg2_lorenz(u, params), dtype=float)
-    if model == "ekg1":
-        qf = lambda t: ekg1_quantile(t, params)
-        mean = ineq.quantile_mean(qf)
-        return np.array([ineq.quantile_lorenz(float(ui), qf, mean) for ui in u])
-    if model == "mixture":
-        return np.asarray(ineq.mixture_lorenz(u, params), dtype=float)
-    raise DomainError(f"unknown model {model!r}")
-
-
-def _model_gini(model, params):
-    from .distributions import ekg1_quantile, ekg2_quantile
-
-    if model in ("kappagen", "kappagen_normalized"):
-        return ineq.kgen_gini(params)
-    if model == "weibull":
-        return ineq.kgen_gini(KappaGenParams(params.shape, params.scale, 0.0))
-    if model == "ekg1":
-        return ineq.quantile_gini(lambda t: ekg1_quantile(t, params))
-    if model == "ekg2":
-        return ineq.quantile_gini(lambda t: ekg2_quantile(t, params))
-    if model == "mixture":
-        return ineq.mixture_gini(params)
-    raise DomainError(f"unknown model {model!r}")
-
-
 def goodness_of_fit(sample: WeightedSample, model, params):
     """Log-likelihood plus Lorenz-curve and Gini discrepancy measures.
 
@@ -491,11 +546,12 @@ def goodness_of_fit(sample: WeightedSample, model, params):
     model Lorenz curves on the interior decile grid; AEG is the absolute
     gap between the observed and model Gini.
     """
+    family = _family(model)
     ll = loglik(sample, model, params)
     deciles = np.arange(1, 10) / 10.0
     curve = ineq.empirical_lorenz(sample)
     l_emp = curve.interpolate(deciles)
-    l_mod = _model_lorenz(model, params, deciles)
+    l_mod = np.asarray(family.lorenz(deciles, params), dtype=float)
     lrsse = float(np.sqrt(np.sum((l_emp - l_mod) ** 2)))
-    aeg = abs(ineq.empirical_gini(sample) - _model_gini(model, params))
+    aeg = abs(ineq.empirical_gini(sample) - family.gini(params))
     return GoodnessOfFit(loglik=ll, lrsse=lrsse, aeg=aeg)

@@ -17,6 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .data import WeightedSample
+from .deformed import _asarray, _restore
 from .distributions import (
     EKG2Params,
     KappaGenParams,
@@ -187,9 +188,7 @@ def _require_curve(p: KappaGenParams):
 def kgen_lorenz(u, p: KappaGenParams):
     """Closed-form Lorenz curve of the base model; needs alpha/kappa > 1."""
     _require_curve(p)
-    arr = np.asarray(u, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    arr, scalar = _asarray(u)
     if np.any(~((arr >= 0.0) & (arr <= 1.0))):
         raise DomainError("kgen_lorenz requires 0 <= u <= 1")
     a, k = p.alpha, p.kappa
@@ -214,7 +213,7 @@ def kgen_lorenz(u, p: KappaGenParams):
             out[interior] = vals
     out[arr == 0.0] = 0.0
     out[arr == 1.0] = 1.0
-    return float(out[0]) if scalar else out
+    return _restore(out, scalar)
 
 
 def lorenz_dominates(p1: KappaGenParams, p2: KappaGenParams):
@@ -327,9 +326,7 @@ def mixture_lorenz(u, p: NetWealthMixtureParams):
     m, m_pos = _mixture_mean_checked(p)
     if m == 0.0:
         raise DegenerateNormalizationError("mixture mean is zero; Lorenz undefined")
-    arr = np.asarray(u, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).copy()
+    arr, scalar = _asarray(u)
     if np.any(~((arr >= 0.0) & (arr <= 1.0))):
         raise DomainError("mixture_lorenz requires 0 <= u <= 1")
     s, lam = p.negative_branch.shape, p.negative_branch.scale
@@ -351,7 +348,7 @@ def mixture_lorenz(u, p: NetWealthMixtureParams):
         out[upper] = (p.theta3 * m_pos * pos_lorenz - lam * th1 * gamma_s) / m
     out[arr == 0.0] = 0.0
     out[arr == 1.0] = 1.0
-    return float(out[0]) if scalar else out
+    return _restore(out, scalar)
 
 
 def mixture_gini(p: NetWealthMixtureParams):
@@ -392,16 +389,14 @@ def ekg2_lorenz(u, p: EKG2Params):
     if not b2 > 0.0:
         raise CurveNonexistenceError(
             f"ekg2 Lorenz curve requires q > 1/(2a), got q={p.q}, a={p.a}")
-    arr = np.asarray(u, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    arr, scalar = _asarray(u)
     if np.any(~((arr >= 0.0) & (arr <= 1.0))):
         raise DomainError("ekg2_lorenz requires 0 <= u <= 1")
     z = np.asarray(inv_reg_inc_beta(arr, p.p, p.q), dtype=float)
     out = np.asarray(reg_inc_beta(z, p.p + 1.0 / p.a, b2), dtype=float)
     out[arr == 0.0] = 0.0
     out[arr == 1.0] = 1.0
-    return float(out[0]) if scalar else out
+    return _restore(out, scalar)
 
 
 # ---------------------------------------------------------------------------

@@ -5,19 +5,34 @@ import math
 import subprocess
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from kappagen import (
     DataFormatError,
+    EKG1Params,
+    EKG2Params,
     KappaGenParams,
+    NetWealthMixtureParams,
+    WeibullParams,
+    ekg1_cdf,
+    ekg1_pdf,
+    ekg1_quantile,
+    ekg2_cdf,
+    ekg2_pdf,
+    ekg2_quantile,
     kgen_cdf,
     kgen_gini,
     kgen_pdf,
+    kgen_quantile,
     kgen_sample,
     load_dataset,
+    mixture_cdf,
+    mixture_pdf,
 )
 from kappagen.cli import main
+from kappagen.fitting import FAMILIES
 
 
 def run_cli(*argv):
@@ -311,6 +326,129 @@ class TestPlotdata:
         assert code == 0
         rows = [l.split("\t") for l in capsys.readouterr().out.strip().splitlines()]
         assert float(rows[-1][1]) == pytest.approx(1.0, abs=1e-12)
+
+
+def eval_rows(capsys, *argv):
+    assert run_cli("eval", *argv) == 0
+    return [[float(t) for t in line.split("\t")]
+            for line in capsys.readouterr().out.strip().splitlines()[1:]]
+
+
+def _weibull_pdf(x, p):
+    rel = np.asarray(x) / p.scale
+    return p.shape / p.scale * rel ** (p.shape - 1.0) * np.exp(-rel ** p.shape)
+
+
+# Every model that takes parameter flags: its flags, the same parameters as
+# a library object, and the library's pdf, cdf and quantile (None where the
+# CLI has no quantile).
+PARAM_FAMILIES = {
+    "kappagen": (["--alpha", "2", "--beta", "1.2", "--kappa", "0.5"],
+                 KappaGenParams(2.0, 1.2, 0.5), kgen_pdf, kgen_cdf, kgen_quantile),
+    "weibull": (["--shape", "2", "--scale", "1.5"], WeibullParams(2.0, 1.5), _weibull_pdf,
+                lambda x, p: -np.expm1(-(np.asarray(x) / p.scale) ** p.shape),
+                lambda u, p: p.scale * (-np.log1p(-np.asarray(u))) ** (1.0 / p.shape)),
+    "ekg1": (["--a", "2", "--b", "1", "--q", "1.5", "--r", "0.2"],
+             EKG1Params(2.0, 1.0, 1.5, 0.2), ekg1_pdf, ekg1_cdf, ekg1_quantile),
+    "ekg2": (["--a", "2", "--b", "1", "--p", "2", "--q", "1.2"],
+             EKG2Params(2.0, 1.0, 2.0, 1.2), ekg2_pdf, ekg2_cdf, ekg2_quantile),
+    "mixture": (["--shape", "0.7", "--scale", "1", "--theta1", "0.2", "--theta2", "0.1",
+                 "--alpha", "2", "--beta", "10", "--kappa", "0.1"],
+                NetWealthMixtureParams(WeibullParams(0.7, 1.0), 0.2, 0.1, 0.7,
+                                       KappaGenParams(2.0, 10.0, 0.1)),
+                lambda x, p: mixture_pdf(x, p)[0], mixture_cdf, None),
+}
+
+
+class TestEveryFamily:
+    def test_table_covers_the_registry(self):
+        assert set(PARAM_FAMILIES) == {m for m, f in FAMILIES.items() if f.flags}
+
+    @pytest.mark.parametrize("model", sorted(PARAM_FAMILIES))
+    def test_eval_matches_library(self, model, capsys):
+        flags, params, pdf, cdf, quantile = PARAM_FAMILIES[model]
+        xs = [0.3, 1.0, 2.5, 8.0] + ([-1.5, 0.0] if model == "mixture" else [])
+        rows = eval_rows(capsys, "--model", model, *flags, "--x", ",".join(map(str, xs)),
+                         "--funcs", "pdf,cdf,ccdf")
+        assert [r[0] for r in rows] == xs
+        for (x, got_pdf, got_cdf, got_ccdf) in rows:
+            assert got_pdf == pytest.approx(float(pdf(x, params)), rel=1e-12, abs=0.0)
+            assert got_cdf == pytest.approx(float(cdf(x, params)), rel=1e-12, abs=0.0)
+            assert got_cdf + got_ccdf == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("model", sorted(PARAM_FAMILIES))
+    def test_eval_quantile_or_usage_error(self, model, capsys):
+        flags, params, _, _, quantile = PARAM_FAMILIES[model]
+        argv = ["--model", model, *flags, "--u", "0.1,0.5,0.99", "--funcs", "quantile"]
+        if quantile is None:
+            assert run_cli("eval", *argv) == 1
+            assert "not supported" in capsys.readouterr().err
+            return
+        for u, got in eval_rows(capsys, *argv):
+            assert got == pytest.approx(float(quantile(u, params)), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("model", sorted(PARAM_FAMILIES))
+    def test_sample_bytes_deterministic(self, model, tmp_path):
+        flags = PARAM_FAMILIES[model][0]
+        paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
+        for path in paths:
+            assert run_cli("sample", "--model", model, *flags, "--n", "300", "--seed", "4",
+                           "-o", str(path)) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert len(paths[0].read_text().split()) == 300
+
+    @pytest.mark.parametrize("model", sorted(PARAM_FAMILIES))
+    def test_plotdata_lorenz_endpoints(self, model, capsys):
+        flags = PARAM_FAMILIES[model][0]
+        assert run_cli("plotdata", "--model", model, *flags, "--kind", "lorenz",
+                       "--points", "11") == 0
+        rows = [[float(t) for t in line.split("\t")]
+                for line in capsys.readouterr().out.strip().splitlines()]
+        assert len(rows) == 11
+        assert rows[0] == [0.0, 0.0] and rows[-1] == [1.0, 1.0]
+
+
+def _ekg1_ccdf_mp(x, a, b, q, r):
+    """exp(-t), with t the mpmath root of the closed-form ekg1 quantile at x."""
+    f = lambda t: mp.log(2 * q) - r * t + mp.log(mp.sinh(t / (2 * q))) - a * mp.log(x / b)
+    t0 = (a * mp.log(x / b) - mp.log(q)) / (1 / (2 * q) - r)
+    return mp.exp(-mp.findroot(f, t0))
+
+
+def _ekg2_ccdf_mp(x, a, b, p, q):
+    """I_(1-z)(q, p) with 1 - z = 1/D^2, D = (y + sqrt(y^2 + 4))/2, y = (x/b)^a."""
+    y = (x / b) ** a
+    d = (y + mp.sqrt(y * y + 4)) / 2
+    return mp.betainc(q, p, 0, 1 / (d * d), regularized=True)
+
+
+def _kgen_ccdf_mp(x, alpha, beta, kappa):
+    y = (x / beta) ** alpha
+    return (mp.sqrt(1 + kappa ** 2 * y ** 2) - kappa * y) ** (1 / kappa)
+
+
+# Survival-function points in the tails, where 1 - cdf cancels.
+CCDF_TAIL = [
+    ("weibull", ["--shape", "2", "--scale", "1"], 5, lambda x: mp.exp(-x ** 2)),
+    ("weibull", ["--shape", "2", "--scale", "1"], 7, lambda x: mp.exp(-x ** 2)),
+    ("ekg2", PARAM_FAMILIES["ekg2"][0], 1e3, lambda x: _ekg2_ccdf_mp(x, 2, 1, 2, 1.2)),
+    ("ekg2", PARAM_FAMILIES["ekg2"][0], 1e5, lambda x: _ekg2_ccdf_mp(x, 2, 1, 2, 1.2)),
+    ("ekg1", PARAM_FAMILIES["ekg1"][0], 1e3, lambda x: _ekg1_ccdf_mp(x, 2, 1, 1.5, 0.2)),
+    ("mixture", PARAM_FAMILIES["mixture"][0], 300,
+     lambda x: (1 - mp.mpf("0.2") - mp.mpf("0.1")) * _kgen_ccdf_mp(x, 2, 10, mp.mpf("0.1"))),
+]
+
+
+class TestEvalCcdfTail:
+    @pytest.mark.parametrize("model,flags,x,exact", CCDF_TAIL,
+                             ids=[f"{m}-{x:g}" for m, _, x, _ in CCDF_TAIL])
+    def test_against_mpmath(self, model, flags, x, exact, capsys):
+        [(_, got)] = eval_rows(capsys, "--model", model, *flags, "--x", repr(float(x)),
+                               "--funcs", "ccdf")
+        with mp.workdps(40):
+            want = float(exact(mp.mpf(x)))
+        assert want > 0.0
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestProcessLevel:

@@ -25,6 +25,7 @@ from kappagen import (
     loglik,
     mixture_sample,
 )
+from kappagen.fitting import FAMILIES
 
 FAST = FitConfig(model="kappagen", multistart=2, seed=0)
 
@@ -280,3 +281,26 @@ class TestConsistencyDrift:
             p = res.params
             errors.append(abs(p.alpha - 2.0) + abs(p.beta - 1.0) + abs(p.kappa - 0.5))
         assert errors[2] < errors[0]
+
+
+# One optimizer vector per family fitted on transformed coordinates.
+TRANSFORM_VECTORS = {
+    "kappagen": [0.7, 0.4, -0.4],
+    "weibull": [0.7, -0.3],
+    "ekg1": [0.7, 0.1, 0.4, -0.5],
+    "ekg2": [0.7, 0.1, 0.2, 0.3],
+    "kappagen_normalized": [0.9, -0.8],
+}
+
+
+class TestFamilyTransforms:
+    def test_table_covers_the_fitted_families(self):
+        assert set(TRANSFORM_VECTORS) == {m for m, f in FAMILIES.items() if f.decode}
+
+    @pytest.mark.parametrize("model", sorted(TRANSFORM_VECTORS))
+    def test_encode_inverts_decode(self, model):
+        family = FAMILIES[model]
+        vec = np.array(TRANSFORM_VECTORS[model])
+        params = family.decode(vec)
+        assert isinstance(params, family.params)
+        assert family.encode(params) == pytest.approx(vec, rel=1e-12, abs=1e-12)
