@@ -134,7 +134,7 @@ def _cmd_eval(args):
                     raise UsageError(f"with --x, funcs must be pdf/cdf/ccdf, got {f!r}")
                 row.append(getattr(family, f)(x, params))
             rows.append(row)
-    elif args.u is not None:
+    else:
         us = _float_list(args.u)
         if funcs != ["quantile"]:
             raise UsageError("with --u, the only supported func is 'quantile'")
@@ -143,8 +143,6 @@ def _cmd_eval(args):
         header = ["u", "quantile"]
         for u in us:
             rows.append([u, family.quantile(u, params)])
-    else:
-        raise UsageError("eval needs either --x or --u")
     lines = ["\t".join(header)]
     lines += ["\t".join(_fmt(v) for v in row) for row in rows]
     _write_text(args.output, "\n".join(lines) + "\n")
@@ -260,6 +258,8 @@ def _cmd_compare(args):
 
 
 def _cmd_plotdata(args):
+    if args.points < 1:
+        raise UsageError(f"--points must be at least 1, got {args.points}")
     if args.input is not None:
         sample = load_dataset(args.input, no_header=args.no_header)
         if args.kind == "lorenz":
@@ -289,7 +289,7 @@ def _cmd_plotdata(args):
                 raise UsageError("ccdf plot data for the mixture is not supported")
             grid = np.linspace(0.005, 0.9995, args.points)
             xs = np.asarray(family.quantile(grid, params), dtype=float)
-            cc = 1.0 - np.asarray(family.cdf(xs, params), dtype=float)
+            cc = np.asarray(family.ccdf(xs, params), dtype=float)
             keep = (xs > 0.0) & (cc > 0.0)
             pairs = np.column_stack([np.log10(xs[keep]), np.log10(cc[keep])])
         elif args.kind == "lorenz":
@@ -331,8 +331,9 @@ def _build_parser():
     sp = sub.add_parser("eval", help="tabulate pdf/cdf/ccdf or quantiles")
     sp.add_argument("--model", default="kappagen", choices=param_models)
     _add_param_flags(sp)
-    sp.add_argument("--x", help="comma-separated evaluation points")
-    sp.add_argument("--u", help="comma-separated probabilities for quantiles")
+    points = sp.add_mutually_exclusive_group(required=True)
+    points.add_argument("--x", help="comma-separated evaluation points")
+    points.add_argument("--u", help="comma-separated probabilities for quantiles")
     sp.add_argument("--funcs", default="pdf,cdf",
                     help="comma list of pdf,cdf,ccdf (or quantile with --u)")
     sp.add_argument("--output", "-o", default=None)

@@ -213,6 +213,36 @@ def _check_moment_order(r, p: KappaGenParams):
             f"moment of order {r} diverges: requires r < alpha/kappa = {p.alpha / p.kappa}")
 
 
+# Stirling's series: Binet's remainder ln Gamma(z) - (z - 1/2) ln z + z - ln(2 pi)/2
+# is w sum_j B_2j w^(2j - 2) / (2j (2j - 1)) at w = 1/z, within 3e-17 for z >= 10.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _binet(w):
+    return w * sum(coef * w ** (2 * j) for j, coef in enumerate(_STIRLING))
+
+
+def _log_gamma_ratio(kappa, m):
+    """ln[(2 kappa)^(-m) Gamma(c - m/2) / ((1 + m kappa) Gamma(c + m/2))],
+    c = 1/(2 kappa): the kappa factor of the base model's moments and Gini.
+
+    Exactly 0 at kappa = 0 (the Weibull limit) and O(kappa^2) near it.  For
+    c - |m|/2 >= 10 the two Stirling expansions are subtracted term by term
+    with m ln(2 kappa) folded in (Tricomi & Erdelyi 1951): with t = m kappa
+    the elementary parts leave -(m + 1) ln(1 - t^2)/2 - (atanh(t) - t)/kappa,
+    and 1/(c -+ m/2) = 2 kappa / (1 -+ t).  Nothing of the size of
+    ln Gamma(c) cancels; the absolute error stays near 1e-16 |m|.
+    """
+    if kappa == 0.0:
+        return 0.0
+    t = m * kappa
+    if (1.0 - abs(t)) / (2.0 * kappa) < 10.0:  # c - |m|/2 small: nothing large cancels
+        c, h = 0.5 / kappa, 0.5 * m  # (1 + m kappa) Gamma(c + h) = 2 kappa Gamma(c + h + 1)
+        return log_gamma(c - h) - log_gamma(c + h + 1.0) - (m + 1.0) * math.log(2.0 * kappa)
+    return (-0.5 * (m + 1.0) * math.log1p(-t * t) - (math.atanh(t) - t) / kappa
+            + _binet(2.0 * kappa / (1.0 - t)) - _binet(2.0 * kappa / (1.0 + t)))
+
+
 def kgen_moment(r, p: KappaGenParams):
     """Raw moment E[X^r]; exists only for -alpha < r < alpha/kappa."""
     r = float(r)
@@ -220,14 +250,7 @@ def kgen_moment(r, p: KappaGenParams):
     if r == 0.0:
         return 1.0
     a, b, k = p.alpha, p.beta, p.kappa
-    if k < _TINY_KAPPA:
-        return b ** r * math.exp(log_gamma(1.0 + r / a))
-    # gamma ratio in log space: the individual factors explode as kappa -> 0
-    c = 1.0 / (2.0 * k)
-    d = r / (2.0 * a)
-    log_ratio = log_gamma(c - d) - log_gamma(c + d)
-    return (b ** r * (2.0 * k) ** (-r / a)
-            * math.exp(log_gamma(1.0 + r / a) + log_ratio) / (1.0 + r * k / a))
+    return b ** r * math.exp(log_gamma(1.0 + r / a) + _log_gamma_ratio(k, r / a))
 
 
 def kgen_mean(p: KappaGenParams):
@@ -267,25 +290,10 @@ def kgen_sample(n, p: KappaGenParams, seed):
 
 
 def kgen_from_normalized(alpha, kappa):
-    """Parameters with unit mean for the given shape pair (alpha, kappa).
-
-    The scale solves m(alpha, beta, kappa) = 1, written through the
-    rate form lambda = beta^(-alpha).
-    """
-    probe = KappaGenParams(alpha, 1.0, kappa)  # validates the shape pair
-    a, k = probe.alpha, probe.kappa
-    if k > 0.0 and not a / k > 1.0:
-        raise MomentDivergenceError(
-            f"unit-mean scale requires alpha/kappa > 1, got {a / k}")
-    if k < _TINY_KAPPA:
-        beta = math.exp(-log_gamma(1.0 + 1.0 / a))
-    else:
-        c = 1.0 / (2.0 * k)
-        d = 1.0 / (2.0 * a)
-        log_lambda = -math.log(2.0 * k) + a * (
-            log_gamma(1.0 / a) - math.log(k + a) + log_gamma(c - d) - log_gamma(c + d))
-        beta = math.exp(-log_lambda / a)
-    return KappaGenParams(alpha, beta, kappa)
+    """Parameters with unit mean for the given shape pair (alpha, kappa);
+    the scale is the reciprocal of the mean at beta = 1, so alpha/kappa
+    must exceed 1."""
+    return KappaGenParams(alpha, 1.0 / kgen_mean(KappaGenParams(alpha, 1.0, kappa)), kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +539,7 @@ def mixture_pdf(w, p: NetWealthMixtureParams):
     neg = arr < 0.0
     pos = arr > 0.0
     if np.any(neg):
-        with np.errstate(under="ignore"):
-            dens[neg] = p.theta1 * np.exp(
-                kgen_logpdf(-arr[neg], _weibull_as_kgen(p.negative_branch)))
+        dens[neg] = p.theta1 * kgen_pdf(-arr[neg], _weibull_as_kgen(p.negative_branch))
     if np.any(pos):
         dens[pos] = p.theta3 * kgen_pdf(arr[pos], p.positive_branch)
     atom[arr == 0.0] = p.theta2
@@ -550,9 +556,7 @@ def mixture_cdf(w, p: NetWealthMixtureParams):
     neg = arr < 0.0
     pos = arr > 0.0
     if np.any(neg):
-        s, lam = p.negative_branch.shape, p.negative_branch.scale
-        with np.errstate(over="ignore", under="ignore"):
-            out[neg] = p.theta1 * np.exp(-((-arr[neg]) / lam) ** s)
+        out[neg] = p.theta1 * kgen_ccdf(-arr[neg], _weibull_as_kgen(p.negative_branch))
     out[arr == 0.0] = rho
     if np.any(pos):
         out[pos] = rho + (1.0 - rho) * np.asarray(
@@ -572,14 +576,14 @@ def mixture_ccdf(w, p: NetWealthMixtureParams):
 def mixture_moment(r, p: NetWealthMixtureParams):
     """Raw moment of integer order r >= 1.
 
-    theta1 (-1)^r lambda^r Gamma(1 + r/s) from the negative branch plus
-    theta3 times the positive-branch moment; the atom contributes zero.
+    theta1 (-1)^r times the Weibull branch's moment (the base model at
+    kappa = 0) plus theta3 times the positive-branch moment; the atom
+    contributes zero.
     """
     ri = int(r)
     if ri != r or ri < 1:
         raise DomainError(f"moment order must be a positive integer, got {r}")
-    s, lam = p.negative_branch.shape, p.negative_branch.scale
-    neg_part = (-1.0) ** ri * lam ** ri * math.exp(log_gamma(1.0 + ri / s))
+    neg_part = (-1.0) ** ri * kgen_moment(ri, _weibull_as_kgen(p.negative_branch))
     pos_part = kgen_moment(ri, p.positive_branch) if p.theta3 > 0.0 else 0.0
     return p.theta1 * neg_part + p.theta3 * pos_part
 
@@ -606,6 +610,7 @@ def mixture_sample(n, p: NetWealthMixtureParams, seed):
     neg = u < p.theta1
     pos = u >= rho
     if np.any(neg):
+        # written out: kgen_quantile(1 - u/theta1) would round off tail bits
         s, lam = p.negative_branch.shape, p.negative_branch.scale
         un = np.maximum(u[neg], 1e-300)
         out[neg] = -lam * np.log(p.theta1 / un) ** (1.0 / s)

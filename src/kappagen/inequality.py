@@ -23,6 +23,8 @@ from .distributions import (
     KappaGenParams,
     NetWealthMixtureParams,
     _TINY_KAPPA,
+    _log_gamma_ratio,
+    _weibull_as_kgen,
     kgen_mean,
     kgen_moment,
 )
@@ -238,19 +240,12 @@ def lorenz_dominates(p1: KappaGenParams, p2: KappaGenParams):
 
 
 def kgen_gini(p: KappaGenParams):
-    """Closed-form Gini of the base model; needs alpha/kappa > 1.
-
-    The kappa -> 0 limit 1 - 2^(-1/alpha) (the Weibull value) is used
-    below the tiny-kappa threshold.
-    """
+    """Closed-form Gini of the base model; needs alpha/kappa > 1.  Its
+    kappa = 0 value is the Weibull 1 - 2^(-1/alpha)."""
     _require_curve(p)
     a, k = p.alpha, p.kappa
-    if k < _TINY_KAPPA:
-        return 1.0 - 2.0 ** (-1.0 / a)
-    log_ratio = (log_gamma(1.0 / k - 1.0 / (2.0 * a)) - log_gamma(1.0 / k + 1.0 / (2.0 * a))
-                 + log_gamma(1.0 / (2.0 * k) + 1.0 / (2.0 * a))
-                 - log_gamma(1.0 / (2.0 * k) - 1.0 / (2.0 * a)))
-    return 1.0 - (2.0 * a + 2.0 * k) / (2.0 * a + k) * math.exp(log_ratio)
+    return 1.0 - 2.0 ** (-1.0 / a) * math.exp(
+        _log_gamma_ratio(0.5 * k, 1.0 / a) - _log_gamma_ratio(k, 1.0 / a))
 
 
 def kgen_mld(p: KappaGenParams):
@@ -305,15 +300,15 @@ def kgen_inequality_report(p: KappaGenParams, thetas=()):
 # net-wealth mixture
 
 
-def _mixture_mean_checked(p: NetWealthMixtureParams):
+def _mixture_means(p: NetWealthMixtureParams):
+    """Overall, positive-branch and Weibull-branch (kappa = 0) means."""
     try:
-        m = kgen_mean(p.positive_branch) if p.theta3 > 0.0 else 0.0
+        m_pos = kgen_mean(p.positive_branch) if p.theta3 > 0.0 else 0.0
     except MomentDivergenceError:
         raise MomentDivergenceError(
             "mixture Lorenz/Gini require the positive-branch mean to exist") from None
-    s, lam = p.negative_branch.shape, p.negative_branch.scale
-    total = -p.theta1 * lam * math.exp(log_gamma(1.0 + 1.0 / s)) + p.theta3 * m
-    return total, m
+    m_neg = kgen_mean(_weibull_as_kgen(p.negative_branch))
+    return -p.theta1 * m_neg + p.theta3 * m_pos, m_pos, m_neg
 
 
 def mixture_lorenz(u, p: NetWealthMixtureParams):
@@ -323,7 +318,7 @@ def mixture_lorenz(u, p: NetWealthMixtureParams):
     [theta1, rho], incomplete-beta branch above rho; negative for
     u <= rho whenever the overall mean is positive.
     """
-    m, m_pos = _mixture_mean_checked(p)
+    m, m_pos, m_neg = _mixture_means(p)
     if m == 0.0:
         raise DegenerateNormalizationError("mixture mean is zero; Lorenz undefined")
     arr, scalar = _asarray(u)
@@ -331,21 +326,20 @@ def mixture_lorenz(u, p: NetWealthMixtureParams):
         raise DomainError("mixture_lorenz requires 0 <= u <= 1")
     s, lam = p.negative_branch.shape, p.negative_branch.scale
     th1, rho = p.theta1, p.rho
-    gamma_s = math.exp(log_gamma(1.0 + 1.0 / s))
     out = np.empty_like(arr)
 
     lower = (arr > 0.0) & (arr < th1)
     flat = (arr >= th1) & (arr <= rho)
     upper = (arr > rho) & (arr < 1.0)
     if np.any(lower):
-        # natural log, consistent with the Weibull branch inversion
+        # partial Weibull mean: an upper incomplete gamma the base model lacks
         out[lower] = -(lam * th1 / m) * np.asarray(
             upper_inc_gamma(1.0 + 1.0 / s, np.log(th1 / arr[lower])), dtype=float)
-    out[flat] = -(lam * th1 / m) * gamma_s
+    out[flat] = -(th1 / m) * m_neg
     if np.any(upper):
         v = (arr[upper] - rho) / (1.0 - rho)
         pos_lorenz = np.asarray(kgen_lorenz(v, p.positive_branch), dtype=float)
-        out[upper] = (p.theta3 * m_pos * pos_lorenz - lam * th1 * gamma_s) / m
+        out[upper] = (p.theta3 * m_pos * pos_lorenz - th1 * m_neg) / m
     out[arr == 0.0] = 0.0
     out[arr == 1.0] = 1.0
     return _restore(out, scalar)
@@ -359,11 +353,10 @@ def mixture_gini(p: NetWealthMixtureParams):
     normalization is ambiguous in the source material, so that case is
     flagged with a warning.
     """
-    m, m_pos = _mixture_mean_checked(p)
-    s, lam = p.negative_branch.shape, p.negative_branch.scale
+    m, m_pos, m_neg = _mixture_means(p)
+    s = p.negative_branch.shape
     th1, th3 = p.theta1, p.theta3
-    gamma_s = math.exp(log_gamma(1.0 + 1.0 / s))
-    denominator = m + p.rho * lam * th1 * gamma_s
+    denominator = m + p.rho * th1 * m_neg
     if abs(denominator) < 1e-300:
         raise DegenerateNormalizationError("mixture Gini normalization vanishes")
     if m < 0.0:
@@ -372,7 +365,7 @@ def mixture_gini(p: NetWealthMixtureParams):
                       RuntimeWarning, stacklevel=2)
     gini_pos = kgen_gini(p.positive_branch) if th3 > 0.0 else 0.0
     positive_area = th3 * th3 * m_pos * (1.0 - gini_pos)
-    negative_area = 2.0 * lam * th1 * (1.0 - th1 * 2.0 ** (-1.0 - 1.0 / s)) * gamma_s
+    negative_area = 2.0 * th1 * (1.0 - th1 * 2.0 ** (-1.0 - 1.0 / s)) * m_neg
     return (m - positive_area + negative_area) / denominator
 
 

@@ -215,6 +215,15 @@ class TestEval:
         assert code == 1
         assert "kappa" in capsys.readouterr().err
 
+    def test_x_and_u_together_rejected(self, capsys):
+        code = run_cli("eval", "--model", "kappagen", "--alpha", "2", "--beta", "1",
+                       "--kappa", "0.5", "--x", "1", "--funcs", "ccdf", "--u", "0.5")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("error:") and "--u" in last and "--x" in last
+
 
 class TestInequalityCommand:
     def test_exponential_gini_half(self, capsys):
@@ -320,6 +329,15 @@ class TestPlotdata:
         for line in capsys.readouterr().out.strip().splitlines():
             x, y = (float(t) for t in line.split("\t"))
             assert y == pytest.approx(kgen_pdf(x, p), rel=1e-10)
+
+    @pytest.mark.parametrize("points", ["-1", "0"])
+    def test_points_below_one_usage_error(self, points, capsys):
+        code = run_cli("plotdata", "--model", "kappagen", "--alpha", "2", "--beta", "1",
+                       "--kappa", "0.5", "--kind", "lorenz", "--points", points)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "--points" in captured.err
 
     def test_empirical_lorenz_from_file(self, kgen_file, capsys):
         code = run_cli("plotdata", "--input", str(kgen_file), "--kind", "lorenz")

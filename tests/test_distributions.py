@@ -5,6 +5,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from kappagen import (
@@ -27,6 +29,7 @@ from kappagen import (
     kgen_ccdf,
     kgen_cdf,
     kgen_from_normalized,
+    kgen_gini,
     kgen_mean,
     kgen_mode,
     kgen_moment,
@@ -240,6 +243,58 @@ class TestKgenNormalized:
     def test_divergent_mean_rejected(self):
         with pytest.raises(MomentDivergenceError):
             kgen_from_normalized(0.5, 0.6)
+
+
+def mp_moment(r, alpha, kappa):
+    """E[X^r] at beta = 1 in mpmath; the Weibull value at kappa = 0."""
+    r, a, k = mp.mpf(r), mp.mpf(alpha), mp.mpf(kappa)
+    if k == 0:
+        return mp.gamma(1 + r / a)
+    c = 1 / (2 * k)
+    return (mp.gamma(1 + r / a) * (2 * k) ** (-r / a) / (1 + r * k / a)
+            * mp.exp(mp.loggamma(c - r / (2 * a)) - mp.loggamma(c + r / (2 * a))))
+
+
+def mp_gini(alpha, kappa):
+    a, k = mp.mpf(alpha), mp.mpf(kappa)
+    if k == 0:
+        return 1 - mp.mpf(2) ** (-1 / a)
+    log_ratio = (mp.loggamma(1 / k - 1 / (2 * a)) - mp.loggamma(1 / k + 1 / (2 * a))
+                 + mp.loggamma(1 / (2 * k) + 1 / (2 * a))
+                 - mp.loggamma(1 / (2 * k) - 1 / (2 * a)))
+    return 1 - (2 * a + 2 * k) / (2 * a + k) * mp.exp(log_ratio)
+
+
+SMALL_TO_LARGE_KAPPA = [0.0] + [float(k) for k in np.logspace(-12, math.log10(0.45), 60)]
+
+
+class TestGammaRatioClosedForms:
+    """Moments, Gini and the unit-mean scale are one gamma-ratio formula
+    from kappa = 0 up, with no jump where the Weibull limit takes over."""
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.5, 2.0, 3.0, 5.0])
+    def test_against_mpmath(self, alpha):
+        with mp.workdps(50):
+            for kappa in SMALL_TO_LARGE_KAPPA:
+                if kappa > 0.0 and not alpha / kappa > 2.05:
+                    continue
+                p = KappaGenParams(alpha, 1.0, kappa)
+                m1, m2 = mp_moment(1, alpha, kappa), mp_moment(2, alpha, kappa)
+                assert kgen_mean(p) == pytest.approx(float(m1), rel=1e-12), kappa
+                assert kgen_variance(p) == pytest.approx(float(m2 - m1 * m1), rel=1e-12), kappa
+                beta = kgen_from_normalized(alpha, kappa).beta
+                assert float(beta * m1) == pytest.approx(1.0, rel=1e-12), kappa
+                assert kgen_gini(p) == pytest.approx(float(mp_gini(alpha, kappa)),
+                                                     abs=1e-13), kappa
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(alpha=st.floats(0.5, 8.0),
+           kappa=st.floats(0.0, 1e-4) | st.floats(-300.0, -4.0).map(lambda e: 10.0 ** e))
+    def test_continuous_at_the_weibull_limit(self, alpha, kappa):
+        p, weibull = KappaGenParams(alpha, 1.0, kappa), KappaGenParams(alpha, 1.0, 0.0)
+        assert abs(kgen_gini(p) - kgen_gini(weibull)) <= 4.0 * kappa
+        for f in (kgen_mean, kgen_variance):
+            assert abs(f(p) / f(weibull) - 1.0) <= 4.0 * kappa
 
 
 class TestEkg1:
