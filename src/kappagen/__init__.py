@@ -66,13 +66,16 @@ from .errors import (
 )
 from .fitting import (
     FitConfig,
+    FitDiagnostics,
     FitResult,
     GoodnessOfFit,
+    StartTrace,
     fit_mixture,
     fit_mle,
     fit_normalized,
     goodness_of_fit,
     loglik,
+    loglik_score,
 )
 from .inequality import (
     InequalityReport,

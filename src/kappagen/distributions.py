@@ -23,7 +23,7 @@ import numpy as np
 
 from .deformed import SMALL_KAPPA, _asarray, _restore, kappa_exp, log_kappa_exp
 from .errors import DomainError, MomentDivergenceError
-from .special import inv_reg_inc_beta, log_gamma, reg_inc_beta
+from .special import digamma, inv_reg_inc_beta, log_gamma, reg_inc_beta
 
 _TINY_KAPPA = 1e-10  # below this the Weibull closed forms are exact to 1e-9
 
@@ -139,21 +139,80 @@ class NetWealthMixtureParams:
 # base family
 
 
+def _kgen_log_terms(arr, p: KappaGenParams):
+    """(log-density, ln(x/beta), y = (x/beta)^alpha, asinh(kappa y)) at x > 0.
+
+    The one formula for the base model's log-density: kgen_logpdf and the
+    score share it, so the objective a fit differentiates is the one it
+    reports.  asinh(kappa y)/kappa is accurate for every kappa > 0, so only
+    kappa = 0 takes the Weibull form (asinh_ky is then None).
+    """
+    a, b, k = p.alpha, p.beta, p.kappa
+    rel = arr / b
+    with np.errstate(over="ignore", divide="ignore"):
+        y = rel ** a
+        ln_rel = np.log(rel)
+        base = math.log(a / b) + (a - 1.0) * ln_rel
+        if k == 0.0:
+            return base - y, ln_rel, y, None
+        asinh_ky = np.arcsinh(k * y)
+        out = base - asinh_ky / k - 0.5 * np.log1p((k * y) ** 2)
+    return out, ln_rel, y, asinh_ky
+
+
 def kgen_logpdf(x, p: KappaGenParams):
     """Log-density of the base model; requires x > 0."""
     arr, scalar = _asarray(x)
     if np.any(~(arr > 0.0)):
         raise DomainError("kgen_logpdf requires x > 0")
-    a, b, k = p.alpha, p.beta, p.kappa
-    rel = arr / b
-    with np.errstate(over="ignore", divide="ignore"):
-        y = rel ** a
-        base = math.log(a / b) + (a - 1.0) * np.log(rel)
-        if k < _TINY_KAPPA:
-            out = base - y
+    return _restore(_kgen_log_terms(arr, p)[0], scalar)
+
+
+# (asinh(u) - u/sqrt(1 + u^2)) / u^3 = 1/3 - 3u^2/10 + 15u^4/56 - 35u^6/144 + O(u^8):
+# the kappa-score's leading terms cancel to this for u = kappa y below 1e-2.
+_SERIES_KY = 1e-2
+
+
+def _kgen_loglik_score(values, weights, p: KappaGenParams):
+    """Weighted log-likelihood sum(w ln f(x)) of the base model and its
+    gradient in (ln alpha, ln beta, kappa); requires x > 0.
+
+    With y = (x/beta)^alpha, s = sqrt(1 + kappa^2 y^2), q = y/s and
+    t = kappa q, the per-record scores are 1 + alpha ln(x/beta) (1 - h) and
+    -alpha (1 - h) with h = q + t^2, and
+    asinh(kappa y)/kappa^2 - y/(kappa s) - kappa y^2/s^2
+    = (asinh(kappa y) - t)/kappa^2 - t q for kappa.  The first two terms of
+    the last cancel as kappa y -> 0, so below _SERIES_KY they are taken
+    from their series, on that subset only.  At kappa = 0 the kappa score is
+    0 (the log-density is even in kappa).
+    """
+    out, ln_rel, y, asinh_ky = _kgen_log_terms(values, p)
+    ll = float(np.sum(weights * out))
+    a, k = p.alpha, p.kappa
+    with np.errstate(over="ignore", invalid="ignore"):
+        if k == 0.0:
+            q = y
         else:
-            out = base - np.arcsinh(k * y) / k - 0.5 * np.log1p((k * y) ** 2)
-    return _restore(out, scalar)
+            q = y / np.hypot(1.0, k * y)
+            t = k * q
+        one_minus_h = np.subtract(1.0, q, out=out)
+        if k != 0.0:
+            one_minus_h -= t * t
+        w_dh = np.multiply(weights, one_minus_h, out=one_minus_h)
+        grad = [float(np.sum(weights)) + a * float(np.dot(w_dh, ln_rel)),
+                -a * float(np.sum(w_dh)), 0.0]
+        if k != 0.0:
+            score_k = np.subtract(asinh_ky, t, out=asinh_ky)
+            score_k /= k * k
+            small = np.flatnonzero(k * y < _SERIES_KY)
+            if small.size:
+                ys = y[small]
+                u2 = np.square(k * ys)
+                score_k[small] = k * ys ** 3 * (
+                    1.0 / 3.0 - u2 * (3.0 / 10.0 - u2 * (15.0 / 56.0 - u2 * (35.0 / 144.0))))
+            score_k -= np.multiply(t, q, out=t)
+            grad[2] = float(np.dot(weights, score_k))
+    return ll, np.array(grad)
 
 
 def kgen_pdf(x, p: KappaGenParams):
@@ -243,6 +302,46 @@ def _log_gamma_ratio(kappa, m):
             + _binet(2.0 * kappa / (1.0 - t)) - _binet(2.0 * kappa / (1.0 + t)))
 
 
+def _log_gamma_ratio_grad(kappa, m):
+    """(dL/dkappa, dL/dm) of L = _log_gamma_ratio(kappa, m), for m > 0.
+
+    Differentiates the same two forms.  In the Stirling form, with
+    t = m kappa and w_-+ = 2 kappa / (1 -+ t), Binet's remainder B(w) gives
+    dL/dm = [w_-^2 B'(w_-) + w_+^2 B'(w_+)]/2 plus elementary terms and
+    dL/dkappa = [G(w_-) - G(w_+)] / (2 kappa^2) with G(w) = w^2 B'(w); the
+    difference is summed as (w_- - w_+) times divided differences of the
+    powers, and (atanh(t) - t)/t^2 comes from its series below t = 0.3, so
+    both derivatives keep their relative precision down to kappa -> 0.
+    """
+    if kappa == 0.0:
+        return 0.0, 0.0
+    t = m * kappa
+    if (1.0 - abs(t)) / (2.0 * kappa) < 10.0:
+        c, h = 0.5 / kappa, 0.5 * m
+        psi_lo, psi_hi = digamma(c - h), digamma(c + h + 1.0)
+        return (-2.0 * c * c * (psi_lo - psi_hi) - (m + 1.0) / kappa,
+                -0.5 * (psi_lo + psi_hi) - math.log(2.0 * kappa))
+    one_m_t2 = 1.0 - t * t
+    if t < 0.3:  # (atanh(t) - t)/t^2 = sum_j t^(2j - 1)/(2j + 1)
+        atanh_rest = sum(t ** (2 * j - 1) / (2 * j + 1) for j in range(1, 18))
+    else:
+        atanh_rest = (math.atanh(t) - t) / (t * t)
+    lo, hi = 2.0 * kappa / (1.0 - t), 2.0 * kappa / (1.0 + t)
+    d_lo_hi = 4.0 * kappa * t / one_m_t2  # lo - hi
+    # G(w) = sum_j (2j + 1) coef_j w^(2j + 2); G(lo) - G(hi) through
+    # lo^n - hi^n = (lo - hi) sum_i lo^i hi^(n - 1 - i)
+    g_diff = d_lo_hi * sum(
+        (2 * j + 1) * coef * sum(lo ** i * hi ** (2 * j + 1 - i) for i in range(2 * j + 2))
+        for j, coef in enumerate(_STIRLING))
+    w2_b_prime = lambda w: sum((2 * j + 1) * coef * w ** (2 * j + 2)
+                               for j, coef in enumerate(_STIRLING))
+    d_kappa = ((m + 1.0) * m * t / one_m_t2 + m * m * (atanh_rest - t / one_m_t2)
+               + g_diff / (2.0 * kappa * kappa))
+    d_m = (-0.5 * math.log1p(-t * t) + (m + 1.0) * kappa * t / one_m_t2 - t * t / one_m_t2
+           + 0.5 * (w2_b_prime(lo) + w2_b_prime(hi)))
+    return d_kappa, d_m
+
+
 def kgen_moment(r, p: KappaGenParams):
     """Raw moment E[X^r]; exists only for -alpha < r < alpha/kappa."""
     r = float(r)
@@ -294,6 +393,15 @@ def kgen_from_normalized(alpha, kappa):
     the scale is the reciprocal of the mean at beta = 1, so alpha/kappa
     must exceed 1."""
     return KappaGenParams(alpha, 1.0 / kgen_mean(KappaGenParams(alpha, 1.0, kappa)), kappa)
+
+
+def _unit_mean_log_scale_grad(alpha, kappa):
+    """(d ln beta / d ln alpha, d ln beta / d kappa) of kgen_from_normalized's
+    scale: ln beta = -ln Gamma(1 + m) - L(kappa, m) with m = 1/alpha and L
+    the _log_gamma_ratio."""
+    m = 1.0 / alpha
+    d_kappa, d_m = _log_gamma_ratio_grad(kappa, m)
+    return m * (float(digamma(1.0 + m)) + d_m), -d_kappa
 
 
 # ---------------------------------------------------------------------------

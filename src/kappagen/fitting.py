@@ -6,18 +6,24 @@ CLI flags, distribution functions, Lorenz curve and Gini, and the
 transform the fitting engine optimizes over.  The Weibull law is the base
 model at kappa = 0 throughout.
 
-All families are fitted by the same two-stage scheme: derivative-free
-simplex descent to locate the basin, then quasi-Newton polish driven by
-central-difference gradients, both on transformed coordinates (log for
-positive parameters, logit for the tail deformation, shifted log for the
-extension parameter bounded above).  Convergence is judged by the
-max-abs transformed gradient of the weight-normalized log-likelihood,
-the numerical surrogate for the score equations.
+Every family is fitted on transformed coordinates (log for positive
+parameters, logit for the tail deformation, shifted log for the extension
+parameter bounded above).  The base model, Weibull and the unit-mean model
+have a closed-form score (loglik_score), so each start runs one BFGS stage
+on exact gradients straight from the survival-plot initializer; the
+mixture gets it through its two branch fits.  The two-stage scheme --
+derivative-free simplex descent into the basin, then BFGS polish on
+central-difference gradients -- is the fallback when that stage fails,
+and the only scheme for ekg1 and ekg2.  Convergence is judged by the
+max-abs central-difference gradient of the weight-normalized
+log-likelihood, the numerical surrogate for the score equations, and
+FitResult.diagnostics records how each start got there.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -31,6 +37,8 @@ from .distributions import (
     KappaGenParams,
     NetWealthMixtureParams,
     WeibullParams,
+    _kgen_loglik_score,
+    _unit_mean_log_scale_grad,
     _weibull_as_kgen,
     ekg1_ccdf,
     ekg1_cdf,
@@ -66,6 +74,9 @@ from . import inequality as ineq
 
 _SCORE_TOL = 1e-4
 _MIN_EFFECTIVE_BRANCH = 30.0
+_PENALTY = 1e12  # objective value where the log-likelihood cannot be evaluated
+_EPS = float(np.finfo(float).eps)
+_KAPPA_MAX = 1.0 - 1e-12  # the fitted families' decode caps kappa here
 
 
 @dataclass(frozen=True)
@@ -98,6 +109,33 @@ class GoodnessOfFit:
 
 
 @dataclass(frozen=True)
+class StartTrace:
+    """One start of a multistart fit: the model fitted (a mixture fit has a
+    weibull and a kappagen branch), the log-likelihood it reached, the stage
+    that reached it ("quasi-newton", or "fallback" for the two-stage scheme,
+    which families without a score always take) and its objective
+    evaluations."""
+
+    model: str
+    loglik: float
+    stage: str
+    evaluations: int
+
+
+@dataclass(frozen=True)
+class FitDiagnostics:
+    """How a fit reached its answer.  evaluations counts every objective
+    evaluation, the convergence check's included; penalties counts, by
+    cause, the evaluations that returned the objective's penalty value:
+    an exception's type name, "out-of-range" for an optimizer coordinate
+    beyond +-60, and "non-finite" for a nan or infinite log-likelihood."""
+
+    starts: tuple
+    evaluations: int
+    penalties: tuple  # (cause, count) pairs, sorted by cause
+
+
+@dataclass(frozen=True)
 class FitResult:
     """Estimated parameters with convergence and fit diagnostics."""
 
@@ -110,6 +148,7 @@ class FitResult:
     gof: GoodnessOfFit | None = None
     scale: float | None = None
     flags: tuple = field(default_factory=tuple)
+    diagnostics: FitDiagnostics | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +162,8 @@ class Family:
     Entries call layer functions through their module-level names, so a
     rebinding of those names (such as a tracing wrapper) reaches every
     call.  decode, encode and start are set for the families fitted on
-    transformed coordinates; as_kgen for those the closed-form base-model
-    indices cover.
+    transformed coordinates, and score for those of them with a closed-form
+    score; as_kgen for those the closed-form base-model indices cover.
     """
 
     params: type
@@ -142,6 +181,8 @@ class Family:
     decode: Callable | None = None  # optimizer vector -> parameters
     encode: Callable | None = None  # parameters -> optimizer vector
     start: Callable | None = None  # (alpha0, beta0, kappa0) -> initial parameters
+    # (values, weights, parameters) -> (sum(w ln f), its gradient in decode's vector)
+    score: Callable | None = None
     as_kgen: Callable | None = None
     positive: bool = True  # support is x > 0
 
@@ -163,7 +204,7 @@ def _sigmoid(t):
 
 
 def _logit(x):
-    x = min(max(x, 1e-12), 1.0 - 1e-12)
+    x = min(max(x, 1e-12), _KAPPA_MAX)
     return math.log(x / (1.0 - x))
 
 
@@ -177,6 +218,29 @@ def _ekg1_lorenz(u, p: EKG1Params):
     qf = lambda t: ekg1_quantile(t, p)
     mean = ineq.quantile_mean(qf)
     return np.array([ineq.quantile_lorenz(float(ui), qf, mean) for ui in u])
+
+
+def _dkappa_dlogit(kappa):
+    """d kappa / d logit(kappa) of the decode, which holds kappa at _KAPPA_MAX."""
+    return kappa * (1.0 - kappa) if kappa < _KAPPA_MAX else 0.0
+
+
+def _kgen_score(values, weights, p: KappaGenParams):
+    ll, grad = _kgen_loglik_score(values, weights, p)
+    grad[2] *= _dkappa_dlogit(p.kappa)
+    return ll, grad
+
+
+def _weibull_score(values, weights, p: WeibullParams):
+    ll, grad = _kgen_loglik_score(values, weights, _weibull_as_kgen(p))
+    return ll, grad[:2]
+
+
+def _normalized_score(values, weights, p: KappaGenParams):
+    ll, (g_alpha, g_beta, g_kappa) = _kgen_loglik_score(values, weights, p)
+    dbeta_dalpha, dbeta_dkappa = _unit_mean_log_scale_grad(p.alpha, p.kappa)
+    return ll, np.array([g_alpha + g_beta * dbeta_dalpha,
+                         (g_kappa + g_beta * dbeta_dkappa) * _dkappa_dlogit(p.kappa)])
 
 
 def _mixture_logpdf(values, p: NetWealthMixtureParams):
@@ -219,9 +283,9 @@ _KAPPAGEN = Family(
     sample=lambda n, p, seed: kgen_sample(n, p, seed),
     lorenz=lambda u, p: ineq.kgen_lorenz(u, p), gini=lambda p: ineq.kgen_gini(p),
     decode=lambda v: KappaGenParams(math.exp(v[0]), math.exp(v[1]),
-                                    min(_sigmoid(v[2]), 1.0 - 1e-12)),
+                                    min(_sigmoid(v[2]), _KAPPA_MAX)),
     encode=lambda p: np.array([math.log(p.alpha), math.log(p.beta), _logit(p.kappa)]),
-    start=KappaGenParams, as_kgen=lambda p: p,
+    start=KappaGenParams, score=_kgen_score, as_kgen=lambda p: p,
 )
 
 FAMILIES = {
@@ -240,6 +304,7 @@ FAMILIES = {
         decode=lambda v: WeibullParams(math.exp(v[0]), math.exp(v[1])),
         encode=lambda p: np.array([math.log(p.shape), math.log(p.scale)]),
         start=lambda alpha0, beta0, kappa0: WeibullParams(alpha0, beta0),
+        score=_weibull_score,
         as_kgen=_weibull_as_kgen,
     ),
     "ekg1": Family(
@@ -286,8 +351,9 @@ FAMILIES = {
     "kappagen_normalized": replace(
         _KAPPAGEN, flags=(), from_flags=None,
         decode=lambda v: kgen_from_normalized(math.exp(v[0]),
-                                              min(_sigmoid(v[1]), 1.0 - 1e-12)),
+                                              min(_sigmoid(v[1]), _KAPPA_MAX)),
         encode=lambda p: np.array([math.log(p.alpha), _logit(p.kappa)]),
+        score=_normalized_score,
     ),
 }
 
@@ -312,6 +378,17 @@ def loglik(sample: WeightedSample, model, params):
         _check_support(sample.values, model)
     terms = family.logpdf(sample.values, params)
     return float(np.sum(sample.weights * np.asarray(terms, dtype=float)))
+
+
+def loglik_score(sample: WeightedSample, model, params):
+    """The weighted log-likelihood, computed as loglik does, and its
+    gradient in the coordinates the family is fitted on (FAMILIES[model]
+    .decode's vector), for the families with a closed-form score."""
+    family = _family(model)
+    if family.score is None:
+        raise DomainError(f"model {model!r} has no closed-form score")
+    _check_support(sample.values, model)
+    return family.score(sample.values, sample.weights, params)
 
 
 # ---------------------------------------------------------------------------
@@ -389,42 +466,117 @@ def _two_stage_minimize(fun, x0, config):
     grad = lambda x: _central_gradient(fun, x)
     stage2 = minimize(fun, stage1.x, method="BFGS", jac=grad,
                       options={"maxiter": config.max_iter,
-                               "gtol": max(config.rel_tol * 10.0, 1e-11)})
+                               "gtol": _gtol(config)})
     best = stage2 if stage2.fun <= stage1.fun else stage1
     iterations = int(stage1.nit) + int(stage2.nit)
     return best.x, float(best.fun), iterations
 
 
+def _gtol(config):
+    return max(config.rel_tol * 10.0, 1e-11)
+
+
+def _quasi_newton(fun_and_grad, x0, config):
+    """BFGS on the closed-form gradient, straight from x0.
+
+    Besides scipy's max-abs gradient test, the stage ends once the next
+    step's predicted decrease g.H.g/2 is below the rounding of f, eps
+    max(|f|, 1): from there the line search could only zoom on the last
+    bits of f.  H is the inverse-Hessian estimate, updated here from each
+    iterate's step and gradient change as BFGS updates its own.  Returns
+    (x, f, iterations, reached); reached is False when the stage ended any
+    other way (failed line search, max_iter, a penalty value).
+    """
+    track = {}
+
+    def evaluate(x):
+        f, g = fun_and_grad(x)
+        if "h" not in track:  # the start
+            track.update(x=x.copy(), g=g, h=np.eye(x.size))
+        track["last"] = (x.copy(), g)
+        return f, g
+
+    def at_floor(intermediate_result):
+        x = intermediate_result.x
+        last_x, g = track["last"]
+        if not np.array_equal(x, last_x):
+            return
+        s, y = x - track["x"], g - track["g"]
+        sy = float(s @ y)
+        rho = 1.0 / sy if sy != 0.0 else 1000.0  # scipy's choice for sy = 0
+        a = np.eye(x.size) - rho * np.outer(s, y)
+        h = a @ track["h"] @ a.T + rho * np.outer(s, s)
+        track.update(x=x, g=g, h=h)
+        if 0.5 * float(g @ h @ g) <= _EPS * max(abs(intermediate_result.fun), 1.0):
+            track["floor"] = True
+            raise StopIteration
+
+    res = minimize(evaluate, x0, method="BFGS", jac=True, callback=at_floor,
+                   options={"maxiter": config.max_iter, "gtol": _gtol(config)})
+    reached = (res.status == 0 or "floor" in track) and res.fun < 1e11
+    return res.x, float(res.fun), int(res.nit), bool(reached)
+
+
 def _fit_transformed(model, sample, config):
-    """Multistart two-stage maximization of the mean log-likelihood."""
+    """Multistart maximization of the mean log-likelihood: one quasi-Newton
+    stage on the closed-form score per start, with the two-stage scheme as
+    the fallback (and the only scheme for families without a score)."""
     family = FAMILIES[model]
     values = sample.values
     weights = sample.weights
     total_w = sample.total_weight
     if np.unique(values[weights > 0.0]).size < 2:
         raise DegenerateDataError("sample has a single distinct value")
+    penalties = Counter()
+    evaluations = 0
 
-    def negative_mean_loglik(vec):
+    def evaluate(vec, with_score):
+        nonlocal evaluations
+        evaluations += 1
+        cause = None
         if np.any(np.abs(vec) > 60.0):
-            return 1e12
-        try:
-            params = family.decode(vec)
-            value = loglik(sample, model, params) / total_w
-        except (DomainError, MomentDivergenceError, OverflowError):
-            return 1e12
-        if not math.isfinite(value):
-            return 1e12
-        return -value
+            cause = "out-of-range"
+        else:
+            try:
+                params = family.decode(vec)
+                if with_score:
+                    value, grad = loglik_score(sample, model, params)
+                else:
+                    value = loglik(sample, model, params)
+            except (DomainError, MomentDivergenceError, OverflowError) as exc:
+                cause = type(exc).__name__
+            else:
+                if not (math.isfinite(value) and (not with_score or np.all(np.isfinite(grad)))):
+                    cause = "non-finite"
+        if cause is not None:
+            penalties[cause] += 1
+            return (_PENALTY, np.zeros_like(vec)) if with_score else _PENALTY
+        if with_score:
+            return -value / total_w, -grad / total_w
+        return -value / total_w
 
+    negative_mean_loglik = lambda vec: evaluate(vec, False)
     x0 = family.encode(family.start(*_initial_kgen(values, weights)))
 
     best = None
     iterations = 0
+    starts = []
     for replicate in range(config.multistart):
         rng = np.random.default_rng([config.seed, replicate])
         start = x0 if replicate == 0 else x0 + rng.normal(0.0, 0.35, size=x0.size)
-        x_opt, f_opt, nit = _two_stage_minimize(negative_mean_loglik, start, config)
-        iterations += nit
+        before = evaluations
+        reached = False
+        if family.score is not None:
+            x_opt, f_opt, nit, reached = _quasi_newton(
+                lambda vec: evaluate(vec, True), start, config)
+            iterations += nit
+        stage = "quasi-newton"
+        if not reached:
+            x_fb, f_fb, nit = _two_stage_minimize(negative_mean_loglik, start, config)
+            iterations += nit
+            if family.score is None or f_fb <= f_opt:
+                x_opt, f_opt, stage = x_fb, f_fb, "fallback"
+        starts.append(StartTrace(model, -f_opt * total_w, stage, evaluations - before))
         if best is None or f_opt < best[1]:
             best = (x_opt, f_opt)
     x_opt, f_opt = best
@@ -432,7 +584,8 @@ def _fit_transformed(model, sample, config):
     score_norm = float(np.max(np.abs(score)))
     converged = math.isfinite(f_opt) and f_opt < 1e11 and score_norm <= _SCORE_TOL
     params = family.decode(x_opt)
-    return params, -f_opt * total_w, converged, iterations, score_norm
+    diagnostics = FitDiagnostics(tuple(starts), evaluations, tuple(sorted(penalties.items())))
+    return params, converged, iterations, score_norm, diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +598,12 @@ def fit_mle(sample: WeightedSample, config: FitConfig):
         return fit_mixture(sample, config)
     if config.model == "kappagen_normalized":
         return fit_normalized(sample, config)
-    params, ll, converged, iterations, score_norm = _fit_transformed(
+    params, converged, iterations, score_norm, diagnostics = _fit_transformed(
         config.model, sample, config)
     gof = goodness_of_fit(sample, config.model, params)
-    return FitResult(model=config.model, params=params, loglik=ll,
+    return FitResult(model=config.model, params=params, loglik=gof.loglik,
                      converged=converged, iterations=iterations,
-                     score_norm=score_norm, gof=gof)
+                     score_norm=score_norm, gof=gof, diagnostics=diagnostics)
 
 
 def fit_normalized(sample: WeightedSample, config: FitConfig):
@@ -460,12 +613,12 @@ def fit_normalized(sample: WeightedSample, config: FitConfig):
     _check_support(sample.values, "kappagen_normalized")
     scale = sample.weighted_mean()
     scaled = WeightedSample(sample.values / scale, sample.weights)
-    params, ll, converged, iterations, score_norm = _fit_transformed(
+    params, converged, iterations, score_norm, diagnostics = _fit_transformed(
         "kappagen_normalized", scaled, config)
     gof = goodness_of_fit(scaled, "kappagen_normalized", params)
-    return FitResult(model="kappagen_normalized", params=params, loglik=ll,
+    return FitResult(model="kappagen_normalized", params=params, loglik=gof.loglik,
                      converged=converged, iterations=iterations,
-                     score_norm=score_norm, gof=gof, scale=scale)
+                     score_norm=score_norm, gof=gof, scale=scale, diagnostics=diagnostics)
 
 
 def fit_mixture(sample: WeightedSample, config: FitConfig):
@@ -496,14 +649,16 @@ def fit_mixture(sample: WeightedSample, config: FitConfig):
     iterations = 0
     converged = True
     score_norm = 0.0
+    branches = []
 
     if w_neg > 0.0:
         neg_sample = WeightedSample(-values[neg], weights[neg])
         if neg_sample.effective_size() < _MIN_EFFECTIVE_BRANCH:
             flags.append("negative branch has fewer than 30 effective observations")
         try:
-            wb_params, _, wb_conv, wb_iter, wb_score = _fit_transformed(
+            wb_params, wb_conv, wb_iter, wb_score, wb_diag = _fit_transformed(
                 "weibull", neg_sample, config)
+            branches.append(wb_diag)
             converged &= wb_conv
             iterations += wb_iter
             score_norm = max(score_norm, wb_score)
@@ -519,8 +674,9 @@ def fit_mixture(sample: WeightedSample, config: FitConfig):
     pos_sample = WeightedSample(values[pos], weights[pos])
     if pos_sample.effective_size() < _MIN_EFFECTIVE_BRANCH:
         flags.append("positive branch has fewer than 30 effective observations")
-    kg_params, _, kg_conv, kg_iter, kg_score = _fit_transformed(
+    kg_params, kg_conv, kg_iter, kg_score, kg_diag = _fit_transformed(
         "kappagen", pos_sample, config)
+    branches.append(kg_diag)
     converged &= kg_conv
     iterations += kg_iter
     score_norm = max(score_norm, kg_score)
@@ -530,9 +686,16 @@ def fit_mixture(sample: WeightedSample, config: FitConfig):
                                     positive_branch=kg_params)
     ll = loglik(sample, "mixture", params)
     gof = goodness_of_fit(sample, "mixture", params)
+    penalties = Counter()
+    for d in branches:
+        penalties.update(dict(d.penalties))
+    diagnostics = FitDiagnostics(sum((d.starts for d in branches), ()),
+                                 sum(d.evaluations for d in branches),
+                                 tuple(sorted(penalties.items())))
     return FitResult(model="mixture", params=params, loglik=ll,
                      converged=converged, iterations=iterations,
-                     score_norm=score_norm, gof=gof, flags=tuple(flags))
+                     score_norm=score_norm, gof=gof, flags=tuple(flags),
+                     diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------

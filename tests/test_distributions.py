@@ -30,6 +30,7 @@ from kappagen import (
     kgen_cdf,
     kgen_from_normalized,
     kgen_gini,
+    kgen_logpdf,
     kgen_mean,
     kgen_mode,
     kgen_moment,
@@ -137,6 +138,15 @@ class TestKgenPdfCdf:
         weib = -np.expm1(-((x / 1.5) ** 2.0))
         assert np.max(np.abs(kgen_cdf(x, p) - weib)) <= 1e-6
 
+    @pytest.mark.parametrize("kappa", [1e-200, 1e-12, 0.99e-10, 1.01e-10, 1e-6])
+    def test_logpdf_keeps_the_deformation_at_tiny_kappa(self, kappa):
+        # at x = 1e5, y = 1e10: kappa y is not small although kappa is
+        with mp.workdps(40):
+            y, k = mp.mpf(10) ** 10, mp.mpf(kappa)
+            want = mp.log(2) + mp.log(mp.mpf(10) ** 5) - mp.asinh(k * y) / k - mp.log1p((k * y) ** 2) / 2
+        assert kgen_logpdf(1e5, KappaGenParams(2.0, 1.0, kappa)) == pytest.approx(
+            float(want), rel=1e-14)
+
 
 class TestKgenQuantile:
     def test_endpoints(self):
@@ -243,6 +253,27 @@ class TestKgenNormalized:
     def test_divergent_mean_rejected(self):
         with pytest.raises(MomentDivergenceError):
             kgen_from_normalized(0.5, 0.6)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.5, 2.5, 5.0, 8.0])
+    def test_log_scale_derivatives_against_mpmath(self, alpha):
+        from kappagen.distributions import _unit_mean_log_scale_grad
+        with mp.workdps(50):
+            log_beta = lambda a, k: -mp.log(mp_moment(1, a, k))
+            la = mp.log(alpha)
+            d_alpha, d_kappa = _unit_mean_log_scale_grad(alpha, 0.0)
+            want = mp.diff(lambda t: log_beta(mp.exp(t), 0), la)
+            assert d_alpha == pytest.approx(float(want), rel=1e-13)
+            assert d_kappa == 0.0
+            for kappa in (1e-12, 1e-6, 1e-3, 0.05, 0.3, 0.45):
+                if not alpha / kappa > 1.05:
+                    continue
+                d_alpha, d_kappa = _unit_mean_log_scale_grad(alpha, kappa)
+                want = mp.diff(lambda t: log_beta(mp.exp(t), kappa), la)
+                assert d_alpha == pytest.approx(float(want), rel=1e-13), kappa
+                want = mp.diff(lambda t: log_beta(alpha, t), mp.mpf(kappa))
+                # 2e-11: next to kappa = 0.05, where the direct log-gamma form
+                # takes over, its digamma difference cancels to ~8e-12
+                assert d_kappa == pytest.approx(float(want), rel=2e-11), kappa
 
 
 def mp_moment(r, alpha, kappa):

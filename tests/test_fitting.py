@@ -1,9 +1,13 @@
 """Weighted MLE: likelihood values, recovery, invariances, goodness of fit."""
 
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kappagen import (
     DegenerateDataError,
@@ -17,6 +21,7 @@ from kappagen import (
     fit_mle,
     fit_normalized,
     goodness_of_fit,
+    kgen_from_normalized,
     kgen_gini,
     kgen_mean,
     kgen_pdf,
@@ -25,6 +30,7 @@ from kappagen import (
     loglik,
     mixture_sample,
 )
+import kappagen.fitting as kfit
 from kappagen.fitting import FAMILIES
 
 FAST = FitConfig(model="kappagen", multistart=2, seed=0)
@@ -162,6 +168,17 @@ class TestFitMle:
         with pytest.raises(SupportViolationError):
             fit_mle(s, FAST)
 
+    def test_diagnostics_report_the_quasi_newton_stage(self):
+        s = kgen_data(5000, seed=18)
+        res = fit_mle(s, FitConfig(model="kappagen", multistart=3, seed=0))
+        d = res.diagnostics
+        assert [start.stage for start in d.starts] == ["quasi-newton"] * 3
+        assert {start.model for start in d.starts} == {"kappagen"}
+        assert max(start.loglik for start in d.starts) == pytest.approx(res.loglik, rel=1e-14)
+        # every start's evaluations plus the convergence check's central differences
+        assert d.evaluations == sum(start.evaluations for start in d.starts) + 6
+        assert d.penalties == ()
+
 
 class TestFitNormalized:
     def test_unit_mean_and_shape_agreement(self):
@@ -180,6 +197,39 @@ class TestFitNormalized:
         res = fit_mle(s, FitConfig(model="kappagen_normalized", multistart=1, seed=0))
         assert res.model == "kappagen_normalized"
         assert kgen_mean(res.params) == pytest.approx(1.0, abs=1e-8)
+
+    def test_end_point_does_not_depend_on_the_last_bit_of_beta(self, monkeypatch):
+        s = region_sample(seed=11, region=12)
+        unit_mean = kfit.kgen_from_normalized
+        fits = []
+        for j in range(-3, 4):
+            def nudged(alpha, kappa, j=j):
+                p = unit_mean(alpha, kappa)
+                return KappaGenParams(p.alpha, p.beta * (1.0 + j * 2.0 ** -52), p.kappa)
+            monkeypatch.setattr(kfit, "kgen_from_normalized", nudged)
+            fits.append(fit_mle(s, FitConfig(model="kappagen_normalized", multistart=1, seed=12)))
+        for name in ("alpha", "kappa"):
+            got = np.array([getattr(r.params, name) for r in fits])
+            assert np.ptp(got) <= 1e-9 * np.mean(got), name
+        assert len({r.converged for r in fits}) == 1
+
+
+def region_sample(seed, region, n=10_000, alpha=2.5, beta=1.0, kappa=0.6):
+    """One regional income sample of a survey-like layout: n base-model
+    draws by the quantile beta (sinh(kappa t)/kappa)^(1/alpha) at
+    t = -ln(1 - u), with integer weights 1-5, one generator across the
+    regions, each region also drawing an equal-sized wealth sample."""
+    rng = np.random.default_rng(seed)
+    for _ in range(region + 1):
+        t = -np.log1p(-rng.random(n))
+        tau = kappa * t
+        log_sinh = np.where(tau > 20.0, tau - math.log(2.0),
+                            np.log(np.sinh(np.minimum(tau, 20.0))))
+        values = beta * np.exp((log_sinh - math.log(kappa)) / alpha)
+        weights = rng.integers(1, 6, size=n).astype(float)
+        rng.random(n)  # the region's wealth sample and its weights
+        rng.integers(1, 6, size=n)
+    return WeightedSample(values, weights)
 
 
 class TestFitMixture:
@@ -304,3 +354,132 @@ class TestFamilyTransforms:
         params = family.decode(vec)
         assert isinstance(params, family.params)
         assert family.encode(params) == pytest.approx(vec, rel=1e-12, abs=1e-12)
+
+
+def mp_logpdf(x, alpha, beta, kappa):
+    """The base model's log-density in mpmath; the Weibull form at kappa = 0."""
+    y = (x / beta) ** alpha
+    out = mp.log(alpha / beta) + (alpha - 1) * mp.log(x / beta)
+    if kappa == 0:
+        return out - y
+    return out - mp.asinh(kappa * y) / kappa - mp.log1p((kappa * y) ** 2) / 2
+
+
+def mp_unit_mean_log_beta(alpha, kappa):
+    """ln beta of the unit-mean scale, -ln E[X] at beta = 1, in mpmath."""
+    m = 1 / alpha
+    c = 1 / (2 * kappa)
+    return -(mp.loggamma(1 + m) - m * mp.log(2 * kappa) + mp.loggamma(c - m / 2)
+             - mp.log(1 + m * kappa) - mp.loggamma(c + m / 2))
+
+
+def mp_score(model, x, p):
+    """(d ln f(x) / d v_i, scale_i) for decode's vector v, from mpmath
+    derivatives of the log-density at 40 digits; scale_i sums the absolute
+    chain-rule terms, the size rounding is measured against."""
+    with mp.workdps(40):
+        if model == "weibull":
+            a, b, k = mp.mpf(p.shape), mp.mpf(p.scale), mp.mpf(0)
+        else:
+            a, b, k = mp.mpf(p.alpha), mp.mpf(p.beta), mp.mpf(p.kappa)
+        x = mp.mpf(x)
+        d_ln_a = a * mp.diff(lambda t: mp_logpdf(x, t, b, k), a)
+        d_ln_b = b * mp.diff(lambda t: mp_logpdf(x, a, t, k), b)
+        if model == "weibull":
+            return [(d_ln_a, abs(d_ln_a)), (d_ln_b, abs(d_ln_b))]
+        d_k = mp.diff(lambda t: mp_logpdf(x, a, b, t), k)
+        # the kappa score is the sum of (asinh(u) - u/s)/kappa^2 and -kappa y^2/s^2,
+        # u = kappa y, s^2 = 1 + u^2, which cancel to O(kappa) near y = 3
+        u = k * (x / b) ** a
+        s2 = 1 + u * u
+        d_k_size = abs(mp.asinh(u) - u / mp.sqrt(s2)) / k ** 2 + u * u / (k * s2)
+        dk_dc = k * (1 - k)
+        if model == "kappagen":
+            return [(d_ln_a, abs(d_ln_a)), (d_ln_b, abs(d_ln_b)), (dk_dc * d_k, dk_dc * d_k_size)]
+        la = mp.log(a)
+        beta_by_ln_a = mp.diff(lambda t: mp_unit_mean_log_beta(mp.exp(t), k), la)
+        beta_by_k = mp.diff(lambda t: mp_unit_mean_log_beta(a, t), k)
+        return [(d_ln_a + d_ln_b * beta_by_ln_a, abs(d_ln_a) + abs(d_ln_b * beta_by_ln_a)),
+                (dk_dc * (d_k + d_ln_b * beta_by_k),
+                 dk_dc * (d_k_size + abs(d_ln_b * beta_by_k)))]
+
+
+SCORE_KAPPAS = (1e-12, 1e-6, 1e-3, 0.3, 0.9)
+
+
+class TestScores:
+    """The closed-form scores of the families fitted by quasi-Newton."""
+
+    def test_scored_families(self):
+        assert {m for m, f in FAMILIES.items() if f.score} == {
+            "kappagen", "weibull", "kappagen_normalized"}
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.3, 2.5, 8.0])
+    @pytest.mark.parametrize("model", ["weibull", "kappagen", "kappagen_normalized"])
+    def test_against_mpmath(self, model, alpha):
+        family = FAMILIES[model]
+        for kappa in (0.0,) if model == "weibull" else SCORE_KAPPAS:
+            if model == "weibull":
+                p = WeibullParams(alpha, 1.7)
+            elif model == "kappagen":
+                p = KappaGenParams(alpha, 1.7, kappa)
+            elif alpha / kappa > 1.05:
+                p = kgen_from_normalized(alpha, kappa)
+            else:
+                continue
+            beta = p.scale if model == "weibull" else p.beta
+            # kappa y on both sides of the score's series switch at 1e-2
+            ys = [1e-3, 0.5, 3.0] + ([0.5e-2 / kappa, 2e-2 / kappa] if kappa else [])
+            for y in ys:
+                x = beta * y ** (1.0 / alpha)
+                if not x < 1e300:
+                    continue
+                ll, got = family.score(np.array([x]), np.array([1.0]), p)
+                assert ll == family.logpdf(np.array([x]), p)[0]
+                for i, (want, scale) in enumerate(mp_score(model, x, p)):
+                    # the kappa score keeps ~2e-12 relative just above the series switch
+                    tol = 1e-11 * float(scale) if i == 2 or model == "kappagen_normalized" and i == 1 \
+                        else 1e-13 * max(1.0, float(scale))
+                    assert abs(got[i] - float(want)) <= tol, (kappa, y, i, got[i], want)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(model=st.sampled_from(["kappagen", "weibull", "kappagen_normalized"]),
+           alpha=st.floats(0.5, 8.0), kappa=st.floats(0.0, 0.9),
+           beta=st.floats(0.05, 20.0), seed=st.integers(0, 2 ** 16))
+    def test_matches_central_difference_of_loglik(self, model, alpha, kappa, beta, seed):
+        family = FAMILIES[model]
+        rng = np.random.default_rng(seed)
+        if model == "kappagen_normalized":
+            if not alpha > 1.5 * kappa:
+                return
+            params = kgen_from_normalized(alpha, kappa)
+        else:
+            params = family.start(alpha, beta, kappa)
+        # data from nearby parameters, so the score is not near zero
+        draws = kgen_sample(200, KappaGenParams(alpha * 1.2, 1.1 * getattr(params, "beta", beta),
+                                                kappa * 0.8), seed)
+        s = WeightedSample(draws, rng.integers(1, 6, size=draws.size).astype(float))
+        vec = family.encode(params)
+        _, score = kfit.loglik_score(s, model, family.decode(vec))
+        scale = float(np.sum(s.weights * np.abs(family.logpdf(s.values, family.decode(vec)))))
+        f = lambda v: loglik(s, model, family.decode(v))
+        for i in range(vec.size):
+            step = np.zeros_like(vec)
+            step[i] = 1e-4
+            d1 = (f(vec + step) - f(vec - step)) / 2e-4
+            d2 = (f(vec + step / 2) - f(vec - step / 2)) / 1e-4
+            if abs(d1 - d2) <= 1e-7 * scale:  # a well-conditioned difference
+                assert abs(score[i] - d2) <= abs(d1 - d2) + 1e-8 * scale, i
+
+    def test_value_is_loglik_and_support_is_checked_first(self):
+        s = kgen_data(500, seed=19)
+        for model in ("kappagen", "weibull", "kappagen_normalized"):
+            family = FAMILIES[model]
+            params = family.decode(np.array(TRANSFORM_VECTORS[model]))
+            assert kfit.loglik_score(s, model, params)[0] == loglik(s, model, params)
+        bad = WeightedSample(np.array([1.0, -2.0, 3.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SupportViolationError) as err:
+                kfit.loglik_score(bad, "kappagen", KappaGenParams(2.0, 1.0, 0.5))
+        assert err.value.index == 1
