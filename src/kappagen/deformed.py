@@ -7,7 +7,7 @@ or numpy arrays, and saturate to inf/0 instead of raising on overflow.
 
 Everything is computed through exp(arcsinh(k*x)/k), which is stable over
 the whole real line; the direct radical form cancels catastrophically for
-large |k*x|.
+large |k*x|, and keeps its relative precision down to the smallest k > 0.
 """
 
 from __future__ import annotations
@@ -18,11 +18,8 @@ import numpy as np
 
 from .errors import DomainError
 
-# Below this the deformation is numerically indistinguishable from the
-# ordinary exponential up to a cubic correction term.
-SMALL_KAPPA = 1e-8
-
 _LN2 = math.log(2.0)
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 def _check_kappa(kappa):
@@ -42,25 +39,29 @@ def _restore(arr, scalar):
     return float(arr) if scalar else arr
 
 
+def _scaled(f, x, k):
+    """f(k x)/k for an odd f with f(t) = t + O(t^3); its limit x, exact there,
+    is taken at k = 0 and where k x underflows below the smallest normal."""
+    if k == 0.0:
+        return x + 0.0
+    t = np.asarray(k * x)
+    small = np.abs(t) < _TINY
+    with np.errstate(over="ignore"):
+        out = f(t, out=t)
+        out /= k
+    if small.any():
+        out[small] = x[small]
+    return out
+
+
 def log_kappa_exp(x, kappa):
     """Natural logarithm of the deformed exponential, arcsinh(k*x)/k.
 
-    The k -> 0 limit is x itself; for k below SMALL_KAPPA the cubic
-    correction x - k^2 x^3 / 6 is used while |k*x| stays small, which
-    avoids any 0/0 evaluation.
+    The k -> 0 limit is x itself, taken exactly at k = 0 (see _scaled).
     """
     k = _check_kappa(kappa)
     arr, scalar = _asarray(x)
-    if k == 0.0:
-        return _restore(arr + 0.0, scalar)
-    if k < SMALL_KAPPA:
-        t = k * arr
-        # correction term only valid while |k*x| is small; arcsinh form beyond
-        out = np.where(np.abs(t) < 1e-3,
-                       arr - (k * k) * arr ** 3 / 6.0,
-                       np.arcsinh(t) / k)
-        return _restore(out, scalar)
-    return _restore(np.arcsinh(k * arr) / k, scalar)
+    return _restore(_scaled(np.arcsinh, arr, k), scalar)
 
 
 def kappa_exp(x, kappa):
@@ -78,23 +79,14 @@ def kappa_exp(x, kappa):
 def kappa_log(x, kappa):
     """Deformed logarithm (x^k - x^-k) / (2k), the inverse of kappa_exp.
 
-    Requires x > 0.  Evaluated as sinh(k*ln(x))/k; for k below
-    SMALL_KAPPA the series form ln(x) + k^2 ln(x)^3 / 6 avoids the
-    cancellation in the power difference.
+    Requires x > 0.  Evaluated as sinh(k*ln(x))/k, which is ln(x) at k = 0
+    and avoids the cancellation in the power difference.
     """
     k = _check_kappa(kappa)
     arr, scalar = _asarray(x)
     if np.any(~(arr > 0.0)):
         raise DomainError("kappa_log requires x > 0")
-    lx = np.log(arr)
-    if k == 0.0:
-        return _restore(lx, scalar)
-    if k < SMALL_KAPPA:
-        # |k*ln(x)| <= ~7e-6 for any double x, so the cubic term suffices
-        return _restore(lx + (k * k) * lx ** 3 / 6.0, scalar)
-    with np.errstate(over="ignore"):
-        out = np.sinh(k * lx) / k
-    return _restore(out, scalar)
+    return _restore(_scaled(np.sinh, np.log(arr), k), scalar)
 
 
 def kappa_sum(x, y, kappa):

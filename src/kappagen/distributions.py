@@ -21,11 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformed import SMALL_KAPPA, _asarray, _restore, kappa_exp, log_kappa_exp
+from .deformed import _asarray, _restore, _scaled, kappa_exp, log_kappa_exp
 from .errors import DomainError, MomentDivergenceError
 from .special import digamma, inv_reg_inc_beta, log_gamma, reg_inc_beta
-
-_TINY_KAPPA = 1e-10  # below this the Weibull closed forms are exact to 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +246,12 @@ def kgen_ccdf(x, p: KappaGenParams):
 
 
 def kgen_quantile(u, p: KappaGenParams):
-    """Closed-form quantile beta * [ln_k(1/(1-u))]^(1/alpha) for u in [0, 1)."""
+    """Closed-form quantile beta * [ln_k(1/(1-u))]^(1/alpha) for u in [0, 1);
+    ln_k(e^t) = sinh(kappa t)/kappa, which is t at kappa = 0."""
     arr, scalar = _asarray(u)
     if np.any(~((arr >= 0.0) & (arr < 1.0))):
         raise DomainError("kgen_quantile requires 0 <= u < 1")
-    t = -np.log1p(-arr)
-    k = p.kappa
-    if k < _TINY_KAPPA:
-        core = t
-    else:
-        with np.errstate(over="ignore"):
-            core = np.sinh(k * t) / k
+    core = _scaled(np.sinh, -np.log1p(-arr), p.kappa)
     out = p.beta * core ** (1.0 / p.alpha)
     return _restore(out, scalar)
 
@@ -267,7 +260,8 @@ def _check_moment_order(r, p: KappaGenParams):
     if not -p.alpha < r:
         raise MomentDivergenceError(
             f"moment of order {r} diverges: requires r > -alpha = {-p.alpha}")
-    if p.kappa > 0.0 and not r < p.alpha / p.kappa:
+    # and as the gamma argument 1/(2 kappa) - r/(2 alpha) sees it, to the ulp
+    if p.kappa > 0.0 and not (r < p.alpha / p.kappa and 0.5 / p.kappa > 0.5 * (r / p.alpha)):
         raise MomentDivergenceError(
             f"moment of order {r} diverges: requires r < alpha/kappa = {p.alpha / p.kappa}")
 
@@ -303,15 +297,16 @@ def _log_gamma_ratio(kappa, m):
 
 
 def _log_gamma_ratio_grad(kappa, m):
-    """(dL/dkappa, dL/dm) of L = _log_gamma_ratio(kappa, m), for m > 0.
+    """(dL/dkappa, dL/dm) of L = _log_gamma_ratio(kappa, m), for m >= 0.
 
     Differentiates the same two forms.  In the Stirling form, with
     t = m kappa and w_-+ = 2 kappa / (1 -+ t), Binet's remainder B(w) gives
     dL/dm = [w_-^2 B'(w_-) + w_+^2 B'(w_+)]/2 plus elementary terms and
     dL/dkappa = [G(w_-) - G(w_+)] / (2 kappa^2) with G(w) = w^2 B'(w); the
-    difference is summed as (w_- - w_+) times divided differences of the
-    powers, and (atanh(t) - t)/t^2 comes from its series below t = 0.3, so
-    both derivatives keep their relative precision down to kappa -> 0.
+    difference is summed as (w_- - w_+) / (2 kappa^2) = 2m / (1 - t^2) times
+    divided differences of the powers, and (atanh(t) - t)/t^2 comes from its
+    series below t = 0.3, so both derivatives keep their relative precision
+    down to kappa -> 0, and nothing divides by kappa^2 once it underflows.
     """
     if kappa == 0.0:
         return 0.0, 0.0
@@ -327,16 +322,15 @@ def _log_gamma_ratio_grad(kappa, m):
     else:
         atanh_rest = (math.atanh(t) - t) / (t * t)
     lo, hi = 2.0 * kappa / (1.0 - t), 2.0 * kappa / (1.0 + t)
-    d_lo_hi = 4.0 * kappa * t / one_m_t2  # lo - hi
-    # G(w) = sum_j (2j + 1) coef_j w^(2j + 2); G(lo) - G(hi) through
-    # lo^n - hi^n = (lo - hi) sum_i lo^i hi^(n - 1 - i)
-    g_diff = d_lo_hi * sum(
+    # G(w) = sum_j (2j + 1) coef_j w^(2j + 2); [G(lo) - G(hi)] / (2 kappa^2)
+    # through lo^n - hi^n = (lo - hi) sum_i lo^i hi^(n - 1 - i)
+    g_diff = 2.0 * m / one_m_t2 * sum(
         (2 * j + 1) * coef * sum(lo ** i * hi ** (2 * j + 1 - i) for i in range(2 * j + 2))
         for j, coef in enumerate(_STIRLING))
     w2_b_prime = lambda w: sum((2 * j + 1) * coef * w ** (2 * j + 2)
                                for j, coef in enumerate(_STIRLING))
     d_kappa = ((m + 1.0) * m * t / one_m_t2 + m * m * (atanh_rest - t / one_m_t2)
-               + g_diff / (2.0 * kappa * kappa))
+               + g_diff)
     d_m = (-0.5 * math.log1p(-t * t) + (m + 1.0) * kappa * t / one_m_t2 - t * t / one_m_t2
            + 0.5 * (w2_b_prime(lo) + w2_b_prime(hi)))
     return d_kappa, d_m
@@ -365,18 +359,16 @@ def kgen_variance(p: KappaGenParams):
 
 
 def kgen_mode(p: KappaGenParams):
-    """Interior mode for alpha > 1, None otherwise (pole at the origin)."""
+    """Interior mode for alpha > 1, None otherwise (pole at the origin):
+    beta [2c^2 / (e (1 + sqrt(1 + d)))]^(1/(2 alpha)) with c = alpha - 1,
+    e = alpha^2 + 2 kappa^2 c and d below; no cancellation, no 1/kappa^2."""
     a, b, k = p.alpha, p.beta, p.kappa
     if a <= 1.0:
         return None
-    if k < SMALL_KAPPA:
-        return b * ((a - 1.0) / a) ** (1.0 / a)
     c = a - 1.0
-    lead = (a * a + 2.0 * k * k * c) / (2.0 * k * k * (a * a - k * k))
-    d = 4.0 * k * k * (a * a - k * k) * c * c / (a * a + 2.0 * k * k * c) ** 2
-    # sqrt(1+d)-1 evaluated without cancellation; d is O(kappa^2) near 0
-    bracket = d / (math.sqrt(1.0 + d) + 1.0)
-    return b * math.exp(math.log(lead * bracket) / (2.0 * a))
+    e = a * a + 2.0 * k * k * c
+    d = 4.0 * k * k * (a * a - k * k) * c * c / (e * e)
+    return b * (2.0 * c * c / (e * (1.0 + math.sqrt(1.0 + d)))) ** (0.5 / a)
 
 
 def kgen_sample(n, p: KappaGenParams, seed):
@@ -541,34 +533,40 @@ def ekg1_sample(n, p: EKG1Params, seed):
 
 def _ekg2_transform(x, p: EKG2Params):
     """Map x >= 0 to (z, ln z, ln(1-z)) with z = y/D, 1-z = 1/D^2,
-    D = (y + sqrt(y^2 + 4))/2 and y = (x/b)^a; z lies in [0, 1)."""
+    D = (y + sqrt(y^2 + 4))/2 and y = (x/b)^a; z lies in [0, 1).  ln D is
+    asinh(y/2), which keeps its precision at small y and does not overflow."""
     with np.errstate(over="ignore", divide="ignore"):
         y = (x / p.b) ** p.a
-        big = y > 1e100
-        y_safe = np.where(big, 1.0, y)
-        ln_d = np.where(big, np.log(np.where(big, y, 1.0)),
-                        np.log(0.5 * (y_safe + np.sqrt(y_safe * y_safe + 4.0))))
+        ln_d = np.arcsinh(0.5 * y)
         log1mz = -2.0 * ln_d
         z = -np.expm1(log1mz)
-        lnz = np.where(y > 0.0, np.log(np.where(y > 0.0, y, 1.0)) - ln_d, -np.inf)
+        lnz = np.log(y) - ln_d
     return z, lnz, log1mz
+
+
+def _ekg2_tail(x, p: EKG2Params):
+    """(v, lower): v is the CDF I_z(p, q) where lower (z <= 1/2), else the
+    survival function I_(1-z)(q, p), each side one minus the other: betainc
+    loses digits at arguments near 1, so it only sees z or 1 - z up to 1/2."""
+    z, _, log1mz = _ekg2_transform(np.maximum(np.asarray(x, dtype=float), 0.0), p)
+    z = np.asarray(z)
+    lower = z <= 0.5
+    out = np.empty_like(z)
+    out[lower] = reg_inc_beta(z[lower], p.p, p.q)
+    out[~lower] = reg_inc_beta(np.exp(log1mz[~lower]), p.q, p.p)
+    return out, lower
 
 
 def ekg2_cdf(x, p: EKG2Params):
     """Distribution function I_z(p, q) through the algebraic z-transform."""
-    arr, scalar = _asarray(x)
-    arr = np.maximum(arr, 0.0)
-    z, _, _ = _ekg2_transform(arr, p)
-    out = reg_inc_beta(np.clip(z, 0.0, 1.0), p.p, p.q)
-    return _restore(np.asarray(out, dtype=float), scalar)
+    v, lower = _ekg2_tail(x, p)
+    return _restore(np.where(lower, v, 1.0 - v), np.ndim(x) == 0)
 
 
 def ekg2_ccdf(x, p: EKG2Params):
-    """Survival function I_(1-z)(q, p), with 1 - z taken from its logarithm."""
-    arr, scalar = _asarray(x)
-    _, _, log1mz = _ekg2_transform(np.maximum(arr, 0.0), p)
-    out = reg_inc_beta(np.exp(log1mz), p.q, p.p)
-    return _restore(np.asarray(out, dtype=float), scalar)
+    """Survival function I_(1-z)(q, p) through the same transform."""
+    v, lower = _ekg2_tail(x, p)
+    return _restore(np.where(lower, 1.0 - v, v), np.ndim(x) == 0)
 
 
 def ekg2_quantile(u, p: EKG2Params):

@@ -1,7 +1,9 @@
 """Deformed exponential/logarithm core: anchors, identities, asymptotics."""
 
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,12 +14,26 @@ from kappagen import (
     kappa_exp_taylor,
     kappa_log,
     kappa_sum,
+    log_kappa_exp,
     xi_coefficients,
 )
 
 
 def rel_err(got, want):
     return abs(got - want) / max(abs(want), 1e-300)
+
+
+# kappa x below the smallest normal double for some or all of the x grid;
+# 1e-320 and 1e-310 are themselves subnormal
+TINY_KAPPAS = [1e-320, 1e-310, 1e-300, 1e-250]
+MAGNITUDES = np.logspace(-300, 300, 121)
+
+
+def max_rel_err_mp(got, want_fn, xs):
+    with mp.workdps(50):
+        return max(float(abs(mp.mpf(float(g)) - want_fn(mp.mpf(float(x))))
+                         / abs(want_fn(mp.mpf(float(x)))))
+                   for g, x in zip(got, xs))
 
 
 class TestKappaExp:
@@ -65,6 +81,23 @@ class TestKappaExp:
         got = kappa_exp(x, 1e-9)
         assert np.max(np.abs(got - np.exp(x)) / np.exp(x)) <= 1e-6
 
+    @pytest.mark.parametrize("kappa", TINY_KAPPAS)
+    def test_log_against_mpmath_at_tiny_kappa(self, kappa):
+        # where kappa x underflows, arcsinh(kappa x)/kappa has lost bits; x is exact
+        x = np.concatenate([MAGNITUDES, -MAGNITUDES])
+        k = mp.mpf(kappa)
+        err = max_rel_err_mp(log_kappa_exp(x, kappa), lambda t: mp.asinh(k * t) / k, x)
+        assert err <= 2.5e-16  # measured 1.5e-16
+
+    def test_no_overflow_warning_at_small_kappa(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_kappa_exp(np.array([1e200, -1e200, 1e-3]), 1e-9)
+        with mp.workdps(40):
+            want = [mp.asinh(mp.mpf("1e-9") * mp.mpf(x)) / mp.mpf("1e-9")
+                    for x in (1e200, -1e200, 1e-3)]
+        np.testing.assert_allclose(got, [float(w) for w in want], rtol=2e-16)
+
     def test_bad_kappa_rejected(self):
         for bad in (1.0, -1.0, 1.5, math.nan):
             with pytest.raises(DomainError):
@@ -87,6 +120,13 @@ class TestKappaLog:
         for bad in (0.0, -1.0):
             with pytest.raises(DomainError):
                 kappa_log(bad, 0.5)
+
+    @pytest.mark.parametrize("kappa", TINY_KAPPAS)
+    def test_against_mpmath_at_tiny_kappa(self, kappa):
+        x = np.concatenate([MAGNITUDES[MAGNITUDES != 1.0], [1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52]])
+        k = mp.mpf(kappa)
+        err = max_rel_err_mp(kappa_log(x, kappa), lambda t: mp.sinh(k * mp.log(t)) / k, x)
+        assert err <= 2.5e-16  # measured 1.7e-16
 
     def test_roundtrip_both_ways(self):
         rng = np.random.default_rng(3)

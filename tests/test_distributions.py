@@ -31,12 +31,15 @@ from kappagen import (
     kgen_from_normalized,
     kgen_gini,
     kgen_logpdf,
+    kgen_lorenz,
     kgen_mean,
+    kgen_mld,
     kgen_mode,
     kgen_moment,
     kgen_pdf,
     kgen_quantile,
     kgen_sample,
+    kgen_theil,
     kgen_variance,
     mixture_cdf,
     mixture_mean,
@@ -164,6 +167,20 @@ class TestKgenQuantile:
                   KappaGenParams(0.9, 0.5, 0.3)):
             x = kgen_quantile(U_GRID, p)
             np.testing.assert_allclose(kgen_cdf(x, p), U_GRID, atol=1e-10)
+
+    @pytest.mark.parametrize("kappa", [1e-320, 1e-310, 1e-300, 1e-250])
+    def test_against_mpmath_at_tiny_kappa(self, kappa):
+        # at u = 2^-53, kappa t underflows: a bare sinh(kappa t)/kappa is 100% off
+        u = np.concatenate([[2.0 ** -53, 1e-10], U_GRID, [1.0 - 2.0 ** -53]])
+        k = mp.mpf(kappa)
+        for alpha in (0.5, 2.0, 7.0):
+            got = kgen_quantile(u, KappaGenParams(alpha, 1.5, kappa))
+            with mp.workdps(50):
+                for g, v in zip(got, u):
+                    t = -mp.log1p(-mp.mpf(float(v)))
+                    want = 1.5 * (mp.sinh(k * t) / k) ** (1 / mp.mpf(alpha))
+                    # measured 3.4e-16: the rounding of the power 1/7 at u = 2^-53
+                    assert abs(mp.mpf(float(g)) / want - 1) <= 4e-16, (alpha, v)
 
 
 class TestKgenMoments:
@@ -296,6 +313,7 @@ def mp_gini(alpha, kappa):
     return 1 - (2 * a + 2 * k) / (2 * a + k) * mp.exp(log_ratio)
 
 
+CONTINUITY_U = np.array([2.0 ** -53, 1e-6, 0.01, 0.1, 0.5, 0.9, 0.99, 1.0 - 1e-9])
 SMALL_TO_LARGE_KAPPA = [0.0] + [float(k) for k in np.logspace(-12, math.log10(0.45), 60)]
 
 
@@ -323,9 +341,30 @@ class TestGammaRatioClosedForms:
            kappa=st.floats(0.0, 1e-4) | st.floats(-300.0, -4.0).map(lambda e: 10.0 ** e))
     def test_continuous_at_the_weibull_limit(self, alpha, kappa):
         p, weibull = KappaGenParams(alpha, 1.0, kappa), KappaGenParams(alpha, 1.0, 0.0)
-        assert abs(kgen_gini(p) - kgen_gini(weibull)) <= 4.0 * kappa
-        for f in (kgen_mean, kgen_variance):
-            assert abs(f(p) / f(weibull) - 1.0) <= 4.0 * kappa
+        for f in (kgen_gini, kgen_mld, kgen_theil):
+            assert abs(f(p) - f(weibull)) <= 4.0 * kappa, f.__name__
+        for f in (kgen_mean, kgen_variance) + ((kgen_mode,) if alpha > 1.0 else ()):
+            assert abs(f(p) / f(weibull) - 1.0) <= 4.0 * kappa, f.__name__
+        # kgen_lorenz switches to its Weibull form below kappa = 1e-10
+        lorenz_gap = kgen_lorenz(CONTINUITY_U, p) - kgen_lorenz(CONTINUITY_U, weibull)
+        assert np.max(np.abs(lorenz_gap)) <= 4.0 * kappa
+        # sinh(kappa t)/kappa rounds twice where the Weibull form takes t as
+        # it is: up to 3 ulps of the quantile after the power 1/alpha
+        q, q_weibull = kgen_quantile(CONTINUITY_U, p), kgen_quantile(CONTINUITY_U, weibull)
+        ulps = 4.0 * np.spacing(q_weibull)
+        assert np.all(np.abs(q - q_weibull) <= 4.0 * kappa * q_weibull + ulps)
+
+    @pytest.mark.parametrize("kappa", [1e-160, 1e-200, 1e-320])
+    @pytest.mark.parametrize("m", [0.0, 0.5, 2.0])
+    def test_gradient_at_tiny_kappa(self, kappa, m):
+        # L = kappa^2 [(m + 1) m^2/2 - m^3/3 + m/3] + O(kappa^4) from the three
+        # terms of the Stirling form; below kappa ~ 1e-162, kappa^2 underflows
+        from kappagen.distributions import _log_gamma_ratio_grad
+        d_kappa, d_m = _log_gamma_ratio_grad(kappa, m)
+        assert d_kappa == pytest.approx(2.0 * kappa * ((m + 1.0) * m * m / 2.0 - m ** 3 / 3.0
+                                                       + m / 3.0), rel=1e-15, abs=0.0)
+        assert d_m == pytest.approx(kappa * kappa * (m * m / 2.0 + m + 1.0 / 3.0),
+                                    rel=1e-15, abs=1e-323)
 
 
 class TestEkg1:
