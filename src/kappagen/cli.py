@@ -195,8 +195,8 @@ def _cmd_sample(args):
     if args.n < 1:
         raise UsageError(f"sample size must be at least 1, got {args.n}")
     draws = FAMILIES[args.model].sample(args.n, params, args.seed)
-    text = "\n".join(f"{v:.17g}" for v in np.asarray(draws)) + "\n"
-    _write_text(args.output, text)
+    values = np.asarray(draws).tolist()
+    _write_text(args.output, ("%.17g\n" * len(values)) % tuple(values))
     return _EXIT_OK
 
 
@@ -266,9 +266,8 @@ def _cmd_plotdata(args):
             curve = ineq.empirical_lorenz(sample)
             pairs = curve.points
         elif args.kind == "ccdf-loglog":
-            order = np.argsort(sample.values, kind="stable")
-            v = sample.values[order]
-            w = sample.weights[order]
+            v = sample.values[sample.order]
+            w = sample.weights[sample.order]
             ccdf = 1.0 - (np.cumsum(w) - 0.5 * w) / w.sum()
             keep = (v > 0.0) & (ccdf > 0.0)
             pairs = np.column_stack([np.log10(v[keep]), np.log10(ccdf[keep])])

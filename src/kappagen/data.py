@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -16,6 +19,11 @@ class WeightedSample:
 
     Weights default to 1 for every observation.  Values may be negative or
     zero (net-wealth data); income-family fits reject those at fit time.
+
+    The arrays are treated as immutable once ``order`` has been read: the
+    sort order is cached, so changing ``values`` in place afterwards (through
+    this sample or an array it aliases) leaves a stale order.  They are not
+    made read-only, since they may be the caller's own arrays.
     """
 
     values: np.ndarray
@@ -45,6 +53,11 @@ class WeightedSample:
 
     def __len__(self):
         return self.values.size
+
+    @cached_property
+    def order(self):
+        """Stable ascending sort order of the values, computed once."""
+        return np.argsort(self.values, kind="stable")
 
     @property
     def total_weight(self):
@@ -85,32 +98,98 @@ def _parse_line(line, line_number):
     return value, weight
 
 
-def load_dataset(path, no_header=False):
-    """Read a delimited text file into a WeightedSample.
+_NON_SPACE = re.compile(r"\S")
 
-    Column 1 holds the value, optional column 2 the weight (default 1.0).
-    A header line is auto-detected by a non-numeric first token unless
-    no_header forces every line to be data.
-    """
+
+def _is_header(line):
+    """A stripped, non-blank first line is a header when its first token
+    is not a number."""
+    first_token = (line.split(",") if "," in line else line.split())[0]
+    try:
+        float(first_token)
+    except ValueError:
+        return True
+    return False
+
+
+def _parse_lines(lines, no_header, path):
+    """The line-by-line parser: the reference grammar and the source of
+    every DataFormatError."""
     values = []
     weights = []
-    with open(path, "r", encoding="utf-8") as fh:
-        first_data_line = True
-        for line_number, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if first_data_line and not no_header:
-                first_token = (line.split(",") if "," in line else line.split())[0]
-                try:
-                    float(first_token)
-                except ValueError:
-                    first_data_line = False
-                    continue  # header line
+    first_data_line = not no_header
+    for line_number, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if first_data_line:
             first_data_line = False
-            value, weight = _parse_line(line, line_number)
-            values.append(value)
-            weights.append(weight)
+            if _is_header(line):
+                continue
+        value, weight = _parse_line(line, line_number)
+        values.append(value)
+        weights.append(weight)
     if not values:
         raise DataFormatError(f"no data rows found in {path}")
     return WeightedSample(np.array(values), np.array(weights))
+
+
+def _parse_bulk(path, text, no_header):
+    """The same file through numpy's C parser, or None where that parser
+    could disagree with _parse_lines or would raise.
+
+    The delimiter is a comma if the file holds one anywhere, else
+    whitespace.  A result is used only if it has 1 or 2 columns, at least
+    one row, finite fields and no negative weight, so every malformed file
+    reaches the line parser, whose errors name the offending line.
+    """
+    skip = 0  # lines up to and including a header
+    body = 0  # where the data may start
+    line_number = 0
+    while not no_header and body < len(text):  # find the first non-blank line
+        end = text.find("\n", body)
+        end = len(text) if end < 0 else end + 1
+        line_number += 1
+        line = text[body:end].strip()
+        if line:
+            if _is_header(line):
+                skip, body = line_number, end
+            break
+        body = end
+    if _NON_SPACE.search(text, body) is None:
+        return None  # no data rows: loadtxt would warn
+    try:
+        table = np.loadtxt(path, delimiter="," if "," in text else None, skiprows=skip,
+                           comments=None, ndmin=2, encoding="utf-8")
+    except ValueError:
+        return None
+    if not 1 <= table.shape[1] <= 2 or not np.all(np.isfinite(table)):
+        return None
+    values = np.ascontiguousarray(table[:, 0])
+    weights = np.ascontiguousarray(table[:, 1]) if table.shape[1] == 2 else np.ones_like(values)
+    if np.any(weights < 0.0):
+        return None
+    return WeightedSample(values, weights)
+
+
+def load_dataset(path, no_header=False):
+    """Read a delimited text file into a WeightedSample.
+
+    Each non-blank line holds 1 or 2 fields, split at commas if the line
+    holds one and at whitespace otherwise: the value, then the weight
+    (default 1.0).  Values and weights must be finite and weights
+    nonnegative.  A header line is auto-detected by a non-numeric first
+    token on the first non-blank line unless no_header forces every line
+    to be data.  Any other file raises a DataFormatError naming its line.
+
+    A regular file is parsed in bulk by numpy; every file the bulk parse
+    does not accept as it stands goes through the line parser, which gives
+    the same values bit for bit and is the one source of errors.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    sample = _parse_bulk(path, text, no_header) if os.path.isfile(path) else None
+    if sample is None:
+        # file iteration's lines: universal newlines are already "\n"
+        sample = _parse_lines(text.split("\n"), no_header, path)
+    return sample

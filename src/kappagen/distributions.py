@@ -159,11 +159,15 @@ def _kgen_log_terms(arr, p: KappaGenParams):
 
 
 def kgen_logpdf(x, p: KappaGenParams):
-    """Log-density of the base model; requires x > 0."""
+    """Log-density of the base model; requires x > 0, and is -inf at x = inf."""
     arr, scalar = _asarray(x)
     if np.any(~(arr > 0.0)):
         raise DomainError("kgen_logpdf requires x > 0")
-    return _restore(_kgen_log_terms(arr, p)[0], scalar)
+    with np.errstate(invalid="ignore"):  # inf - inf at x = inf
+        out = _kgen_log_terms(arr, p)[0]
+    if arr.max(initial=0.0) == np.inf:
+        out = np.where(arr == np.inf, -np.inf, out)
+    return _restore(out, scalar)
 
 
 # (asinh(u) - u/sqrt(1 + u^2)) / u^3 = 1/3 - 3u^2/10 + 15u^4/56 - 35u^6/144 + O(u^8):
@@ -256,6 +260,9 @@ def kgen_quantile(u, p: KappaGenParams):
     return _restore(out, scalar)
 
 
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
 def _check_moment_order(r, p: KappaGenParams):
     if not -p.alpha < r:
         raise MomentDivergenceError(
@@ -343,7 +350,14 @@ def kgen_moment(r, p: KappaGenParams):
     if r == 0.0:
         return 1.0
     a, b, k = p.alpha, p.beta, p.kappa
-    return b ** r * math.exp(log_gamma(1.0 + r / a) + _log_gamma_ratio(k, r / a))
+    log_rest = log_gamma(1.0 + r / a) + _log_gamma_ratio(k, r / a)
+    log_moment = r * math.log(b) + log_rest
+    if log_moment > _LOG_MAX:  # finite, but beyond the double range
+        return math.inf
+    try:
+        return b ** r * math.exp(log_rest)
+    except OverflowError:  # one factor alone leaves the double range
+        return math.exp(log_moment)
 
 
 def kgen_mean(p: KappaGenParams):
@@ -435,7 +449,8 @@ def _ekg1_t_from_x(x, p: EKG1Params):
     The log-bracket is strictly increasing in t (its derivative is
     coth(t/2q)/(2q) - r > 1/(2q) - r > 0), so the root is unique.
     """
-    target = p.a * np.log(x / p.b)
+    top = x == np.inf  # t = inf there; bisect a finite stand-in
+    target = p.a * np.log(np.where(top, p.b, x) / p.b)
     slope = 1.0 / (2.0 * p.q) - p.r
     ln_lo = np.full_like(target, -700.0)
     ln_hi = np.maximum(np.log(np.maximum((target - math.log(p.q)) / slope, 1.0)) + 2.0, 3.0)
@@ -450,7 +465,7 @@ def _ekg1_t_from_x(x, p: EKG1Params):
         below = _ekg1_log_bracket(np.exp(mid), p) < target
         ln_lo = np.where(below, mid, ln_lo)
         ln_hi = np.where(below, ln_hi, mid)
-    return np.exp(0.5 * (ln_lo + ln_hi))
+    return np.where(top, np.inf, np.exp(0.5 * (ln_lo + ln_hi)))
 
 
 def ekg1_cdf(x, p: EKG1Params):
@@ -498,24 +513,28 @@ def ekg1_density_at_u(u, p: EKG1Params):
     return _restore(out, scalar)
 
 
+def _ekg1_log_density_at_x(arr, p: EKG1Params, name):
+    """Log density at x > 0 through the numeric inverse; -inf at x = inf."""
+    if np.any(~(arr > 0.0)):
+        raise DomainError(f"{name} requires x > 0")
+    t = _ekg1_t_from_x(arr, p)
+    with np.errstate(invalid="ignore"):  # inf - inf at t = inf
+        return np.where(t == np.inf, -np.inf, _ekg1_log_density_at_t(t, p))
+
+
 def ekg1_pdf(x, p: EKG1Params):
     """Density at x > 0, evaluated through the numeric inverse of the quantile."""
     arr, scalar = _asarray(x)
-    if np.any(~(arr > 0.0)):
-        raise DomainError("ekg1_pdf requires x > 0")
-    t = _ekg1_t_from_x(arr, p)
+    log_density = _ekg1_log_density_at_x(arr, p, "ekg1_pdf")
     with np.errstate(over="ignore", under="ignore"):
-        out = np.exp(_ekg1_log_density_at_t(t, p))
+        out = np.exp(log_density)
     return _restore(out, scalar)
 
 
 def ekg1_logpdf(x, p: EKG1Params):
     """Log-density at x > 0 (numeric inversion, used by the fitting engine)."""
     arr, scalar = _asarray(x)
-    if np.any(~(arr > 0.0)):
-        raise DomainError("ekg1_logpdf requires x > 0")
-    t = _ekg1_t_from_x(arr, p)
-    return _restore(_ekg1_log_density_at_t(t, p), scalar)
+    return _restore(_ekg1_log_density_at_x(arr, p, "ekg1_logpdf"), scalar)
 
 
 def ekg1_sample(n, p: EKG1Params, seed):
@@ -533,14 +552,17 @@ def ekg1_sample(n, p: EKG1Params, seed):
 
 def _ekg2_transform(x, p: EKG2Params):
     """Map x >= 0 to (z, ln z, ln(1-z)) with z = y/D, 1-z = 1/D^2,
-    D = (y + sqrt(y^2 + 4))/2 and y = (x/b)^a; z lies in [0, 1).  ln D is
-    asinh(y/2), which keeps its precision at small y and does not overflow."""
-    with np.errstate(over="ignore", divide="ignore"):
+    D = (y + sqrt(y^2 + 4))/2 and y = (x/b)^a; z lies in [0, 1].  ln D is
+    asinh(y/2), which keeps its precision at small y and does not overflow;
+    where y overflows, z = 1 and ln z = 0, their limits."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         y = (x / p.b) ** p.a
         ln_d = np.arcsinh(0.5 * y)
         log1mz = -2.0 * ln_d
         z = -np.expm1(log1mz)
         lnz = np.log(y) - ln_d
+    if y.max(initial=0.0) == np.inf:
+        lnz = np.where(y == np.inf, 0.0, lnz)
     return z, lnz, log1mz
 
 

@@ -31,6 +31,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .data import WeightedSample
+from .deformed import _asarray, _restore
 from .distributions import (
     EKG1Params,
     EKG2Params,
@@ -243,7 +244,8 @@ def _normalized_score(values, weights, p: KappaGenParams):
                          (g_kappa + g_beta * dbeta_dkappa) * _dkappa_dlogit(p.kappa)])
 
 
-def _mixture_logpdf(values, p: NetWealthMixtureParams):
+def _mixture_logpdf(x, p: NetWealthMixtureParams):
+    values, scalar = _asarray(x)
     out = np.empty_like(values)
     neg = values < 0.0
     zero = values == 0.0
@@ -258,7 +260,7 @@ def _mixture_logpdf(values, p: NetWealthMixtureParams):
             out[pos] = math.log(p.theta3) if p.theta3 > 0.0 else -math.inf
             if p.theta3 > 0.0:
                 out[pos] += kgen_logpdf(values[pos], p.positive_branch)
-    return out
+    return _restore(out, scalar)
 
 
 def _mixture_from_flags(shape, scale, theta1, theta2, alpha, beta, kappa):
@@ -406,12 +408,11 @@ def _weighted_lstsq(x, y, w):
     return slope, my - slope * mx
 
 
-def _initial_shape_scale(values, weights):
+def _initial_shape_scale(sample: WeightedSample):
     """Shape and scale from a weighted least-squares line on the
     double-log survival plot, restricted to the distribution bulk."""
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    w = weights[order]
+    v = sample.values[sample.order]
+    w = sample.weights[sample.order]
     cw = np.cumsum(w)
     total = cw[-1]
     cdf_mid = (cw - 0.5 * w) / total
@@ -425,14 +426,14 @@ def _initial_shape_scale(values, weights):
             beta0 = math.exp(-intercept / slope)
             if math.isfinite(beta0) and beta0 > 0.0:
                 return alpha0, beta0, (v, w, cdf_mid)
-    mean = float(np.sum(values * weights) / weights.sum())
+    mean = float(np.sum(sample.values * sample.weights) / sample.weights.sum())
     return 1.0, max(mean, 1e-12), (v, w, cdf_mid)
 
 
-def _initial_kgen(values, weights):
+def _initial_kgen(sample: WeightedSample):
     """(alpha0, beta0, kappa0): bulk regression pins the shape and scale,
     the upper-decile survival slope pins the tail deformation."""
-    alpha0, beta0, (v, w, cdf_mid) = _initial_shape_scale(values, weights)
+    alpha0, beta0, (v, w, cdf_mid) = _initial_shape_scale(sample)
     kappa0 = 0.25
     tail = (cdf_mid >= 0.9) & (cdf_mid < 1.0) & (v > 0.0)
     if tail.sum() >= 10:
@@ -556,7 +557,7 @@ def _fit_transformed(model, sample, config):
         return -value / total_w
 
     negative_mean_loglik = lambda vec: evaluate(vec, False)
-    x0 = family.encode(family.start(*_initial_kgen(values, weights)))
+    x0 = family.encode(family.start(*_initial_kgen(sample)))
 
     best = None
     iterations = 0
@@ -716,5 +717,5 @@ def goodness_of_fit(sample: WeightedSample, model, params):
     l_emp = curve.interpolate(deciles)
     l_mod = np.asarray(family.lorenz(deciles, params), dtype=float)
     lrsse = float(np.sqrt(np.sum((l_emp - l_mod) ** 2)))
-    aeg = abs(ineq.empirical_gini(sample) - family.gini(params))
+    aeg = abs(ineq._trapezoid_gini(curve) - family.gini(params))
     return GoodnessOfFit(loglik=ll, lrsse=lrsse, aeg=aeg)

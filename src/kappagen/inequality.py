@@ -407,14 +407,12 @@ def empirical_lorenz(sample: WeightedSample):
     Equal values are grouped before cumulating; weights are normalized to
     sum to one.
     """
-    mask = sample.weights > 0.0
-    if not np.any(mask):
+    order = sample.order
+    order = order[sample.weights[order] > 0.0]  # the stable order of the positive weights
+    if order.size == 0:
         raise DegenerateDataError("all weights are zero")
-    values = sample.values[mask]
-    weights = sample.weights[mask]
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    weights = weights[order]
+    values = sample.values[order]
+    weights = sample.weights[order]
     distinct, start = np.unique(values, return_index=True)
     w_grouped = np.add.reduceat(weights, start)
     xw_grouped = np.add.reduceat(values * weights, start)
@@ -431,10 +429,13 @@ def empirical_lorenz(sample: WeightedSample):
     return LorenzCurve(points=points, source="empirical")
 
 
-def empirical_gini(sample: WeightedSample):
-    """Trapezoid-rule Gini of the empirical Lorenz curve."""
-    curve = empirical_lorenz(sample)
+def _trapezoid_gini(curve: LorenzCurve):
+    """One minus twice the trapezoid-rule area under a Lorenz curve."""
     u = curve.points[:, 0]
     ell = curve.points[:, 1]
-    area = float(np.sum(np.diff(u) * (ell[1:] + ell[:-1])))
-    return 1.0 - area
+    return 1.0 - float(np.sum(np.diff(u) * (ell[1:] + ell[:-1])))
+
+
+def empirical_gini(sample: WeightedSample):
+    """Trapezoid-rule Gini of the empirical Lorenz curve."""
+    return _trapezoid_gini(empirical_lorenz(sample))

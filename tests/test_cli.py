@@ -63,6 +63,23 @@ class TestSample:
         assert run_cli(*args, "-o", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("model, flags", [
+        ("kappagen", {"alpha": 2.5, "beta": 1.3, "kappa": 0.6}),
+        ("weibull", {"shape": 0.7, "scale": 2.0}),
+        ("ekg1", {"a": 2.0, "b": 1.0, "q": 1.0, "r": 0.2}),
+        ("ekg2", {"a": 2.0, "b": 1.0, "p": 1.5, "q": 1.2}),
+        ("mixture", {"shape": 0.7, "scale": 1.0, "theta1": 0.2, "theta2": 0.1,
+                     "alpha": 2.0, "beta": 10.0, "kappa": 0.75}),
+    ])
+    def test_writes_each_draw_with_17_significant_digits(self, tmp_path, model, flags):
+        out = tmp_path / "s.txt"
+        argv = [t for name, v in flags.items() for t in ("--" + name, repr(v))]
+        assert run_cli("sample", "--model", model, *argv, "--n", "700", "--seed", "4",
+                       "-o", str(out)) == 0
+        family = FAMILIES[model]
+        draws = family.sample(700, family.from_flags(*flags.values()), 4)
+        assert out.read_bytes() == "".join(f"{v:.17g}\n" for v in draws).encode()
+
     def test_rejects_zero_n(self, capsys):
         code = run_cli("sample", "--model", "kappagen", "--alpha", "2", "--beta", "1",
                        "--kappa", "0.5", "--n", "0", "--seed", "1")

@@ -1,0 +1,166 @@
+"""load_dataset: the bulk parse against the line-by-line reader it replaces."""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kappagen import DataFormatError, WeightedSample, load_dataset
+from kappagen.data import _parse_bulk, _parse_line
+
+
+def reference_load(path, no_header=False):
+    """The line-by-line reader as it stood before the bulk parse: file
+    iteration (which splits at universal newlines only, unlike
+    str.splitlines), the first-token header rule and _parse_line."""
+    values = []
+    weights = []
+    with open(path, "r", encoding="utf-8") as fh:
+        first_data_line = True
+        for line_number, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if first_data_line and not no_header:
+                first_token = (line.split(",") if "," in line else line.split())[0]
+                try:
+                    float(first_token)
+                except ValueError:
+                    first_data_line = False
+                    continue
+            first_data_line = False
+            value, weight = _parse_line(line, line_number)
+            values.append(value)
+            weights.append(weight)
+    if not values:
+        raise DataFormatError(f"no data rows found in {path}")
+    return WeightedSample(np.array(values), np.array(weights))
+
+
+def outcome(load, path, no_header):
+    """The bits of the parsed arrays, or the error's type, message and line."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = load(path, no_header=no_header)
+    except Exception as exc:  # the two readers must fail alike
+        return ("error", type(exc).__name__, str(exc), getattr(exc, "line_number", None))
+    return ("ok", s.values.tobytes(), s.weights.tobytes())
+
+
+# %.17g output, short decimals, and odd but valid spellings
+value_token = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
+    st.integers(-10**6, 10**6).map(lambda i: f"{i / 100}"),
+    st.sampled_from(["0", "-0", "1.5", ".5", "5.", "1e3", "+2", "2.5E-3"]),
+)
+weight_token = st.one_of(
+    st.floats(0.0, 1e6).map(lambda v: f"{v:.17g}"),
+    st.integers(0, 10**4).map(str),
+    st.sampled_from(["0", "-0", "0.25", "1"]),
+)
+# numbers that the line parser rejects by value, then ones it cannot read
+out_of_range = st.sampled_from(["nan", "inf", "-inf", "1e999", "-1", "-1e-300"])
+bad_token = out_of_range | st.sampled_from(["1_000", "oops", "0x10", "", "1.5.2"])
+blank_line = st.sampled_from(["", "  ", "\t", "\x0c", " \x0b ", "\x1c", " "])
+header_line = st.sampled_from(["value,weight", "income weight", "x", "#v", "value, 1"])
+newline = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def dataset_text(draw):
+    """A whole file: clean (one delimiter and column count throughout) or
+    messy (each line on its own), with blank lines, an optional header
+    and any mix of line endings."""
+    clean = draw(st.integers(0, 2)) > 0
+    delim = draw(st.sampled_from([",", ", ", " , ", " ", "\t", "  ", "\x0c", " "]))
+    ncols = draw(st.sampled_from([1, 1, 2, 2, 2, 3]))
+    eol = draw(newline)
+    lines = [draw(header_line)] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(blank_line))
+            continue
+        if not clean:
+            delim = draw(st.sampled_from([",", " ", "\t", ", ", "\x0b"]))
+            ncols = draw(st.sampled_from([1, 2, 2, 3]))
+        tokens = [draw(value_token)] + [draw(weight_token) for _ in range(ncols - 1)]
+        if draw(st.integers(0, 3 if not clean else 40)) == 0:
+            tokens[draw(st.integers(0, ncols - 1))] = draw(bad_token if not clean else out_of_range)
+        line = delim.join(tokens)
+        if not clean and draw(st.integers(0, 5)) == 0:
+            line += ","  # a trailing comma
+        if draw(st.integers(0, 4)) == 0:
+            line = " " + line + " "
+        lines.append(line)
+        if not clean:
+            eol = draw(newline)
+        lines[-1] += eol
+    text = "".join(line if line.endswith(("\n", "\r")) else line + eol for line in lines)
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final newline
+    return text
+
+
+class TestBulkMatchesLineReader:
+    def test_random_files(self, tmp_path):
+        path = tmp_path / "data.txt"
+        seen = {"bulk": 0, "lines": 0, "error": 0}
+
+        @settings(max_examples=400, deadline=None, derandomize=True)
+        @given(text=dataset_text(), no_header=st.booleans())
+        def check(text, no_header):
+            path.write_bytes(text.encode("utf-8"))
+            want = outcome(reference_load, path, no_header)
+            assert outcome(load_dataset, path, no_header) == want
+            if want[0] == "error":
+                seen["error"] += 1
+            else:
+                with open(path, encoding="utf-8") as fh:
+                    bulk = _parse_bulk(path, fh.read(), no_header)
+                seen["bulk" if bulk is not None else "lines"] += 1
+
+        check()
+        # the examples reach the bulk parse, the line parser's fallback and its errors
+        assert seen["bulk"] >= 50 and seen["lines"] >= 15 and seen["error"] >= 100, seen
+
+    @pytest.mark.parametrize("text", ["value,weight\n", "value weight", "x\n\n  \n",
+                                      "\n\nincome\r\n"])
+    def test_header_only_file_raises_without_a_warning(self, tmp_path, text):
+        path = tmp_path / "data.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match="no data rows"):
+                load_dataset(path)
+
+    @pytest.mark.parametrize("text", ["value,weight\r\n1,2\r\n3,0.5\r\n", "\n x \n1.5\n\n2\n",
+                                      "1 2\n3\t4\n", "1, 2\n3 ,4"])
+    def test_well_formed_files_take_the_bulk_parse(self, tmp_path, text):
+        path = tmp_path / "data.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            assert _parse_bulk(path, fh.read(), False) is not None
+
+    def test_vertical_whitespace_splits_fields_not_lines(self, tmp_path):
+        # str.splitlines would make "1\x0c2" two records; a file iterates it as one
+        path = tmp_path / "data.txt"
+        path.write_bytes("1\x0c2\n3 4\n".encode("utf-8"))
+        s = load_dataset(path)
+        assert s.values.tolist() == [1.0, 3.0] and s.weights.tolist() == [2.0, 4.0]
+
+    def test_error_names_the_line_after_a_bulk_failure(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_text("value,weight\n1,1\n\n2,1\n3,-1\n")
+        with pytest.raises(DataFormatError, match="line 5: negative weight") as info:
+            load_dataset(path)
+        assert info.value.line_number == 5
+
+
+class TestSortOrder:
+    def test_order_is_the_stable_argsort_computed_once(self):
+        s = WeightedSample(np.array([3.0, 1.0, 3.0, 2.0, 1.0]))
+        assert s.order.tolist() == [1, 4, 3, 0, 2]
+        assert s.order is s.order

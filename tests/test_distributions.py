@@ -205,6 +205,17 @@ class TestKgenMoments:
         want, _ = quad(lambda t: (t - m) ** 2 * kgen_pdf(t, p), 0, np.inf, limit=400)
         assert kgen_variance(p) == pytest.approx(want, rel=1e-7)
 
+    def test_finite_moment_beyond_the_double_range_is_inf(self):
+        # an overflowing product, and a factor math.exp cannot represent
+        assert kgen_moment(500.0, KappaGenParams(5.42, 3.54, 0.01)) == math.inf
+        assert kgen_moment(600.0, KappaGenParams(2.0, 0.5, 0.003)) == math.inf
+
+    def test_representable_moment_with_an_overflowing_factor(self):
+        # beta^2 = 1.96e308 leaves the double range; E[X^2] = beta^2 Gamma(1.5) does not
+        got = kgen_moment(2.0, KappaGenParams(4.0, 1.4e154, 0.0))
+        want = mp.mpf(1.4e154) ** 2 * mp.gamma(1.5)
+        assert got == pytest.approx(float(want), rel=1e-12)
+
     def test_divergence_errors(self):
         p = KappaGenParams(2.0, 1.0, 0.5)  # tail exponent 4
         with pytest.raises(MomentDivergenceError):

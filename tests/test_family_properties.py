@@ -72,6 +72,15 @@ def test_family_properties(model):
             # ulps of 1: measured at most 3.5 EPS (x + 1/f(x))
             pdf = np.asarray(family.pdf(xi, params), dtype=float)
             assert np.all(np.abs(back - xi) <= 8.0 * EPS * (xi + 1.0 / pdf))
+        # x = +-inf, alone and in an array: the limits, with no warning
+        for end, limits in ((np.inf, (-np.inf, 0.0, 1.0, 0.0)), (-np.inf, (-np.inf, 0.0, 0.0, 1.0))):
+            if end < 0.0 and family.positive:
+                continue
+            for point in (end, np.array([1.0, end])):
+                got = [getattr(family, f)(point, params) for f in ("logpdf", "pdf", "cdf", "ccdf")]
+                if np.ndim(point) == 0:
+                    assert all(isinstance(v, float) for v in got)
+                assert [float(np.atleast_1d(v)[-1]) for v in got] == list(limits)
         lorenz = np.asarray(family.lorenz(U, params), dtype=float)
         assert lorenz[0] == 0.0 and lorenz[-1] == 1.0
         assert np.min(np.diff(lorenz, 2)) >= -1e-15  # measured >= 0

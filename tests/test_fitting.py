@@ -111,7 +111,7 @@ class TestFitMle:
     def test_optimum_beats_initial_point(self):
         from kappagen.fitting import _initial_kgen
         s = kgen_data(5000, seed=4)
-        a0, b0, k0 = _initial_kgen(s.values, s.weights)
+        a0, b0, k0 = _initial_kgen(s)
         res = fit_mle(s, FAST)
         assert res.loglik >= loglik(s, "kappagen", KappaGenParams(a0, b0, k0)) - 1e-6
 
@@ -320,6 +320,39 @@ class TestGoodnessOfFit:
         assert res.gof is not None
         assert math.isfinite(res.gof.lrsse)
         assert res.gof.loglik == pytest.approx(res.loglik, rel=1e-12)
+
+
+def _per_call_sort_start(values, weights):
+    """The start values computed with their own stable sort of the values."""
+    order = np.argsort(values, kind="stable")
+    v, w = values[order], weights[order]
+    cw = np.cumsum(w)
+    cdf_mid = (cw - 0.5 * w) / cw[-1]
+    bulk = (cdf_mid > 0.01) & (cdf_mid < 0.9) & (v > 0.0)
+    slope, intercept = kfit._weighted_lstsq(np.log(v[bulk]), np.log(-np.log1p(-cdf_mid[bulk])),
+                                            w[bulk])
+    alpha0 = min(max(slope, 0.05), 50.0)
+    tail = (cdf_mid >= 0.9) & (cdf_mid < 1.0) & (v > 0.0)
+    tail_slope, _ = kfit._weighted_lstsq(np.log(v[tail]), np.log1p(-cdf_mid[tail]), w[tail])
+    return alpha0, math.exp(-intercept / slope), min(max(alpha0 / -tail_slope, 0.01), 0.9)
+
+
+class TestSortOnce:
+    @staticmethod
+    def tied_sample():
+        rng = np.random.default_rng(9)
+        values = np.round(kgen_sample(3000, KappaGenParams(2.0, 1.0, 0.5), seed=9), 1) + 0.05
+        return WeightedSample(values, rng.integers(0, 4, values.size) * 0.3)
+
+    def test_initial_kgen_same_bits_as_a_per_call_sort(self):
+        s = self.tied_sample()
+        assert kfit._initial_kgen(s) == _per_call_sort_start(s.values, s.weights)
+
+    def test_goodness_of_fit_gini_is_the_empirical_gini(self):
+        s = self.tied_sample()
+        p = KappaGenParams(2.1, 0.9, 0.4)
+        assert goodness_of_fit(s, "kappagen", p).aeg == abs(
+            kfit.ineq.empirical_gini(s) - kgen_gini(p))
 
 
 class TestConsistencyDrift:

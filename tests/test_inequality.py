@@ -369,6 +369,24 @@ class TestEmpirical:
         got = empirical_gini(WeightedSample(x))
         assert got == pytest.approx(kgen_gini(p), abs=0.005)
 
+    def test_same_bits_as_a_per_call_sort(self):
+        # ties and zero weights: the cached order, filtered to the positive
+        # weights, must give the curve of a stable sort of that subset
+        rng = np.random.default_rng(8)
+        values = np.round(kgen_sample(3000, KappaGenParams(2.0, 1.0, 0.5), seed=8), 1)
+        weights = rng.integers(0, 4, values.size) * 0.3
+        mask = weights > 0.0
+        order = np.argsort(values[mask], kind="stable")
+        v, w = values[mask][order], weights[mask][order]
+        _, start = np.unique(v, return_index=True)
+        w_grouped, xw_grouped = np.add.reduceat(w, start), np.add.reduceat(v * w, start)
+        u = np.cumsum(w_grouped) / w_grouped.sum()
+        ell = np.cumsum(xw_grouped) / xw_grouped.sum()
+        u[-1] = ell[-1] = 1.0
+        want = np.column_stack([np.concatenate([[0.0], u]), np.concatenate([[0.0], ell])])
+        got = empirical_lorenz(WeightedSample(values, weights)).points
+        assert got.tobytes() == want.tobytes()
+
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateDataError):
             empirical_lorenz(WeightedSample(np.array([1.0, 2.0]), np.array([0.0, 0.0])))
