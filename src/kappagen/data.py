@@ -180,14 +180,23 @@ def load_dataset(path, no_header=False):
     (default 1.0).  Values and weights must be finite and weights
     nonnegative.  A header line is auto-detected by a non-numeric first
     token on the first non-blank line unless no_header forces every line
-    to be data.  Any other file raises a DataFormatError naming its line.
+    to be data.  Any other file, one that is not UTF-8 included, raises a
+    DataFormatError naming its line.
 
     A regular file is parsed in bulk by numpy; every file the bulk parse
     does not accept as it stands goes through the line parser, which gives
     the same values bit for bit and is the one source of errors.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file at once, so exc.start is its byte offset
+        head = exc.object[:exc.start]
+        line_number = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise DataFormatError(
+            f"line {line_number}: not UTF-8 text ({exc.reason} at byte {exc.start})",
+            line_number=line_number) from None
     sample = _parse_bulk(path, text, no_header) if os.path.isfile(path) else None
     if sample is None:
         # file iteration's lines: universal newlines are already "\n"

@@ -414,19 +414,25 @@ def _unit_mean_log_scale_grad(alpha, kappa):
 # quantile-defined extension (ekg1)
 
 
-def _log_sinh(t):
-    """log(sinh(t)) for t > 0, stable for both tiny and large t."""
-    small = t < 1e-4
-    with np.errstate(divide="ignore"):
-        out = np.where(small,
-                       np.log(np.where(small, t, 1.0)) + t * t / 6.0,
-                       t + np.log1p(-np.exp(-2.0 * np.where(small, 1.0, t))) - math.log(2.0))
-    return out
+_EKG1_MAX_STEPS = 60
+_EKG1_STEP_TOL = 2.0 ** -40
+
+
+def _ekg1_slope(p: EKG1Params):
+    """1/(2q) - r, correctly rounded (int / int is).  The double difference
+    keeps only ~log10((1/(2q) - r) / (r eps)) digits, 4 of them at
+    r = (1 - 1e-12)/(2q)."""
+    qn, qd = float(p.q).as_integer_ratio()
+    rn, rd = float(p.r).as_integer_ratio()
+    return (qd * rd - 2 * qn * rn) / (2 * qn * rd)
 
 
 def _ekg1_log_bracket(t, p: EKG1Params):
-    """Log of the quantile bracket 2q e^(-rt) sinh(t/(2q)) at t = -ln(1-u)."""
-    return math.log(2.0 * p.q) - p.r * t + _log_sinh(t / (2.0 * p.q))
+    """Log of the quantile bracket 2q e^(-rt) sinh(t/(2q)) at t = -ln(1-u),
+    as ln q + t (1/(2q) - r) + ln(1 - e^(-t/q)): no -rt + t/(2q)
+    cancellation, and -expm1 keeps the last term exact at small t/q."""
+    with np.errstate(divide="ignore"):
+        return math.log(p.q) + t * _ekg1_slope(p) + np.log(-np.expm1(-t / p.q))
 
 
 def ekg1_quantile(u, p: EKG1Params):
@@ -444,28 +450,49 @@ def ekg1_quantile(u, p: EKG1Params):
 
 
 def _ekg1_t_from_x(x, p: EKG1Params):
-    """Invert the quantile at x > 0 for t = -ln(1-u), by bisection in ln t.
+    """Invert the quantile at x > 0 for t = -ln(1-u), by safeguarded Newton
+    steps in s = ln t on G(s) = L(e^s) - a ln(x/b), L the log-bracket.
 
-    The log-bracket is strictly increasing in t (its derivative is
-    coth(t/2q)/(2q) - r > 1/(2q) - r > 0), so the root is unique.
+    With c = 1/(2q) - r > 0 and e = 1 - e^(-t/q), L = ln q + c t + ln e and
+    dL/ds = c t + (t/q)(1 - e)/e > 0, so the root is unique.  Since
+    ln e < 0, L < ln q + c t: the line's root (target - ln q)/c starts the
+    iteration above target = ln q + 1, and s = target (L ~ ln t for small
+    t) starts it below.  The bracket is [-700, ln max(2q, (target - ln q +
+    0.15)/c)]: ln e >= ln(1 - e^-2) > -0.15 for t >= 2q, so L reaches the
+    target at its upper end.  Each evaluation shrinks the bracket; a Newton
+    step that leaves it is replaced by bisection, and one that lands on an
+    end is kept (rejecting it would jump a converged entry to the middle).
+    Steps stop once every entry's last Newton step is below 2^-40 of
+    max(1, |s|), whose quadratic successor is below the rounding of s: six
+    evaluations at the benchmark's parameters.  Targets below -700 (x below
+    about b e^(-700/a)) end at t = e^-700.
     """
-    top = x == np.inf  # t = inf there; bisect a finite stand-in
+    top = x == np.inf  # t = inf there; invert a finite stand-in
     target = p.a * np.log(np.where(top, p.b, x) / p.b)
-    slope = 1.0 / (2.0 * p.q) - p.r
-    ln_lo = np.full_like(target, -700.0)
-    ln_hi = np.maximum(np.log(np.maximum((target - math.log(p.q)) / slope, 1.0)) + 2.0, 3.0)
-    # guarantee the upper bracket
-    for _ in range(60):
-        high = _ekg1_log_bracket(np.exp(ln_hi), p) < target
-        if not np.any(high):
+    c = _ekg1_slope(p)
+    ln_q = math.log(p.q)
+    lo = np.full_like(target, -700.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hi = np.log(np.maximum((target - ln_q + 0.15) / c, 2.0 * p.q))
+        s = np.where(target > ln_q + 1.0, np.log((target - ln_q) / c), target)
+    s = np.clip(s, lo, hi)
+    shift = ln_q - target
+    for _ in range(_EKG1_MAX_STEPS):
+        t = np.exp(s)
+        tq = t / p.q
+        e = -np.expm1(-tq)
+        ct = c * t
+        with np.errstate(divide="ignore", invalid="ignore"):  # t/q = 0: bisect
+            g = ct + np.log(e) + shift
+            newton = g / (ct + tq * (1.0 - e) / e)
+        below = g < 0.0
+        lo = np.where(below, s, lo)
+        hi = np.where(below, hi, s)
+        s_next = s - newton
+        s = np.where((s_next >= lo) & (s_next <= hi), s_next, 0.5 * (lo + hi))
+        if np.all(np.abs(newton) <= _EKG1_STEP_TOL * np.maximum(np.abs(s), 1.0)):
             break
-        ln_hi = np.where(high, ln_hi + 2.0, ln_hi)
-    for _ in range(80):
-        mid = 0.5 * (ln_lo + ln_hi)
-        below = _ekg1_log_bracket(np.exp(mid), p) < target
-        ln_lo = np.where(below, mid, ln_lo)
-        ln_hi = np.where(below, ln_hi, mid)
-    return np.where(top, np.inf, np.exp(0.5 * (ln_lo + ln_hi)))
+    return np.where(top, np.inf, np.exp(s))
 
 
 def ekg1_cdf(x, p: EKG1Params):
@@ -496,8 +523,9 @@ def _ekg1_log_density_at_t(t, p: EKG1Params):
     a, b, q, r = p.a, p.b, p.q, p.r
     tau = t / (2.0 * q)
     lg = _ekg1_log_bracket(t, p)
-    # cosh(tau) - 2qr sinh(tau) = e^tau [(1-2qr)/2 + (1+2qr) e^(-2tau)/2] > 0
-    log_denom = tau + np.log((1.0 - 2.0 * q * r) / 2.0
+    # cosh(tau) - 2qr sinh(tau) = e^tau [(1-2qr)/2 + (1+2qr) e^(-2tau)/2] > 0,
+    # with (1-2qr)/2 = q (1/(2q) - r)
+    log_denom = tau + np.log(q * _ekg1_slope(p)
                              + (1.0 + 2.0 * q * r) * np.exp(-2.0 * tau) / 2.0)
     return math.log(a / b) + (1.0 - 1.0 / a) * lg - (1.0 - r) * t - log_denom
 

@@ -200,6 +200,14 @@ class TestDatasetParsing:
             load_dataset(path)
         assert info.value.line_number == 3
 
+    def test_non_utf8_file_reported_with_number(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"1.0\n\xff\xfe2\n")
+        code = run_cli("fit", str(path), "--model", "kappagen")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: not UTF-8") and "Traceback" not in err
+
 
 class TestEval:
     def test_cdf_at_zero(self, capsys):

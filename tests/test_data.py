@@ -159,6 +159,29 @@ class TestBulkMatchesLineReader:
         assert info.value.line_number == 5
 
 
+class TestNotUtf8:
+    @pytest.mark.parametrize("raw, line, offset", [
+        (b"1.0\n\xff\xfe2\n", 2, 4),
+        (b"\xff1.0\n", 1, 0),
+        (b"x\r\n1\r2\r\n3 \xc3\n", 4, 10),  # \r\n and a lone \r each end one line
+        (b"1,1\n\n2,1\n3,\xe9\n", 4, 11),
+    ])
+    def test_error_names_the_line_of_the_first_bad_byte(self, tmp_path, raw, line, offset):
+        path = tmp_path / "data.txt"
+        path.write_bytes(raw)
+        with pytest.raises(DataFormatError, match=f"line {line}: not UTF-8") as info:
+            load_dataset(path)
+        assert info.value.line_number == line
+        assert f"at byte {offset}" in str(info.value)
+
+    def test_bad_byte_far_into_a_large_file(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_bytes(b"1.5,2\n" * 200_000 + b"2.5\x80,1\n")
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(path)
+        assert info.value.line_number == 200_001
+
+
 class TestSortOrder:
     def test_order_is_the_stable_argsort_computed_once(self):
         s = WeightedSample(np.array([3.0, 1.0, 3.0, 2.0, 1.0]))

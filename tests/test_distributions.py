@@ -1,6 +1,7 @@
 """Distribution families: anchors, quadrature oracles, roundtrips, reductions."""
 
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -48,6 +49,8 @@ from kappagen import (
     mixture_sample,
     quantile_gini,
 )
+from kappagen import special
+from kappagen.distributions import _ekg1_log_bracket, _ekg1_t_from_x
 
 U_GRID = np.array([0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999])
 
@@ -432,8 +435,119 @@ class TestEkg1:
         np.testing.assert_array_equal(a, b)
 
 
+def _bisect_t_from_x(x, p):
+    """The inversion the Newton steps replaced: a doubling search for the
+    upper end, then 80 bisection steps in ln t on the same log-bracket."""
+    target = p.a * np.log(x / p.b)
+    slope = 1.0 / (2.0 * p.q) - p.r
+    ln_lo = np.full_like(target, -700.0)
+    ln_hi = np.maximum(np.log(np.maximum((target - math.log(p.q)) / slope, 1.0)) + 2.0, 3.0)
+    for _ in range(60):
+        high = _ekg1_log_bracket(np.exp(ln_hi), p) < target
+        if not np.any(high):
+            break
+        ln_hi = np.where(high, ln_hi + 2.0, ln_hi)
+    for _ in range(80):
+        mid = 0.5 * (ln_lo + ln_hi)
+        below = _ekg1_log_bracket(np.exp(mid), p) < target
+        ln_lo = np.where(below, mid, ln_lo)
+        ln_hi = np.where(below, ln_hi, mid)
+    return np.exp(0.5 * (ln_lo + ln_hi))
+
+
+def _mp_log_bracket(t, p):
+    q, r = mp.mpf(p.q), mp.mpf(p.r)
+    return mp.log(2 * q) - r * t + mp.log(mp.sinh(t / (2 * q)))
+
+
+def _mp_ekg1_t(x, p, t0):
+    """50-digit root in t of the log-bracket at target a ln(x/b), and the target."""
+    with mp.workdps(50):
+        target = p.a * mp.log(mp.mpf(x) / p.b)
+        s = mp.findroot(lambda s: _mp_log_bracket(mp.exp(s), p) - target, mp.log(t0))
+        return mp.exp(s), target
+
+
+def _x_at_t(t, p):
+    """The double nearest the quantile at t = -ln(1-u), from mpmath."""
+    with mp.workdps(50):
+        return float(p.b * mp.exp(_mp_log_bracket(mp.mpf(t), p) / p.a))
+
+
+class TestEkg1Inversion:
+    """_ekg1_t_from_x, the quantile inverse behind the EKG1 CDF, survival
+    function and density."""
+
+    @pytest.mark.parametrize("params", [(2.0, 1.0, 1.5, 0.2), (0.8, 3.0, 0.4, -2.0),
+                                        (5.0, 1.0, 3.0, 0.16)])
+    def test_agrees_with_bisection(self, params):
+        p = EKG1Params(*params)
+        x = ekg1_sample(20_000, p, seed=17)
+        x = x[x > 0.0]
+        t = _ekg1_t_from_x(x, p)
+        want = _bisect_t_from_x(x, p)
+        np.testing.assert_allclose(t, want, rtol=1e-13)
+        target = p.a * np.log(x / p.b)
+        residual = np.abs(_ekg1_log_bracket(t, p) - target)
+        assert residual.max() <= np.abs(_ekg1_log_bracket(want, p) - target).max()
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-100, 1e-20, 1e-5, 0.01, 1.0, 30.0, 1e5,
+                                   1e20, 1e100, 1e300])
+    def test_root_from_tiny_to_huge_t(self, t):
+        q = max(1.5, t / 10.0)  # keeps x = b e^(L/a) finite
+        p = EKG1Params(2.0, 1.0, q, 0.3 / (2.0 * q))
+        x = _x_at_t(t, p)
+        want, target = _mp_ekg1_t(x, p, t)
+        got = _ekg1_t_from_x(np.array([x]), p)[0]
+        # the double target carries eps |target| of rounding into ln t
+        assert abs(got - want) / want <= 4e-16 * max(1.0, abs(float(target)))
+
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 5.0, 30.0, 1e3, 1e6])
+    def test_r_next_to_its_bound(self, t):
+        q = 1.5
+        p = EKG1Params(2.0, 1.0, q, (1.0 - 1e-12) / (2.0 * q))
+        x = _x_at_t(t, p)
+        want, target = _mp_ekg1_t(x, p, t)
+        got = _ekg1_t_from_x(np.array([x]), p)[0]
+        with mp.workdps(50):
+            backward = abs(_mp_log_bracket(mp.mpf(got), p) - target)
+        # L'(t) is ~1e-12 here, so t is ill-conditioned; L at the double t
+        # still meets the target to a few rounding errors
+        assert float(backward) <= 4.0 * np.finfo(float).eps * max(1.0, abs(float(target)))
+        if t <= 5.0:
+            assert float(abs(got - want) / want) <= 1e-14
+
+    def test_x_at_infinity(self):
+        p = EKG1Params(2.0, 1.0, 1.5, 0.2)
+        t = _ekg1_t_from_x(np.array([np.inf, 1.0, np.inf]), p)
+        assert t[0] == np.inf and t[2] == np.inf and np.isfinite(t[1])
+        assert ekg1_cdf(np.inf, p) == 1.0 and ekg1_pdf(np.inf, p) == 0.0
+
+    def test_steps_landing_on_the_bracket_end_are_kept(self):
+        # for t < 1e-20 the log-bracket is ln t to double precision, so the
+        # first Newton step from s = target often lands exactly on the upper
+        # end the evaluation just set; moving it to the bracket's midpoint
+        # instead would return t near e^-360
+        p = EKG1Params(2.0, 1.0, 1.5, 0.2)
+        x = np.exp(np.linspace(-150.0, -25.0, 2001))
+        t = _ekg1_t_from_x(x, p)
+        np.testing.assert_allclose(t, x ** p.a, rtol=1e-13)
+
+
 class TestEkg2:
     P = EKG2Params(2.0, 1.0, 0.5, 0.25)
+
+    @pytest.mark.parametrize("params", [(2.0, 1.0, 2.0, 1.2), (1.5, 2.0, 0.7, 3.0),
+                                        (3.0, 1.0, 0.3, 0.4)])
+    def test_table_path_matches_betaincinv(self, params):
+        # 10^5 draws take inv_reg_inc_beta's tabulated inverse in both tails
+        p = EKG2Params(*params)
+        u = np.random.default_rng(8).random(100_000)
+        with mock.patch.object(special, "_tabulated_inverse", lambda *args: None):
+            want = ekg2_quantile(u, p)
+            want_draws = ekg2_sample(100_000, p, seed=9)
+        np.testing.assert_allclose(ekg2_quantile(u, p), want, rtol=1e-13)
+        np.testing.assert_allclose(ekg2_sample(100_000, p, seed=9), want_draws, rtol=1e-13)
 
     def test_cdf_at_zero(self):
         assert ekg2_cdf(0.0, self.P) == 0.0

@@ -6,10 +6,14 @@ their ids; their oracle is mpmath too.
 """
 
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special as sc
 from scipy.integrate import quad
 
 from kappagen import (
@@ -24,6 +28,7 @@ from kappagen import (
     reg_lower_inc_gamma,
     upper_inc_gamma,
 )
+from kappagen import special
 
 EULER_GAMMA = np.euler_gamma
 
@@ -196,6 +201,116 @@ class TestInvRegIncBeta:
                         (1e-17, 1.01, 0.9), (1e-190, 2.0, 3.0)):
             want = _mp_inv_reg_inc_beta(u, a, b)
             assert inv_reg_inc_beta(u, a, b) == pytest.approx(want, rel=1e-12)
+
+
+def _mp_root_near(u, a, b, x):
+    """50-digit root of I_x(a, b) = u, by Newton's method from a double x near it."""
+    with mp.workdps(50):
+        a, b, u, x = mp.mpf(a), mp.mpf(b), mp.mpf(u), mp.mpf(x)
+        log_beta = mp.log(mp.beta(a, b))
+        for _ in range(60):
+            density = mp.exp((a - 1) * mp.log(x) + (b - 1) * mp.log1p(-x) - log_beta)
+            step = (mp.betainc(a, b, 0, x, regularized=True) - u) / density
+            x_next = min(max(x - step, x / 2), (x + 1) / 2)  # stay inside (0, 1)
+            if abs(x_next - x) <= mp.mpf(10) ** -45 * x:
+                return x_next
+            x = x_next
+    raise AssertionError(f"no root for u={u}, a={a}, b={b}")
+
+
+@st.composite
+def _table_inputs(draw):
+    """Shapes and an array large enough for the table: uniform and
+    log-uniform u, with subnormals, the floor 2^-64, 1/2, repeats, 0, 1 and
+    values above 1/2 mixed in."""
+    a = draw(st.floats(0.05, 50.0))
+    b = draw(st.floats(0.05, 50.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.concatenate([
+        rng.uniform(0.0, 0.5, 3000),
+        np.exp(rng.uniform(-64.0 * math.log(2.0), math.log(0.5), 1500)),
+        rng.uniform(0.5, 1.0, 200),
+        np.full(50, rng.uniform(0.0, 0.5)),
+        [0.5] * 20 + [0.0] * 5 + [1.0] * 5,
+        [5e-324, 1e-310, 2.2250738585072014e-308, 2.0**-64, np.nextafter(2.0**-64, 0.0)],
+    ])
+    rng.shuffle(u)
+    return a, b, u, rng
+
+
+class TestTabulatedInverse:
+    """The tabulated start and Halley step that large arrays take."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(inputs=_table_inputs())
+    def test_residual_and_roots_on_the_table_path(self, inputs):
+        a, b, u, rng = inputs
+        results = []
+
+        def spy(*args):
+            results.append(real(*args))
+            return results[-1]
+
+        real = special._tabulated_inverse
+        with mock.patch.object(special, "_tabulated_inverse", spy):
+            z = inv_reg_inc_beta(u, a, b)
+        assert len(results) == 1
+        with mock.patch.object(special, "_tabulated_inverse", lambda *args: None):
+            ref = inv_reg_inc_beta(u, a, b)  # the series and betaincinv alone
+
+        in_range = (u >= 2.0**-64) & (u <= 0.5)
+        np.testing.assert_array_equal(z[~in_range], ref[~in_range])
+        differ = z != ref
+        assert np.all(in_range[differ])
+        # |I_z - u| / u, in ulp of z carried into u through d ln I / d ln z
+        # (with a up to 50, one ulp of z moves I_z by up to 50 ulp of u), may
+        # exceed betaincinv's by 4 ulp plus twice the betainc error that the
+        # table tolerates at its nodes: the Halley step inherits betainc's
+        # error at its start, and the residual adds it again at the result
+        eps = np.finfo(float).eps
+        allowed = 4.0 + 2.0 * special._BETAINC_ULPS
+        ud, zd, rd = u[differ], z[differ], ref[differ]
+        residual = np.abs(sc.betainc(a, b, zd) - ud) / ud
+        residual_ref = np.abs(sc.betainc(a, b, rd) - ud) / ud
+        cond = np.exp(a * np.log(rd) + (b - 1.0) * np.log1p(-rd) - sc.betaln(a, b) - np.log(ud))
+        assert np.all(residual <= residual_ref + allowed * eps * np.maximum(1.0, cond))
+        normal = in_range & (z >= np.finfo(float).tiny)
+        for i in rng.choice(np.flatnonzero(normal), 2, replace=False):
+            want = _mp_root_near(u[i], a, b, z[i])
+            assert float(abs(z[i] - want) / want) <= 1e-12
+
+    @pytest.mark.parametrize("a, b", [(2.0, 1.2), (1.2, 2.0), (0.3, 0.4), (0.1, 0.1),
+                                      (5.0, 0.3), (0.05, 50.0), (50.0, 50.0)])
+    def test_large_arrays_take_the_table(self, a, b):
+        u = np.random.default_rng(6).uniform(0.0, 0.5, 5000)
+        assert special._tabulated_inverse(u, a, b) is not None
+
+    def test_table_declined_where_betainc_misses_its_nodes(self):
+        # scipy's betainc is off by up to ~2000 ulp at (43.5, 8), and
+        # betaincinv is not; a Halley step on betainc would inherit that
+        a, b = 43.5, 8.0
+        u = np.random.default_rng(7).uniform(0.0, 0.5, 5000)
+        assert special._tabulated_inverse(u, a, b) is None
+        assert np.array_equal(inv_reg_inc_beta(u, a, b), sc.betaincinv(a, b, u))
+
+    @pytest.mark.parametrize("a, b", [(2.0, 1.2), (1.2, 2.0), (0.3, 0.4), (30.0, 5.0)])
+    def test_scalars_and_small_arrays_keep_betaincinv_bits(self, a, b):
+        u = np.linspace(0.05, 0.95, 91)
+        want = sc.betaincinv(a, b, u)
+        assert np.array_equal(inv_reg_inc_beta(u, a, b), want)
+        assert [inv_reg_inc_beta(v, a, b) for v in u] == want.tolist()
+
+    def test_large_array_matches_betaincinv(self):
+        u = np.random.default_rng(5).random(100_000)
+        for a, b in ((2.0, 1.2), (1.2, 2.0)):
+            np.testing.assert_allclose(inv_reg_inc_beta(u, a, b), sc.betaincinv(a, b, u),
+                                       rtol=4e-15)
+
+    def test_series_start_below_the_normal_range(self):
+        # u a B underflows; the leading-term root comes from logarithms
+        a, b, u = 17.094606035219375, 47.579994856211634, 1.5e-323
+        want = _mp_inv_reg_inc_beta(u, a, b)
+        assert inv_reg_inc_beta(u, a, b) == pytest.approx(want, rel=1e-12)
 
 
 class TestIncompleteGamma:
