@@ -75,6 +75,7 @@ from .fitting import (
     fit_normalized,
     goodness_of_fit,
     loglik,
+    loglik_hessian,
     loglik_score,
 )
 from .inequality import (

@@ -138,24 +138,36 @@ class NetWealthMixtureParams:
 
 
 def _kgen_log_terms(arr, p: KappaGenParams):
-    """(log-density, ln(x/beta), y = (x/beta)^alpha, asinh(kappa y)) at x > 0.
+    """(log-density, ln(x/beta), y = (x/beta)^alpha, asinh(kappa y),
+    s = sqrt(1 + (kappa y)^2)) at a one-dimensional array of x > 0.
 
-    The one formula for the base model's log-density: kgen_logpdf and the
-    score share it, so the objective a fit differentiates is the one it
-    reports.  asinh(kappa y)/kappa is accurate for every kappa > 0, so only
-    kappa = 0 takes the Weibull form (asinh_ky is then None).
+    The one formula for the base model's log-density: kgen_logpdf, the
+    score and the Hessian share it, so the objective a fit differentiates is
+    the one it reports.  asinh(kappa y)/kappa is accurate for every
+    kappa > 0, so only kappa = 0 takes the Weibull form (asinh_ky and s are
+    then None).  s is formed once, without hypot: where (kappa y)^2
+    overflows, s is kappa y itself, which it equals to the last bit there.
     """
     a, b, k = p.alpha, p.beta, p.kappa
     rel = arr / b
     with np.errstate(over="ignore", divide="ignore"):
         y = rel ** a
-        ln_rel = np.log(rel)
-        base = math.log(a / b) + (a - 1.0) * ln_rel
+        ln_rel = np.log(rel, out=rel)
+        base = (a - 1.0) * ln_rel
+        base += math.log(a / b)
         if k == 0.0:
-            return base - y, ln_rel, y, None
-        asinh_ky = np.arcsinh(k * y)
-        out = base - asinh_ky / k - 0.5 * np.log1p((k * y) ** 2)
-    return out, ln_rel, y, asinh_ky
+            return np.subtract(base, y, out=base), ln_rel, y, None, None
+        u = k * y
+        asinh_ky = np.arcsinh(u)
+        s = np.square(u, out=u)
+        s += 1.0
+        s = np.sqrt(s, out=s)
+        if s.max(initial=0.0) == np.inf:
+            big = s == np.inf
+            s[big] = k * y[big]
+        base -= asinh_ky / k
+        base -= np.log(s)
+    return base, ln_rel, y, asinh_ky, s
 
 
 def kgen_logpdf(x, p: KappaGenParams):
@@ -164,57 +176,118 @@ def kgen_logpdf(x, p: KappaGenParams):
     if np.any(~(arr > 0.0)):
         raise DomainError("kgen_logpdf requires x > 0")
     with np.errstate(invalid="ignore"):  # inf - inf at x = inf
-        out = _kgen_log_terms(arr, p)[0]
+        out = _kgen_log_terms(arr.reshape(-1), p)[0].reshape(arr.shape)
     if arr.max(initial=0.0) == np.inf:
         out = np.where(arr == np.inf, -np.inf, out)
     return _restore(out, scalar)
 
 
 # (asinh(u) - u/sqrt(1 + u^2)) / u^3 = 1/3 - 3u^2/10 + 15u^4/56 - 35u^6/144 + O(u^8):
-# the kappa-score's leading terms cancel to this for u = kappa y below 1e-2.
+# the kappa derivatives' leading terms cancel to this for u = kappa y below 1e-2.
 _SERIES_KY = 1e-2
 
 
-def _kgen_loglik_score(values, weights, p: KappaGenParams):
-    """Weighted log-likelihood sum(w ln f(x)) of the base model and its
-    gradient in (ln alpha, ln beta, kappa); requires x > 0.
+def _asinh_rest(u):
+    """S(u) = (asinh(u) - u/sqrt(1 + u^2)) / u^3 by its series, for u < _SERIES_KY."""
+    u2 = np.square(u)
+    return 1.0 / 3.0 - u2 * (3.0 / 10.0 - u2 * (15.0 / 56.0 - u2 * (35.0 / 144.0)))
 
-    With y = (x/beta)^alpha, s = sqrt(1 + kappa^2 y^2), q = y/s and
-    t = kappa q, the per-record scores are 1 + alpha ln(x/beta) (1 - h) and
-    -alpha (1 - h) with h = q + t^2, and
-    asinh(kappa y)/kappa^2 - y/(kappa s) - kappa y^2/s^2
-    = (asinh(kappa y) - t)/kappa^2 - t q for kappa.  The first two terms of
-    the last cancel as kappa y -> 0, so below _SERIES_KY they are taken
-    from their series, on that subset only.  At kappa = 0 the kappa score is
-    0 (the log-density is even in kappa).
+
+def _kgen_loglik_score(values, weights, p: KappaGenParams, hessian=False):
+    """Weighted log-likelihood sum(w ln f(x)) of the base model and its
+    gradient in (ln alpha, ln beta, kappa), plus the 3x3 Hessian in the
+    same coordinates when asked; requires x > 0.
+
+    With y = (x/beta)^alpha, L = ln(x/beta), u = kappa y, s = sqrt(1 + u^2),
+    q = y/s and t = kappa q, the per-record scores are 1 + alpha L (1 - h)
+    and -alpha (1 - h) with h = q + t^2, and
+    asinh(u)/kappa^2 - y/(kappa s) - kappa y^2/s^2 = kappa y^3 S(u) - t q for
+    kappa, S(u) = (asinh(u) - u/s)/u^3.  S cancels as u -> 0, so below
+    _SERIES_KY it is taken from its series, on that subset only.  At
+    kappa = 0 the kappa score is 0 (the log-density is even in kappa).
+
+    The second derivatives per record, with g = y dh/dy = (q + 2t^2)/s^2
+    and h_k = dh/dkappa = kappa q^2 (2 - q - 2t^2), are
+    alpha L (1 - h) - (alpha L)^2 g, -alpha (1 - h) + alpha^2 L g and
+    -alpha^2 g in the (ln alpha, ln beta) block, -alpha L h_k and alpha h_k
+    across to kappa, and q^3 - q^2 + 2 t^2 q^2 - 2 y^3 S(u) for kappa twice.
+    q overwrites s in the score pass and y in the Hessian pass, which keeps
+    s, and arrays are freed as soon as their sums are taken, so the Hessian
+    pass holds no more record-length arrays at once than the score pass.
     """
-    out, ln_rel, y, asinh_ky = _kgen_log_terms(values, p)
+    out, ln_rel, y, asinh_ky, s = _kgen_log_terms(values, p)
     ll = float(np.sum(weights * out))
     a, k = p.alpha, p.kappa
     with np.errstate(over="ignore", invalid="ignore"):
         if k == 0.0:
             q = y
         else:
-            q = y / np.hypot(1.0, k * y)
+            small = np.flatnonzero(k * y < _SERIES_KY)
+            ys = y[small]
+            q = np.divide(y, s, out=y if hessian else s)
             t = k * q
         one_minus_h = np.subtract(1.0, q, out=out)
         if k != 0.0:
             one_minus_h -= t * t
         w_dh = np.multiply(weights, one_minus_h, out=one_minus_h)
-        grad = [float(np.sum(weights)) + a * float(np.dot(w_dh, ln_rel)),
-                -a * float(np.sum(w_dh)), 0.0]
+        w_dh_ln, w_dh_sum = float(np.dot(w_dh, ln_rel)), float(np.sum(w_dh))
+        del out, one_minus_h, w_dh
+        grad = np.array([float(np.sum(weights)) + a * w_dh_ln, -a * w_dh_sum, 0.0])
         if k != 0.0:
-            score_k = np.subtract(asinh_ky, t, out=asinh_ky)
+            score_k = np.subtract(asinh_ky, t, out=asinh_ky)  # kappa y^3 S(u)
             score_k /= k * k
-            small = np.flatnonzero(k * y < _SERIES_KY)
+            if hessian:
+                y3s = score_k / k
             if small.size:
-                ys = y[small]
-                u2 = np.square(k * ys)
-                score_k[small] = k * ys ** 3 * (
-                    1.0 / 3.0 - u2 * (3.0 / 10.0 - u2 * (15.0 / 56.0 - u2 * (35.0 / 144.0))))
-            score_k -= np.multiply(t, q, out=t)
+                ys3, rest = ys ** 3, _asinh_rest(k * ys)
+                score_k[small] = k * ys3 * rest
+                if hessian:
+                    y3s[small] = ys3 * rest
+            score_k -= np.multiply(t, q, out=None if hessian else t)
             grad[2] = float(np.dot(weights, score_k))
-    return ll, np.array(grad)
+            del score_k
+    if not hessian:
+        return ll, grad
+    hess = np.zeros((3, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if k == 0.0:
+            w_g = weights * q
+            hess[2, 2] = float(np.dot(weights, y ** 3 / 3.0 - np.square(y)))
+        else:
+            t2 = np.square(t, out=t)
+            m = 2.0 * t2  # q + 2 t^2
+            m += q
+            del t, t2
+            w_g = weights * m
+            w_g /= s
+            w_g /= s
+            del s
+        w_g_ln = w_g * ln_rel
+        hess[0, 0] = a * w_dh_ln - a * a * float(np.dot(w_g_ln, ln_rel))
+        hess[0, 1] = -a * w_dh_sum + a * a * float(np.sum(w_g_ln))
+        hess[1, 1] = -a * a * float(np.sum(w_g))
+        del w_g_ln
+        if k != 0.0:
+            q2 = np.square(q, out=q)
+            w_hk = np.subtract(2.0, m, out=w_g)
+            w_hk *= q2
+            w_hk *= weights
+            hess[0, 2] = -a * k * float(np.dot(w_hk, ln_rel))
+            hess[1, 2] = a * k * float(np.sum(w_hk))
+            del w_hk, w_g
+            m -= 1.0  # q^2 (q + 2 t^2 - 1) - 2 y^3 S(u)
+            m *= q2
+            y3s *= 2.0
+            m -= y3s
+            hess[2, 2] = float(np.dot(weights, m))
+    hess += np.triu(hess, 1).T
+    return ll, grad, hess
+
+
+def _kgen_loglik_hessian(values, weights, p: KappaGenParams):
+    """(sum(w ln f), its gradient, its Hessian) in (ln alpha, ln beta, kappa)
+    from one pass over the records; see _kgen_loglik_score."""
+    return _kgen_loglik_score(values, weights, p, hessian=True)
 
 
 def kgen_pdf(x, p: KappaGenParams):
@@ -464,11 +537,17 @@ def _ekg1_t_from_x(x, p: EKG1Params):
     end is kept (rejecting it would jump a converged entry to the middle).
     Steps stop once every entry's last Newton step is below 2^-40 of
     max(1, |s|), whose quadratic successor is below the rounding of s: six
-    evaluations at the benchmark's parameters.  Targets below -700 (x below
-    about b e^(-700/a)) end at t = e^-700.
+    evaluations at the benchmark's parameters.  Below a target of -700 (x
+    below about b e^(-700/a)) the lower end follows the target: there
+    L(t) = ln t - r t + (t/q)^2/24 + ... is ln t to the last bit, so the
+    root is s = target itself, and t = e^target underflows only where the
+    CDF does (the steps, whose t would go subnormal, run on -700 instead).
     """
     top = x == np.inf  # t = inf there; invert a finite stand-in
     target = p.a * np.log(np.where(top, p.b, x) / p.b)
+    deep = target < -700.0
+    if deep.any():
+        deep_target, target = target, np.maximum(target, -700.0)
     c = _ekg1_slope(p)
     ln_q = math.log(p.q)
     lo = np.full_like(target, -700.0)
@@ -492,6 +571,8 @@ def _ekg1_t_from_x(x, p: EKG1Params):
         s = np.where((s_next >= lo) & (s_next <= hi), s_next, 0.5 * (lo + hi))
         if np.all(np.abs(newton) <= _EKG1_STEP_TOL * np.maximum(np.abs(s), 1.0)):
             break
+    if deep.any():
+        s = np.where(deep, deep_target, s)
     return np.where(top, np.inf, np.exp(s))
 
 

@@ -10,8 +10,12 @@ Every family is fitted on transformed coordinates (log for positive
 parameters, logit for the tail deformation, shifted log for the extension
 parameter bounded above).  The base model, Weibull and the unit-mean model
 have a closed-form score (loglik_score), so each start runs one BFGS stage
-on exact gradients straight from the survival-plot initializer; the
-mixture gets it through its two branch fits.  The two-stage scheme --
+on exact gradients straight from the survival-plot initializer.  The base
+model and Weibull also have a closed-form Hessian (loglik_hessian): its
+inverse, where it is positive definite at the start, is BFGS's starting
+inverse-Hessian estimate, so the first steps are Newton steps and a fit
+takes about six evaluations instead of about fifteen.  The mixture gets
+both through its two branch fits.  The two-stage scheme --
 derivative-free simplex descent into the basin, then BFGS polish on
 central-difference gradients -- is the fallback when that stage fails,
 and the only scheme for ekg1 and ekg2.  Convergence is judged by the
@@ -38,6 +42,7 @@ from .distributions import (
     KappaGenParams,
     NetWealthMixtureParams,
     WeibullParams,
+    _kgen_loglik_hessian,
     _kgen_loglik_score,
     _unit_mean_log_scale_grad,
     _weibull_as_kgen,
@@ -163,8 +168,9 @@ class Family:
     Entries call layer functions through their module-level names, so a
     rebinding of those names (such as a tracing wrapper) reaches every
     call.  decode, encode and start are set for the families fitted on
-    transformed coordinates, and score for those of them with a closed-form
-    score; as_kgen for those the closed-form base-model indices cover.
+    transformed coordinates, score for those of them with a closed-form
+    score and hessian for those with a closed-form Hessian too; as_kgen for
+    those the closed-form base-model indices cover.
     """
 
     params: type
@@ -184,6 +190,8 @@ class Family:
     start: Callable | None = None  # (alpha0, beta0, kappa0) -> initial parameters
     # (values, weights, parameters) -> (sum(w ln f), its gradient in decode's vector)
     score: Callable | None = None
+    # (values, weights, parameters) -> (sum(w ln f), gradient, Hessian), same vector
+    hessian: Callable | None = None
     as_kgen: Callable | None = None
     positive: bool = True  # support is x > 0
 
@@ -232,9 +240,27 @@ def _kgen_score(values, weights, p: KappaGenParams):
     return ll, grad
 
 
+def _kgen_hessian(values, weights, p: KappaGenParams):
+    """Chain rule through logit(kappa): with k' = dkappa/dlogit = kappa (1 - kappa)
+    and k'' = k' (1 - 2 kappa), d2/dlogit2 = l_kk k'^2 + l_k k''; every
+    logit entry is 0 where the decode caps kappa."""
+    ll, grad, hess = _kgen_loglik_hessian(values, weights, p)
+    d1 = _dkappa_dlogit(p.kappa)
+    hess[2, 2] = hess[2, 2] * d1 * d1 + grad[2] * d1 * (1.0 - 2.0 * p.kappa)
+    hess[:2, 2] *= d1
+    hess[2, :2] *= d1
+    grad[2] *= d1
+    return ll, grad, hess
+
+
 def _weibull_score(values, weights, p: WeibullParams):
     ll, grad = _kgen_loglik_score(values, weights, _weibull_as_kgen(p))
     return ll, grad[:2]
+
+
+def _weibull_hessian(values, weights, p: WeibullParams):
+    ll, grad, hess = _kgen_loglik_hessian(values, weights, _weibull_as_kgen(p))
+    return ll, grad[:2], hess[:2, :2]
 
 
 def _normalized_score(values, weights, p: KappaGenParams):
@@ -287,7 +313,7 @@ _KAPPAGEN = Family(
     decode=lambda v: KappaGenParams(math.exp(v[0]), math.exp(v[1]),
                                     min(_sigmoid(v[2]), _KAPPA_MAX)),
     encode=lambda p: np.array([math.log(p.alpha), math.log(p.beta), _logit(p.kappa)]),
-    start=KappaGenParams, score=_kgen_score, as_kgen=lambda p: p,
+    start=KappaGenParams, score=_kgen_score, hessian=_kgen_hessian, as_kgen=lambda p: p,
 )
 
 FAMILIES = {
@@ -306,7 +332,7 @@ FAMILIES = {
         decode=lambda v: WeibullParams(math.exp(v[0]), math.exp(v[1])),
         encode=lambda p: np.array([math.log(p.shape), math.log(p.scale)]),
         start=lambda alpha0, beta0, kappa0: WeibullParams(alpha0, beta0),
-        score=_weibull_score,
+        score=_weibull_score, hessian=_weibull_hessian,
         as_kgen=_weibull_as_kgen,
     ),
     "ekg1": Family(
@@ -355,7 +381,8 @@ FAMILIES = {
         decode=lambda v: kgen_from_normalized(math.exp(v[0]),
                                               min(_sigmoid(v[1]), _KAPPA_MAX)),
         encode=lambda p: np.array([math.log(p.alpha), _logit(p.kappa)]),
-        score=_normalized_score,
+        # the unit-mean scale's second derivatives are not in closed form
+        score=_normalized_score, hessian=None,
     ),
 }
 
@@ -386,11 +413,22 @@ def loglik_score(sample: WeightedSample, model, params):
     """The weighted log-likelihood, computed as loglik does, and its
     gradient in the coordinates the family is fitted on (FAMILIES[model]
     .decode's vector), for the families with a closed-form score."""
-    family = _family(model)
-    if family.score is None:
-        raise DomainError(f"model {model!r} has no closed-form score")
+    return _closed_form(sample, model, params, "score")
+
+
+def loglik_hessian(sample: WeightedSample, model, params):
+    """loglik_score's value and gradient plus the Hessian in the same
+    coordinates, from one pass over the records, for the families with a
+    closed-form Hessian."""
+    return _closed_form(sample, model, params, "hessian")
+
+
+def _closed_form(sample, model, params, entry):
+    derivatives = getattr(_family(model), entry)
+    if derivatives is None:
+        raise DomainError(f"model {model!r} has no closed-form {entry}")
     _check_support(sample.values, model)
-    return family.score(sample.values, sample.weights, params)
+    return derivatives(sample.values, sample.weights, params)
 
 
 # ---------------------------------------------------------------------------
@@ -477,23 +515,54 @@ def _gtol(config):
     return max(config.rel_tol * 10.0, 1e-11)
 
 
-def _quasi_newton(fun_and_grad, x0, config):
+def _inverse_if_positive_definite(hess):
+    """The inverse of a finite, symmetric positive-definite matrix, else None."""
+    if hess is None or not np.all(np.isfinite(hess)):
+        return None
+    try:
+        l_inv = np.linalg.inv(np.linalg.cholesky(hess))
+    except np.linalg.LinAlgError:
+        return None
+    inverse = l_inv.T @ l_inv
+    return inverse if np.all(np.isfinite(inverse)) else None
+
+
+def _quasi_newton(fun_and_grad, x0, config, second_order=None):
     """BFGS on the closed-form gradient, straight from x0.
+
+    second_order, when given, returns (f, g, Hessian of f) at x0 from one
+    pass over the records: (f, g) serve as BFGS's first evaluation, and the
+    inverse of the Hessian, where it is positive definite, as its starting
+    inverse-Hessian estimate, so the first steps are Newton steps.  Without
+    it, or where the Hessian is not positive definite, BFGS starts from the
+    identity.
 
     Besides scipy's max-abs gradient test, the stage ends once the next
     step's predicted decrease g.H.g/2 is below the rounding of f, eps
     max(|f|, 1): from there the line search could only zoom on the last
     bits of f.  H is the inverse-Hessian estimate, updated here from each
-    iterate's step and gradient change as BFGS updates its own.  Returns
-    (x, f, iterations, reached); reached is False when the stage ended any
-    other way (failed line search, max_iter, a penalty value).
+    iterate's step and gradient change as BFGS updates its own, from the
+    same start.  Returns (x, f, iterations, reached); reached is False when
+    the stage ended any other way (failed line search, max_iter, a penalty
+    value).
     """
     track = {}
+    h0 = None
+    if second_order is not None:
+        f0, g0, hess0 = second_order(x0)
+        h0 = _inverse_if_positive_definite(hess0)
+        track["first"] = (x0.copy(), f0, g0)
+    if h0 is None:
+        h0 = np.eye(x0.size)
 
     def evaluate(x):
-        f, g = fun_and_grad(x)
+        first = track.pop("first", None)
+        if first is not None and np.array_equal(x, first[0]):
+            f, g = first[1:]
+        else:
+            f, g = fun_and_grad(x)
         if "h" not in track:  # the start
-            track.update(x=x.copy(), g=g, h=np.eye(x.size))
+            track.update(x=x.copy(), g=g, h=h0)
         track["last"] = (x.copy(), g)
         return f, g
 
@@ -513,25 +582,34 @@ def _quasi_newton(fun_and_grad, x0, config):
             raise StopIteration
 
     res = minimize(evaluate, x0, method="BFGS", jac=True, callback=at_floor,
-                   options={"maxiter": config.max_iter, "gtol": _gtol(config)})
+                   options={"maxiter": config.max_iter, "gtol": _gtol(config),
+                            "hess_inv0": h0})
     reached = (res.status == 0 or "floor" in track) and res.fun < 1e11
     return res.x, float(res.fun), int(res.nit), bool(reached)
 
 
 def _fit_transformed(model, sample, config):
     """Multistart maximization of the mean log-likelihood: one quasi-Newton
-    stage on the closed-form score per start, with the two-stage scheme as
-    the fallback (and the only scheme for families without a score)."""
+    stage on the closed-form score per start, started from the closed-form
+    Hessian where the family has one, with the two-stage scheme as the
+    fallback (and the only scheme for families without a score)."""
     family = FAMILIES[model]
     values = sample.values
     weights = sample.weights
     total_w = sample.total_weight
-    if np.unique(values[weights > 0.0]).size < 2:
+    if np.ptp(values[weights > 0.0]) == 0.0:  # max == min, and no copy outlives the test
         raise DegenerateDataError("sample has a single distinct value")
     penalties = Counter()
     evaluations = 0
+    # loglik, loglik_score and loglik_hessian by the order of derivatives asked for
+    closed_forms = (lambda p: (loglik(sample, model, p),),
+                    lambda p: loglik_score(sample, model, p),
+                    lambda p: loglik_hessian(sample, model, p))
 
-    def evaluate(vec, with_score):
+    def evaluate(vec, order):
+        """The negative mean log-likelihood and its first `order` derivatives
+        at vec: f, (f, g) or (f, g, H); a penalty value, with g = 0 and
+        H = None, where the log-likelihood or its gradient cannot be had."""
         nonlocal evaluations
         evaluations += 1
         cause = None
@@ -539,24 +617,20 @@ def _fit_transformed(model, sample, config):
             cause = "out-of-range"
         else:
             try:
-                params = family.decode(vec)
-                if with_score:
-                    value, grad = loglik_score(sample, model, params)
-                else:
-                    value = loglik(sample, model, params)
+                out = closed_forms[order](family.decode(vec))
             except (DomainError, MomentDivergenceError, OverflowError) as exc:
                 cause = type(exc).__name__
             else:
-                if not (math.isfinite(value) and (not with_score or np.all(np.isfinite(grad)))):
+                if not all(np.all(np.isfinite(part)) for part in out[:2]):
                     cause = "non-finite"
         if cause is not None:
             penalties[cause] += 1
-            return (_PENALTY, np.zeros_like(vec)) if with_score else _PENALTY
-        if with_score:
-            return -value / total_w, -grad / total_w
-        return -value / total_w
+            out = (_PENALTY, np.zeros_like(vec), None)
+        else:
+            out = tuple(-part / total_w for part in out)
+        return out[0] if order == 0 else out[:order + 1]
 
-    negative_mean_loglik = lambda vec: evaluate(vec, False)
+    negative_mean_loglik = lambda vec: evaluate(vec, 0)
     x0 = family.encode(family.start(*_initial_kgen(sample)))
 
     best = None
@@ -568,8 +642,9 @@ def _fit_transformed(model, sample, config):
         before = evaluations
         reached = False
         if family.score is not None:
+            second_order = None if family.hessian is None else lambda vec: evaluate(vec, 2)
             x_opt, f_opt, nit, reached = _quasi_newton(
-                lambda vec: evaluate(vec, True), start, config)
+                lambda vec: evaluate(vec, 1), start, config, second_order)
             iterations += nit
         stage = "quasi-newton"
         if not reached:

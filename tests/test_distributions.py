@@ -517,6 +517,20 @@ class TestEkg1Inversion:
         if t <= 5.0:
             assert float(abs(got - want) / want) <= 1e-14
 
+    def test_cdf_below_the_old_bracket_floor(self):
+        # the bracket's lower end used to be s = -700, which held the CDF at
+        # 1e-304 for every x below e^-350 at a = 2; the root is now the
+        # target there, and t = x^a rounds to subnormals, then to 0
+        p = EKG1Params(2.0, 1.0, 1.5, 0.2)
+        x = np.logspace(-300.0, -100.0, 81)
+        got = ekg1_cdf(x, p)
+        for xi, gi in zip(x, got):
+            t, _ = _mp_ekg1_t(xi, p, mp.mpf(xi) ** 2)
+            with mp.workdps(50):
+                want = float(-mp.expm1(-t))
+            assert abs(gi - want) <= 1e-13 * want + 5e-324, (xi, gi, want)
+        assert got[0] == 0.0
+
     def test_x_at_infinity(self):
         p = EKG1Params(2.0, 1.0, 1.5, 0.2)
         t = _ekg1_t_from_x(np.array([np.inf, 1.0, np.inf]), p)

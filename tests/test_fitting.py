@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from kappagen import (
     DegenerateDataError,
+    DomainError,
     FitConfig,
     KappaGenParams,
     NetWealthMixtureParams,
@@ -157,6 +158,22 @@ class TestFitMle:
     def test_degenerate_sample_rejected(self):
         with pytest.raises(DegenerateDataError):
             fit_mle(WeightedSample(np.full(10, 2.0)), FAST)
+
+    @pytest.mark.parametrize("model", ["kappagen", "weibull"])
+    def test_values_with_zero_weight_do_not_count_as_distinct(self, model):
+        s = WeightedSample(np.array([2.0, 5.0, 2.0, 0.5, 2.0, 9.0]),
+                           np.array([1.0, 0.0, 3.0, 0.0, 2.0, 0.0]))
+        with pytest.raises(DegenerateDataError):
+            fit_mle(s, FitConfig(model=model, multistart=1))
+
+    def test_tiny_sample_reaches_the_weibull_limit_optimum(self):
+        # the log-density is even in kappa, so the Weibull limit is a
+        # stationary point; on these four records the starts settle there
+        # (-8.132), short of the kappa -> 1 end point (-7.977)
+        res = fit_mle(WeightedSample(np.array([1.0, 2.0, 2.5, 7.0])),
+                      FitConfig(model="kappagen", multistart=3, seed=1))
+        assert res.converged
+        assert res.loglik >= -8.132
 
     def test_non_convergence_is_result_not_exception(self):
         s = kgen_data(2000, seed=7)
@@ -516,3 +533,154 @@ class TestScores:
             with pytest.raises(SupportViolationError) as err:
                 kfit.loglik_score(bad, "kappagen", KappaGenParams(2.0, 1.0, 0.5))
         assert err.value.index == 1
+
+
+def mp_raw_hessian(x, alpha, beta, kappa):
+    """(H, scale, l_k, scale of l_k) of ln f(x) in (ln alpha, ln beta, kappa)
+    at 40 digits: H and the kappa score l_k from mpmath derivatives of the
+    log-density, each scale from the absolute closed-form terms, the size
+    rounding is measured against (the cancelling asinh(u) - u/s counted at
+    the size of its parts above the series switch)."""
+    with mp.workdps(40):
+        a, b, k, x = (mp.mpf(v) for v in (alpha, beta, kappa, x))
+        f = lambda la, lb, kk: mp_logpdf(x, mp.exp(la), mp.exp(lb), kk)
+        z = (mp.log(a), mp.log(b), k)
+        hess = mp.matrix(3, 3)
+        for i in range(3):
+            for j in range(i, 3):
+                order = [0, 0, 0]
+                order[i] += 1
+                order[j] += 1
+                hess[i, j] = hess[j, i] = mp.diff(f, z, tuple(order))
+        ln_rel = mp.log(x / b)
+        y = (x / b) ** a
+        u = k * y
+        s = mp.sqrt(1 + u * u)
+        q, t = y / s, k * y / s
+        al = abs(a * ln_rel)
+        g = (q + 2 * t * t) / s ** 2
+        h_k = k * q * q * (2 + q + 2 * t * t)
+        y3s = (mp.asinh(u) + u / s) / k ** 3 if u >= 1e-2 else y ** 3 / 3
+        scale = mp.matrix([
+            [al * abs(1 - q - t * t) + al ** 2 * g, a * abs(1 - q - t * t) + a * al * g, al * h_k],
+            [0, a * a * g, a * h_k],
+            [0, 0, q ** 3 + q * q + 2 * t * t * q * q + 2 * y3s]])
+        for i in range(3):
+            for j in range(i):
+                scale[i, j] = scale[j, i]
+        # the kappa score, for the logit chain rule
+        d_k = mp.diff(lambda kk: f(z[0], z[1], kk), k)
+        d_k_size = k * y3s + t * q
+    return hess, scale, d_k, d_k_size
+
+
+def mp_hessian(model, x, p):
+    """(H, scale) in decode's vector, through the chain rule for logit kappa:
+    d2/dz2 = l_kk k'^2 + l_k k'' with k' = kappa (1 - kappa), k'' = k' (1 - 2 kappa)."""
+    if model == "weibull":
+        hess, scale, _, _ = mp_raw_hessian(x, p.shape, p.scale, 0.0)
+        return hess[:2, :2], scale[:2, :2]
+    hess, scale, d_k, d_k_size = mp_raw_hessian(x, p.alpha, p.beta, p.kappa)
+    with mp.workdps(40):
+        k = mp.mpf(p.kappa)
+        d1 = k * (1 - k)
+        d2 = d1 * (1 - 2 * k)
+        hess[2, 2] = hess[2, 2] * d1 * d1 + d_k * d2
+        scale[2, 2] = scale[2, 2] * d1 * d1 + d_k_size * abs(d2)
+        for i in range(2):
+            hess[i, 2] = hess[2, i] = hess[i, 2] * d1
+            scale[i, 2] = scale[2, i] = scale[i, 2] * d1
+    return hess, scale
+
+
+def assert_same_value_and_score(got, want):
+    assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
+
+def assert_hessian_close(got, want, scale, context):
+    for i in range(got.shape[0]):
+        for j in range(got.shape[1]):
+            # measured: within 1.7e-15 of the scale
+            tol = 1e-14 * max(1.0, float(scale[i, j]))
+            assert abs(got[i, j] - float(want[i, j])) <= tol, (context, i, j, got[i, j], want[i, j])
+
+
+class TestHessian:
+    """The closed-form Hessians that start the quasi-Newton stage."""
+
+    def test_families_with_a_hessian(self):
+        assert {m for m, f in FAMILIES.items() if f.hessian} == {"kappagen", "weibull"}
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.3, 2.5, 8.0])
+    @pytest.mark.parametrize("model", ["raw", "weibull", "kappagen"])
+    def test_against_mpmath(self, model, alpha):
+        for kappa in (0.0,) if model == "weibull" else (0.0,) * (model == "raw") + SCORE_KAPPAS:
+            if model == "weibull":
+                p = WeibullParams(alpha, 1.7)
+            else:
+                p = KappaGenParams(alpha, 1.7, kappa)
+            # kappa y on both sides of the series switch at 1e-2
+            for y in [1e-3, 0.5, 3.0] + ([0.5e-2 / kappa, 2e-2 / kappa] if kappa else []):
+                x = 1.7 * y ** (1.0 / alpha)
+                if not x < 1e300:
+                    continue
+                one = np.array([x]), np.array([1.0])
+                if model == "raw":
+                    first, second = kfit._kgen_loglik_score, kfit._kgen_loglik_hessian
+                    want, scale, _, _ = mp_raw_hessian(x, alpha, 1.7, kappa)
+                else:
+                    first, second = FAMILIES[model].score, FAMILIES[model].hessian
+                    want, scale = mp_hessian(model, x, p)
+                ll, grad, got = second(*one, p)
+                assert_same_value_and_score((ll, grad), first(*one, p))
+                assert np.array_equal(got, got.T)
+                assert_hessian_close(got, want, scale, (kappa, y))
+
+    @pytest.mark.parametrize("u", [1e100, 1e160, 1e300])
+    def test_kappa_y_beyond_the_square_root_of_the_double_range(self, u):
+        # (kappa y)^2 overflows above u ~ 1.3e154; s is then kappa y itself
+        p = KappaGenParams(2.0, 1.0, 0.5)
+        x = math.sqrt(u / p.kappa)
+        one = np.array([x]), np.array([1.0])
+        ll, grad, hess = kfit._kgen_loglik_hessian(*one, p)
+        assert_same_value_and_score((ll, grad), kfit._kgen_loglik_score(*one, p))
+        with mp.workdps(40):
+            assert ll == pytest.approx(float(mp_logpdf(mp.mpf(x), 2, 1, mp.mpf(0.5))), rel=1e-15)
+        assert FAMILIES["kappagen"].logpdf(x, p) == ll
+        want, scale, d_k, _ = mp_raw_hessian(x, 2.0, 1.0, 0.5)
+        for i, want_i in enumerate(mp_score("kappagen", x, p)):
+            if i < 2:
+                assert grad[i] == pytest.approx(float(want_i[0]), rel=1e-14, abs=1e-14)
+        assert grad[2] == pytest.approx(float(d_k), rel=1e-14)
+        assert_hessian_close(hess, want, scale, u)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(model=st.sampled_from(["kappagen", "weibull"]),
+           alpha=st.floats(0.5, 8.0), kappa=st.floats(0.01, 0.95),
+           beta=st.floats(0.05, 20.0), seed=st.integers(0, 2 ** 16))
+    def test_matches_central_difference_of_loglik_score(self, model, alpha, kappa, beta, seed):
+        family = FAMILIES[model]
+        rng = np.random.default_rng(seed)
+        params = family.start(alpha, beta, kappa)
+        draws = kgen_sample(200, KappaGenParams(alpha * 1.2, 1.1 * beta, kappa * 0.8), seed)
+        s = WeightedSample(draws, rng.integers(1, 6, size=draws.size).astype(float))
+        vec = family.encode(params)
+        _, _, hess = kfit.loglik_hessian(s, model, family.decode(vec))
+        assert np.array_equal(hess, hess.T)
+        score = lambda v: kfit.loglik_score(s, model, family.decode(v))[1]
+        scale = float(np.sum(s.weights * np.abs(family.logpdf(s.values, family.decode(vec)))))
+        for i in range(vec.size):
+            step = np.zeros_like(vec)
+            step[i] = 1e-4
+            d1 = (score(vec + step) - score(vec - step)) / 2e-4
+            d2 = (score(vec + step / 2) - score(vec - step / 2)) / 1e-4
+            ok = np.abs(d1 - d2) <= 1e-6 * scale  # a well-conditioned difference
+            assert np.all(np.abs(hess[i] - d2)[ok] <= (np.abs(d1 - d2) + 1e-8 * scale)[ok]), i
+
+    def test_support_is_checked_and_families_without_one_refuse(self):
+        bad = WeightedSample(np.array([1.0, -2.0, 3.0]))
+        with pytest.raises(SupportViolationError):
+            kfit.loglik_hessian(bad, "kappagen", KappaGenParams(2.0, 1.0, 0.5))
+        with pytest.raises(DomainError):
+            kfit.loglik_hessian(kgen_data(50, seed=3), "kappagen_normalized",
+                                kgen_from_normalized(2.0, 0.5))
