@@ -66,6 +66,11 @@ def _params_from_args(args):
     return family.from_flags(*(getattr(args, n) for n in family.flags))
 
 
+def _fit_config(args, model):
+    return FitConfig(model=model, max_iter=args.max_iter, multistart=args.multistart,
+                     seed=args.seed)
+
+
 def _write_text(path, text):
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -111,9 +116,7 @@ def _fit_report(args, result: FitResult, input_path):
 
 def _cmd_fit(args):
     sample = load_dataset(args.input, no_header=args.no_header)
-    config = FitConfig(model=args.model, max_iter=args.max_iter,
-                       multistart=args.multistart, seed=args.seed)
-    result = fit_mle(sample, config)
+    result = fit_mle(sample, _fit_config(args, args.model))
     report = _fit_report(args, result, args.input)
     _write_text(args.output, _report_json(report))
     return _EXIT_OK if result.converged else _EXIT_NOCONV
@@ -149,6 +152,12 @@ def _cmd_eval(args):
     return _EXIT_OK
 
 
+def _indices(params, thetas):
+    rep = ineq.kgen_inequality_report(params, thetas)
+    return {"gini": rep.gini, "mld": rep.mld, "theil": rep.theil,
+            "ge": [{"theta": t, "value": v} for t, v in rep.ge_values]}
+
+
 def _cmd_inequality(args):
     family = FAMILIES[args.model]
     thetas = _float_list(args.theta) if args.theta else []
@@ -160,31 +169,21 @@ def _cmd_inequality(args):
         report["empirical"] = {"gini": ineq.empirical_gini(sample)}
         exit_code = _EXIT_OK
         try:
-            config = FitConfig(model=args.model, max_iter=args.max_iter,
-                               multistart=args.multistart, seed=args.seed)
-            result = fit_mle(sample, config)
+            result = fit_mle(sample, _fit_config(args, args.model))
         except KappagenError as exc:
             report["fit_error"] = str(exc)
         else:
-            fitted = ineq.kgen_inequality_report(family.as_kgen(result.params), thetas)
             report["fitted"] = family.to_dict(result.params)
             report["converged"] = result.converged
-            report["inequality"] = {
-                "gini": fitted.gini, "mld": fitted.mld, "theil": fitted.theil,
-                "ge": [{"theta": t, "value": v} for t, v in fitted.ge_values],
-            }
+            report["inequality"] = _indices(family.as_kgen(result.params), thetas)
             if not result.converged:
                 exit_code = _EXIT_NOCONV
     else:
         if not family.flags:
             raise UsageError("parameter-based inequality supports kappagen and weibull")
         params = family.as_kgen(_params_from_args(args))
-        rep = ineq.kgen_inequality_report(params, thetas)
         report["params"] = FAMILIES["kappagen"].to_dict(params)
-        report["inequality"] = {
-            "gini": rep.gini, "mld": rep.mld, "theil": rep.theil,
-            "ge": [{"theta": t, "value": v} for t, v in rep.ge_values],
-        }
+        report["inequality"] = _indices(params, thetas)
         exit_code = _EXIT_OK
     _write_text(args.output, _report_json(report))
     return exit_code
@@ -209,9 +208,7 @@ def _cmd_compare(args):
     for model in models:
         entry = {"model": model}
         try:
-            config = FitConfig(model=model, max_iter=args.max_iter,
-                               multistart=args.multistart, seed=args.seed)
-            result = fit_mle(sample, config)
+            result = fit_mle(sample, _fit_config(args, model))
             entry.update(loglik=result.gof.loglik, lrsse=result.gof.lrsse,
                          aeg=result.gof.aeg, converged=result.converged,
                          params=FAMILIES[model].to_dict(result.params))
@@ -276,27 +273,24 @@ def _cmd_plotdata(args):
     else:
         family = FAMILIES[args.model]
         params = _params_from_args(args)
+        if args.kind != "lorenz" and family.quantile is None:
+            kind = args.kind.split("-")[0]
+            raise UsageError(f"{kind} plot data for the mixture is not supported")
         if args.kind == "pdf":
-            if family.quantile is None:
-                raise UsageError("pdf plot data for the mixture is not supported")
             grid = np.linspace(0.005, 0.995, args.points)
             xs = np.asarray(family.quantile(grid, params), dtype=float)
             ys = np.asarray(family.pdf(xs, params), dtype=float)
             pairs = np.column_stack([xs, ys])
         elif args.kind == "ccdf-loglog":
-            if family.quantile is None:
-                raise UsageError("ccdf plot data for the mixture is not supported")
             grid = np.linspace(0.005, 0.9995, args.points)
             xs = np.asarray(family.quantile(grid, params), dtype=float)
             cc = np.asarray(family.ccdf(xs, params), dtype=float)
             keep = (xs > 0.0) & (cc > 0.0)
             pairs = np.column_stack([np.log10(xs[keep]), np.log10(cc[keep])])
-        elif args.kind == "lorenz":
+        else:  # lorenz
             grid = np.linspace(0.0, 1.0, args.points)
             ys = np.asarray(family.lorenz(grid, params), dtype=float)
             pairs = np.column_stack([grid, ys])
-        else:
-            raise UsageError(f"unknown plot kind {args.kind!r}")
     lines = ["\t".join(_fmt(v) for v in row) for row in pairs]
     _write_text(args.output, "\n".join(lines) + "\n")
     return _EXIT_OK
@@ -381,13 +375,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INPUT
-    except KappagenError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INPUT
-    except OSError as exc:
+    except (UsageError, KappagenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
 

@@ -458,13 +458,17 @@ def kgen_mode(p: KappaGenParams):
     return b * (2.0 * c * c / (e * (1.0 + math.sqrt(1.0 + d)))) ** (0.5 / a)
 
 
-def kgen_sample(n, p: KappaGenParams, seed):
-    """Inversion sampling: quantile applied to n uniforms, seed-deterministic."""
+def _uniforms(n, seed):
+    """n >= 1 seeded uniforms on [0, 1), the draws of every inversion sampler."""
     n = int(n)
     if n < 1:
         raise DomainError(f"sample size must be at least 1, got {n}")
-    rng = np.random.default_rng(seed)
-    return kgen_quantile(rng.random(n), p)
+    return np.random.default_rng(seed).random(n)
+
+
+def kgen_sample(n, p: KappaGenParams, seed):
+    """Inversion sampling: quantile applied to n uniforms, seed-deterministic."""
+    return kgen_quantile(_uniforms(n, seed), p)
 
 
 def kgen_from_normalized(alpha, kappa):
@@ -599,11 +603,10 @@ def ekg1_ccdf(x, p: EKG1Params):
     return _restore(out, scalar)
 
 
-def _ekg1_log_density_at_t(t, p: EKG1Params):
-    """Log density expressed through t = -ln(1-u) > 0."""
+def _ekg1_log_density_at_t(t, lg, p: EKG1Params):
+    """Log density expressed through t = -ln(1-u) > 0 and its log-bracket lg."""
     a, b, q, r = p.a, p.b, p.q, p.r
     tau = t / (2.0 * q)
-    lg = _ekg1_log_bracket(t, p)
     # cosh(tau) - 2qr sinh(tau) = e^tau [(1-2qr)/2 + (1+2qr) e^(-2tau)/2] > 0,
     # with (1-2qr)/2 = q (1/(2q) - r)
     log_denom = tau + np.log(q * _ekg1_slope(p)
@@ -618,17 +621,20 @@ def ekg1_density_at_u(u, p: EKG1Params):
         raise DomainError("ekg1_density_at_u requires 0 < u < 1")
     t = -np.log1p(-arr)
     with np.errstate(over="ignore", under="ignore"):
-        out = np.exp(_ekg1_log_density_at_t(t, p))
+        out = np.exp(_ekg1_log_density_at_t(t, _ekg1_log_bracket(t, p), p))
     return _restore(out, scalar)
 
 
 def _ekg1_log_density_at_x(arr, p: EKG1Params, name):
-    """Log density at x > 0 through the numeric inverse; -inf at x = inf."""
+    """Log density at x > 0 through the numeric inverse; -inf at x = inf.
+    The log-bracket is the inversion's target a ln(x/b) itself, which stays
+    exact where t = (x/b)^a is subnormal or underflows to 0."""
     if np.any(~(arr > 0.0)):
         raise DomainError(f"{name} requires x > 0")
     t = _ekg1_t_from_x(arr, p)
     with np.errstate(invalid="ignore"):  # inf - inf at t = inf
-        return np.where(t == np.inf, -np.inf, _ekg1_log_density_at_t(t, p))
+        log_density = _ekg1_log_density_at_t(t, p.a * np.log(arr / p.b), p)
+        return np.where(t == np.inf, -np.inf, log_density)
 
 
 def ekg1_pdf(x, p: EKG1Params):
@@ -648,11 +654,7 @@ def ekg1_logpdf(x, p: EKG1Params):
 
 def ekg1_sample(n, p: EKG1Params, seed):
     """Inversion sampling from the closed-form quantile."""
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"sample size must be at least 1, got {n}")
-    rng = np.random.default_rng(seed)
-    return ekg1_quantile(rng.random(n), p)
+    return ekg1_quantile(_uniforms(n, seed), p)
 
 
 # ---------------------------------------------------------------------------
@@ -752,11 +754,7 @@ def ekg2_pdf(x, p: EKG2Params):
 
 def ekg2_sample(n, p: EKG2Params, seed):
     """Inversion sampling from the closed-form quantile."""
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"sample size must be at least 1, got {n}")
-    rng = np.random.default_rng(seed)
-    return ekg2_quantile(rng.random(n), p)
+    return ekg2_quantile(_uniforms(n, seed), p)
 
 
 # ---------------------------------------------------------------------------
@@ -837,12 +835,8 @@ def mixture_sample(n, p: NetWealthMixtureParams, seed):
     Weibull inversion with sign flip below theta1, exact zeros on
     [theta1, rho), base-model inversion above.
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"sample size must be at least 1, got {n}")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    out = np.zeros(n)
+    u = _uniforms(n, seed)
+    out = np.zeros(u.size)
     rho = p.rho
     neg = u < p.theta1
     pos = u >= rho

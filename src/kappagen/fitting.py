@@ -18,10 +18,16 @@ takes about six evaluations instead of about fifteen.  The mixture gets
 both through its two branch fits.  The two-stage scheme --
 derivative-free simplex descent into the basin, then BFGS polish on
 central-difference gradients -- is the fallback when that stage fails,
-and the only scheme for ekg1 and ekg2.  Convergence is judged by the
-max-abs central-difference gradient of the weight-normalized
-log-likelihood, the numerical surrogate for the score equations, and
-FitResult.diagnostics records how each start got there.
+and the only scheme for ekg1 and ekg2.  Both BFGS stages stop at a fixed
+max-abs gradient of _GTOL = 1e-8.  Convergence is judged by the max-abs
+central-difference gradient of the weight-normalized log-likelihood, the
+numerical surrogate for the score equations, and FitResult.diagnostics
+records how each start got there.
+
+Every fit takes one result path: _fit_transformed returns a FitResult
+without goodness of fit, and each entry point (fit_mle, fit_normalized,
+fit_mixture, which combines its two branch results) finishes it through
+_with_gof, which attaches the goodness of fit and takes loglik from it.
 """
 
 from __future__ import annotations
@@ -83,6 +89,7 @@ _MIN_EFFECTIVE_BRANCH = 30.0
 _PENALTY = 1e12  # objective value where the log-likelihood cannot be evaluated
 _EPS = float(np.finfo(float).eps)
 _KAPPA_MAX = 1.0 - 1e-12  # the fitted families' decode caps kappa here
+_GTOL = 1e-8  # BFGS's max-abs gradient test, on the mean log-likelihood
 
 
 @dataclass(frozen=True)
@@ -91,7 +98,6 @@ class FitConfig:
 
     model: str = "kappagen"
     max_iter: int = 500
-    rel_tol: float = 1e-9
     multistart: int = 5
     seed: int = 0
 
@@ -99,8 +105,6 @@ class FitConfig:
         _family(self.model)
         if self.max_iter < 1:
             raise DomainError("max_iter must be at least 1")
-        if not self.rel_tol > 0.0:
-            raise DomainError("rel_tol must be positive")
         if self.multistart < 1:
             raise DomainError("multistart must be at least 1")
 
@@ -505,14 +509,10 @@ def _two_stage_minimize(fun, x0, config):
     grad = lambda x: _central_gradient(fun, x)
     stage2 = minimize(fun, stage1.x, method="BFGS", jac=grad,
                       options={"maxiter": config.max_iter,
-                               "gtol": _gtol(config)})
+                               "gtol": _GTOL})
     best = stage2 if stage2.fun <= stage1.fun else stage1
     iterations = int(stage1.nit) + int(stage2.nit)
     return best.x, float(best.fun), iterations
-
-
-def _gtol(config):
-    return max(config.rel_tol * 10.0, 1e-11)
 
 
 def _inverse_if_positive_definite(hess):
@@ -582,7 +582,7 @@ def _quasi_newton(fun_and_grad, x0, config, second_order=None):
             raise StopIteration
 
     res = minimize(evaluate, x0, method="BFGS", jac=True, callback=at_floor,
-                   options={"maxiter": config.max_iter, "gtol": _gtol(config),
+                   options={"maxiter": config.max_iter, "gtol": _GTOL,
                             "hess_inv0": h0})
     reached = (res.status == 0 or "floor" in track) and res.fun < 1e11
     return res.x, float(res.fun), int(res.nit), bool(reached)
@@ -592,7 +592,8 @@ def _fit_transformed(model, sample, config):
     """Multistart maximization of the mean log-likelihood: one quasi-Newton
     stage on the closed-form score per start, started from the closed-form
     Hessian where the family has one, with the two-stage scheme as the
-    fallback (and the only scheme for families without a score)."""
+    fallback (and the only scheme for families without a score).  Returns
+    a FitResult whose loglik is the optimizer's, with no goodness of fit."""
     family = FAMILIES[model]
     values = sample.values
     weights = sample.weights
@@ -659,9 +660,9 @@ def _fit_transformed(model, sample, config):
     score = _central_gradient(negative_mean_loglik, x_opt)
     score_norm = float(np.max(np.abs(score)))
     converged = math.isfinite(f_opt) and f_opt < 1e11 and score_norm <= _SCORE_TOL
-    params = family.decode(x_opt)
     diagnostics = FitDiagnostics(tuple(starts), evaluations, tuple(sorted(penalties.items())))
-    return params, converged, iterations, score_norm, diagnostics
+    return FitResult(model, family.decode(x_opt), -f_opt * total_w, converged, iterations,
+                     score_norm, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -674,12 +675,13 @@ def fit_mle(sample: WeightedSample, config: FitConfig):
         return fit_mixture(sample, config)
     if config.model == "kappagen_normalized":
         return fit_normalized(sample, config)
-    params, converged, iterations, score_norm, diagnostics = _fit_transformed(
-        config.model, sample, config)
-    gof = goodness_of_fit(sample, config.model, params)
-    return FitResult(model=config.model, params=params, loglik=gof.loglik,
-                     converged=converged, iterations=iterations,
-                     score_norm=score_norm, gof=gof, diagnostics=diagnostics)
+    return _with_gof(sample, _fit_transformed(config.model, sample, config))
+
+
+def _with_gof(sample, fit: FitResult, **changes):
+    """fit with its goodness of fit on sample, loglik taken from that."""
+    gof = goodness_of_fit(sample, fit.model, fit.params)
+    return replace(fit, loglik=gof.loglik, gof=gof, **changes)
 
 
 def fit_normalized(sample: WeightedSample, config: FitConfig):
@@ -689,12 +691,8 @@ def fit_normalized(sample: WeightedSample, config: FitConfig):
     _check_support(sample.values, "kappagen_normalized")
     scale = sample.weighted_mean()
     scaled = WeightedSample(sample.values / scale, sample.weights)
-    params, converged, iterations, score_norm, diagnostics = _fit_transformed(
-        "kappagen_normalized", scaled, config)
-    gof = goodness_of_fit(scaled, "kappagen_normalized", params)
-    return FitResult(model="kappagen_normalized", params=params, loglik=gof.loglik,
-                     converged=converged, iterations=iterations,
-                     score_norm=score_norm, gof=gof, scale=scale, diagnostics=diagnostics)
+    return _with_gof(scaled, _fit_transformed("kappagen_normalized", scaled, config),
+                     scale=scale)
 
 
 def fit_mixture(sample: WeightedSample, config: FitConfig):
@@ -703,7 +701,9 @@ def fit_mixture(sample: WeightedSample, config: FitConfig):
     The component proportions are the weighted shares of the support
     partition (their closed-form maximum-likelihood values); the Weibull
     branch is fitted on |negatives| and the positive branch on the
-    positives with the shared machinery.
+    positives with the shared machinery.  The branch fits combine into one
+    result: converged if every branch is, iterations summed, the largest
+    score norm, and their diagnostics concatenated.
     """
     values = sample.values
     weights = sample.weights
@@ -717,27 +717,16 @@ def fit_mixture(sample: WeightedSample, config: FitConfig):
     if w_pos <= 0.0:
         raise DegenerateDataError(
             "mixture fit needs positive observations; positive branch unidentifiable")
-    theta1 = w_neg / total_w
-    theta2 = w_zero / total_w
-    theta3 = w_pos / total_w
 
     flags = []
-    iterations = 0
-    converged = True
-    score_norm = 0.0
     branches = []
-
     if w_neg > 0.0:
         neg_sample = WeightedSample(-values[neg], weights[neg])
         if neg_sample.effective_size() < _MIN_EFFECTIVE_BRANCH:
             flags.append("negative branch has fewer than 30 effective observations")
         try:
-            wb_params, wb_conv, wb_iter, wb_score, wb_diag = _fit_transformed(
-                "weibull", neg_sample, config)
-            branches.append(wb_diag)
-            converged &= wb_conv
-            iterations += wb_iter
-            score_norm = max(score_norm, wb_score)
+            branches.append(_fit_transformed("weibull", neg_sample, config))
+            wb_params = branches[-1].params
         except DegenerateDataError:
             # one distinct magnitude cannot pin two parameters; fall back to
             # an exponential branch matching the weighted mean magnitude
@@ -750,28 +739,21 @@ def fit_mixture(sample: WeightedSample, config: FitConfig):
     pos_sample = WeightedSample(values[pos], weights[pos])
     if pos_sample.effective_size() < _MIN_EFFECTIVE_BRANCH:
         flags.append("positive branch has fewer than 30 effective observations")
-    kg_params, kg_conv, kg_iter, kg_score, kg_diag = _fit_transformed(
-        "kappagen", pos_sample, config)
-    branches.append(kg_diag)
-    converged &= kg_conv
-    iterations += kg_iter
-    score_norm = max(score_norm, kg_score)
+    branches.append(_fit_transformed("kappagen", pos_sample, config))
 
-    params = NetWealthMixtureParams(negative_branch=wb_params, theta1=theta1,
-                                    theta2=theta2, theta3=theta3,
-                                    positive_branch=kg_params)
-    ll = loglik(sample, "mixture", params)
-    gof = goodness_of_fit(sample, "mixture", params)
+    params = NetWealthMixtureParams(negative_branch=wb_params, theta1=w_neg / total_w,
+                                    theta2=w_zero / total_w, theta3=w_pos / total_w,
+                                    positive_branch=branches[-1].params)
     penalties = Counter()
-    for d in branches:
-        penalties.update(dict(d.penalties))
-    diagnostics = FitDiagnostics(sum((d.starts for d in branches), ()),
-                                 sum(d.evaluations for d in branches),
+    for fit in branches:
+        penalties.update(dict(fit.diagnostics.penalties))
+    diagnostics = FitDiagnostics(sum((fit.diagnostics.starts for fit in branches), ()),
+                                 sum(fit.diagnostics.evaluations for fit in branches),
                                  tuple(sorted(penalties.items())))
-    return FitResult(model="mixture", params=params, loglik=ll,
-                     converged=converged, iterations=iterations,
-                     score_norm=score_norm, gof=gof, flags=tuple(flags),
-                     diagnostics=diagnostics)
+    return _with_gof(sample, FitResult(  # loglik (nan here) comes from the GOF pass
+        "mixture", params, math.nan, all(fit.converged for fit in branches),
+        sum(fit.iterations for fit in branches), max(fit.score_norm for fit in branches),
+        flags=tuple(flags), diagnostics=diagnostics))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from kappagen import (
     quantile_gini,
 )
 from kappagen import special
-from kappagen.distributions import _ekg1_log_bracket, _ekg1_t_from_x
+from kappagen.distributions import _ekg1_log_bracket, _ekg1_t_from_x, ekg1_logpdf
 
 U_GRID = np.array([0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999])
 
@@ -536,6 +536,23 @@ class TestEkg1Inversion:
         t = _ekg1_t_from_x(np.array([np.inf, 1.0, np.inf]), p)
         assert t[0] == np.inf and t[2] == np.inf and np.isfinite(t[1])
         assert ekg1_cdf(np.inf, p) == 1.0 and ekg1_pdf(np.inf, p) == 0.0
+
+    @pytest.mark.parametrize("x", [1e-3, 1e-100, 1e-160, 1e-170, 1e-200, 1e-300])
+    def test_logpdf_deep_in_the_lower_tail(self, x):
+        # the log-bracket is the inversion's target a ln(x/b), exact where
+        # t = (x/b)^a is subnormal (x = 1e-160) or underflows to 0 (x < 1e-162)
+        p = EKG1Params(2.0, 1.0, 1.5, 0.2)
+        with mp.workdps(60):
+            target = p.a * mp.log(mp.mpf(x) / p.b)
+            s = mp.findroot(lambda s: _mp_log_bracket(mp.exp(s), p) - target, target)
+            t = mp.exp(s)
+            # f = e^-t dt/dx, and x = b e^(L(t)/a) gives dt/dx = a / (x L'(t))
+            slope = -mp.mpf(p.r) + mp.coth(t / (2 * p.q)) / (2 * p.q)
+            want = -t + mp.log(p.a) - mp.log(mp.mpf(x)) - mp.log(slope)
+        got = ekg1_logpdf(x, p)
+        assert abs(got - float(want)) <= 1e-14 * abs(float(want))
+        density = ekg1_pdf(x, p)
+        assert math.isfinite(density) and density > 0.0
 
     def test_steps_landing_on_the_bracket_end_are_kept(self):
         # for t < 1e-20 the log-bracket is ln t to double precision, so the

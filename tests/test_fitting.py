@@ -307,6 +307,36 @@ class TestFitMixture:
                           FitConfig(model="mixture", multistart=1, seed=0))
         assert any("negative branch" in f for f in res.flags)
 
+    def test_full_sample_loglik_computed_once(self, monkeypatch):
+        s, _ = self.make_sample(2000, seed=12)
+        full_calls = []
+        original = kfit.loglik
+
+        def counting(sample, model, params):
+            if sample is s:
+                full_calls.append(model)
+            return original(sample, model, params)
+
+        monkeypatch.setattr(kfit, "loglik", counting)
+        res = fit_mixture(s, FitConfig(model="mixture", multistart=1, seed=0))
+        assert full_calls == ["mixture"]
+        assert res.loglik == res.gof.loglik == original(s, "mixture", res.params)
+
+    def test_branch_results_combined(self):
+        s, _ = self.make_sample(2000, seed=12)
+        config = FitConfig(model="mixture", multistart=2, seed=0)
+        res = fit_mixture(s, config)
+        neg = s.values < 0.0
+        pos = s.values > 0.0
+        branches = [kfit._fit_transformed("weibull", WeightedSample(-s.values[neg]), config),
+                    kfit._fit_transformed("kappagen", WeightedSample(s.values[pos]), config)]
+        assert res.converged == all(b.converged for b in branches)
+        assert res.iterations == sum(b.iterations for b in branches)
+        assert res.score_norm == max(b.score_norm for b in branches)
+        assert res.diagnostics.starts == sum((b.diagnostics.starts for b in branches), ())
+        assert res.diagnostics.evaluations == sum(b.diagnostics.evaluations for b in branches)
+        assert [st.model for st in res.diagnostics.starts] == ["weibull"] * 2 + ["kappagen"] * 2
+
 
 class TestGoodnessOfFit:
     def test_self_fit_on_quantile_grid(self):
