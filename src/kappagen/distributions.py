@@ -141,8 +141,8 @@ def _kgen_log_terms(arr, p: KappaGenParams):
     """(log-density, ln(x/beta), y = (x/beta)^alpha, asinh(kappa y),
     s = sqrt(1 + (kappa y)^2)) at a one-dimensional array of x > 0.
 
-    The one formula for the base model's log-density: kgen_logpdf, the
-    score and the Hessian share it, so the objective a fit differentiates is
+    The one formula for the base model's log-density: kgen_logpdf and
+    _kgen_loglik_hessian share it, so the objective a fit differentiates is
     the one it reports.  asinh(kappa y)/kappa is accurate for every
     kappa > 0, so only kappa = 0 takes the Weibull form (asinh_ky and s are
     then None).  s is formed once, without hypot: where (kappa y)^2
@@ -193,10 +193,10 @@ def _asinh_rest(u):
     return 1.0 / 3.0 - u2 * (3.0 / 10.0 - u2 * (15.0 / 56.0 - u2 * (35.0 / 144.0)))
 
 
-def _kgen_loglik_score(values, weights, p: KappaGenParams, hessian=False):
-    """Weighted log-likelihood sum(w ln f(x)) of the base model and its
-    gradient in (ln alpha, ln beta, kappa), plus the 3x3 Hessian in the
-    same coordinates when asked; requires x > 0.
+def _kgen_loglik_hessian(values, weights, p: KappaGenParams):
+    """Weighted log-likelihood sum(w ln f(x)) of the base model, its
+    gradient and its 3x3 Hessian in (ln alpha, ln beta, kappa), from one
+    pass over the records; requires x > 0.
 
     With y = (x/beta)^alpha, L = ln(x/beta), u = kappa y, s = sqrt(1 + u^2),
     q = y/s and t = kappa q, the per-record scores are 1 + alpha L (1 - h)
@@ -211,20 +211,19 @@ def _kgen_loglik_score(values, weights, p: KappaGenParams, hessian=False):
     alpha L (1 - h) - (alpha L)^2 g, -alpha (1 - h) + alpha^2 L g and
     -alpha^2 g in the (ln alpha, ln beta) block, -alpha L h_k and alpha h_k
     across to kappa, and q^3 - q^2 + 2 t^2 q^2 - 2 y^3 S(u) for kappa twice.
-    q overwrites s in the score pass and y in the Hessian pass, which keeps
-    s, and arrays are freed as soon as their sums are taken, so the Hessian
-    pass holds no more record-length arrays at once than the score pass.
+    q overwrites y, and arrays are freed as soon as their sums are taken.
     """
     out, ln_rel, y, asinh_ky, s = _kgen_log_terms(values, p)
     ll = float(np.sum(weights * out))
     a, k = p.alpha, p.kappa
+    hess = np.zeros((3, 3))
     with np.errstate(over="ignore", invalid="ignore"):
         if k == 0.0:
             q = y
         else:
             small = np.flatnonzero(k * y < _SERIES_KY)
             ys = y[small]
-            q = np.divide(y, s, out=y if hessian else s)
+            q = np.divide(y, s, out=y)
             t = k * q
         one_minus_h = np.subtract(1.0, q, out=out)
         if k != 0.0:
@@ -236,20 +235,14 @@ def _kgen_loglik_score(values, weights, p: KappaGenParams, hessian=False):
         if k != 0.0:
             score_k = np.subtract(asinh_ky, t, out=asinh_ky)  # kappa y^3 S(u)
             score_k /= k * k
-            if hessian:
-                y3s = score_k / k
+            y3s = score_k / k
             if small.size:
                 ys3, rest = ys ** 3, _asinh_rest(k * ys)
                 score_k[small] = k * ys3 * rest
-                if hessian:
-                    y3s[small] = ys3 * rest
-            score_k -= np.multiply(t, q, out=None if hessian else t)
+                y3s[small] = ys3 * rest
+            score_k -= t * q
             grad[2] = float(np.dot(weights, score_k))
             del score_k
-    if not hessian:
-        return ll, grad
-    hess = np.zeros((3, 3))
-    with np.errstate(over="ignore", invalid="ignore"):
         if k == 0.0:
             w_g = weights * q
             hess[2, 2] = float(np.dot(weights, y ** 3 / 3.0 - np.square(y)))
@@ -282,12 +275,6 @@ def _kgen_loglik_score(values, weights, p: KappaGenParams, hessian=False):
             hess[2, 2] = float(np.dot(weights, m))
     hess += np.triu(hess, 1).T
     return ll, grad, hess
-
-
-def _kgen_loglik_hessian(values, weights, p: KappaGenParams):
-    """(sum(w ln f), its gradient, its Hessian) in (ln alpha, ln beta, kappa)
-    from one pass over the records; see _kgen_loglik_score."""
-    return _kgen_loglik_score(values, weights, p, hessian=True)
 
 
 def kgen_pdf(x, p: KappaGenParams):

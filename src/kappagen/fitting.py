@@ -9,20 +9,20 @@ model at kappa = 0 throughout.
 Every family is fitted on transformed coordinates (log for positive
 parameters, logit for the tail deformation, shifted log for the extension
 parameter bounded above).  The base model, Weibull and the unit-mean model
-have a closed-form score (loglik_score), so each start runs one BFGS stage
-on exact gradients straight from the survival-plot initializer.  The base
-model and Weibull also have a closed-form Hessian (loglik_hessian): its
-inverse, where it is positive definite at the start, is BFGS's starting
-inverse-Hessian estimate, so the first steps are Newton steps and a fit
-takes about six evaluations instead of about fifteen.  The mixture gets
-both through its two branch fits.  The two-stage scheme --
-derivative-free simplex descent into the basin, then BFGS polish on
-central-difference gradients -- is the fallback when that stage fails,
-and the only scheme for ekg1 and ekg2.  Both BFGS stages stop at a fixed
-max-abs gradient of _GTOL = 1e-8.  Convergence is judged by the max-abs
-central-difference gradient of the weight-normalized log-likelihood, the
-numerical surrogate for the score equations, and FitResult.diagnostics
-records how each start got there.
+have a closed-form gradient and Hessian (loglik_hessian, one pass over the
+records; the unit-mean model's through the chain rule on its pinned
+scale), so each start runs one Newton stage on the exact Hessian straight
+from the survival-plot initializer.  Its steps take the Hessian's
+eigenvalues in absolute value, so a start where the Hessian is indefinite,
+as perturbed starts can be, still descends and reaches the optimum in a
+handful of steps.  The mixture gets the stage through its two branch fits.
+The two-stage scheme -- derivative-free simplex descent into the basin,
+then BFGS polish on central-difference gradients -- is the fallback when
+the Newton stage fails, and the only scheme for ekg1 and ekg2.  Both stop
+at a fixed max-abs gradient of _GTOL = 1e-8.  Convergence is judged by the
+max-abs central-difference gradient of the weight-normalized
+log-likelihood, the numerical surrogate for the score equations, and
+FitResult.diagnostics records how each start got there.
 
 Every fit takes one result path: _fit_transformed returns a FitResult
 without goodness of fit, and each entry point (fit_mle, fit_normalized,
@@ -49,7 +49,6 @@ from .distributions import (
     NetWealthMixtureParams,
     WeibullParams,
     _kgen_loglik_hessian,
-    _kgen_loglik_score,
     _unit_mean_log_scale_grad,
     _weibull_as_kgen,
     ekg1_ccdf,
@@ -89,7 +88,7 @@ _MIN_EFFECTIVE_BRANCH = 30.0
 _PENALTY = 1e12  # objective value where the log-likelihood cannot be evaluated
 _EPS = float(np.finfo(float).eps)
 _KAPPA_MAX = 1.0 - 1e-12  # the fitted families' decode caps kappa here
-_GTOL = 1e-8  # BFGS's max-abs gradient test, on the mean log-likelihood
+_GTOL = 1e-8  # the max-abs gradient stop of both stages, on the mean log-likelihood
 
 
 @dataclass(frozen=True)
@@ -122,8 +121,8 @@ class GoodnessOfFit:
 class StartTrace:
     """One start of a multistart fit: the model fitted (a mixture fit has a
     weibull and a kappagen branch), the log-likelihood it reached, the stage
-    that reached it ("quasi-newton", or "fallback" for the two-stage scheme,
-    which families without a score always take) and its objective
+    that reached it ("newton", or "fallback" for the two-stage scheme,
+    which families without a Hessian always take) and its objective
     evaluations."""
 
     model: str
@@ -172,9 +171,9 @@ class Family:
     Entries call layer functions through their module-level names, so a
     rebinding of those names (such as a tracing wrapper) reaches every
     call.  decode, encode and start are set for the families fitted on
-    transformed coordinates, score for those of them with a closed-form
-    score and hessian for those with a closed-form Hessian too; as_kgen for
-    those the closed-form base-model indices cover.
+    transformed coordinates, and hessian for those of them with a
+    closed-form gradient and Hessian, which the Newton stage takes; as_kgen
+    for those the closed-form base-model indices cover.
     """
 
     params: type
@@ -192,9 +191,7 @@ class Family:
     decode: Callable | None = None  # optimizer vector -> parameters
     encode: Callable | None = None  # parameters -> optimizer vector
     start: Callable | None = None  # (alpha0, beta0, kappa0) -> initial parameters
-    # (values, weights, parameters) -> (sum(w ln f), its gradient in decode's vector)
-    score: Callable | None = None
-    # (values, weights, parameters) -> (sum(w ln f), gradient, Hessian), same vector
+    # (values, weights, parameters) -> (sum(w ln f), gradient, Hessian) in decode's vector
     hessian: Callable | None = None
     as_kgen: Callable | None = None
     positive: bool = True  # support is x > 0
@@ -238,12 +235,6 @@ def _dkappa_dlogit(kappa):
     return kappa * (1.0 - kappa) if kappa < _KAPPA_MAX else 0.0
 
 
-def _kgen_score(values, weights, p: KappaGenParams):
-    ll, grad = _kgen_loglik_score(values, weights, p)
-    grad[2] *= _dkappa_dlogit(p.kappa)
-    return ll, grad
-
-
 def _kgen_hessian(values, weights, p: KappaGenParams):
     """Chain rule through logit(kappa): with k' = dkappa/dlogit = kappa (1 - kappa)
     and k'' = k' (1 - 2 kappa), d2/dlogit2 = l_kk k'^2 + l_k k''; every
@@ -257,21 +248,38 @@ def _kgen_hessian(values, weights, p: KappaGenParams):
     return ll, grad, hess
 
 
-def _weibull_score(values, weights, p: WeibullParams):
-    ll, grad = _kgen_loglik_score(values, weights, _weibull_as_kgen(p))
-    return ll, grad[:2]
-
-
 def _weibull_hessian(values, weights, p: WeibullParams):
     ll, grad, hess = _kgen_loglik_hessian(values, weights, _weibull_as_kgen(p))
     return ll, grad[:2], hess[:2, :2]
 
 
-def _normalized_score(values, weights, p: KappaGenParams):
-    ll, (g_alpha, g_beta, g_kappa) = _kgen_loglik_score(values, weights, p)
-    dbeta_dalpha, dbeta_dkappa = _unit_mean_log_scale_grad(p.alpha, p.kappa)
-    return ll, np.array([g_alpha + g_beta * dbeta_dalpha,
-                         (g_kappa + g_beta * dbeta_dkappa) * _dkappa_dlogit(p.kappa)])
+def _unit_mean_log_scale_jac(alpha, kappa):
+    """The gradient of psi = ln beta of the unit-mean scale in the unit-mean
+    model's vector (ln alpha, logit kappa)."""
+    d_ln_alpha, d_kappa = _unit_mean_log_scale_grad(alpha, kappa)
+    return np.array([d_ln_alpha, d_kappa * _dkappa_dlogit(kappa)])
+
+
+def _normalized_hessian(values, weights, p: KappaGenParams):
+    """The base model's Hessian composed with ln beta = psi(ln alpha, logit kappa):
+    gradient J^T g and Hessian J^T H J + g_beta (d2 psi), J = [[1, 0], psi', [0, 1]].
+    d2 psi holds no data, so it is taken as central differences of the
+    closed-form psi' (1e-9 relative or better, 2e-8 where the gamma ratio
+    switches form, at c - m/2 = 10); it only shapes Newton's steps, and the
+    stop tests and the convergence check use exact gradients.  One triangle
+    is mirrored, as J^T H J rounds asymmetrically."""
+    ll, grad, hess = _kgen_hessian(values, weights, p)
+    jac = np.array([[1.0, 0.0], _unit_mean_log_scale_jac(p.alpha, p.kappa), [0.0, 1.0]])
+    vec = np.array([math.log(p.alpha), _logit(p.kappa)])
+    psi_grad = lambda v: _unit_mean_log_scale_jac(math.exp(v[0]),
+                                                  min(_sigmoid(v[1]), _KAPPA_MAX))
+    d2_psi = np.empty((2, 2))
+    for i in range(2):
+        h = np.zeros(2)
+        h[i] = 1e-5 * max(1.0, abs(vec[i]))
+        d2_psi[i] = (psi_grad(vec + h) - psi_grad(vec - h)) / (2.0 * h[i])
+    hess = jac.T @ hess @ jac + grad[1] * d2_psi
+    return ll, grad @ jac, np.triu(hess) + np.triu(hess, 1).T
 
 
 def _mixture_logpdf(x, p: NetWealthMixtureParams):
@@ -317,7 +325,7 @@ _KAPPAGEN = Family(
     decode=lambda v: KappaGenParams(math.exp(v[0]), math.exp(v[1]),
                                     min(_sigmoid(v[2]), _KAPPA_MAX)),
     encode=lambda p: np.array([math.log(p.alpha), math.log(p.beta), _logit(p.kappa)]),
-    start=KappaGenParams, score=_kgen_score, hessian=_kgen_hessian, as_kgen=lambda p: p,
+    start=KappaGenParams, hessian=_kgen_hessian, as_kgen=lambda p: p,
 )
 
 FAMILIES = {
@@ -336,8 +344,7 @@ FAMILIES = {
         decode=lambda v: WeibullParams(math.exp(v[0]), math.exp(v[1])),
         encode=lambda p: np.array([math.log(p.shape), math.log(p.scale)]),
         start=lambda alpha0, beta0, kappa0: WeibullParams(alpha0, beta0),
-        score=_weibull_score, hessian=_weibull_hessian,
-        as_kgen=_weibull_as_kgen,
+        hessian=_weibull_hessian, as_kgen=_weibull_as_kgen,
     ),
     "ekg1": Family(
         params=EKG1Params, flags=("a", "b", "q", "r"), from_flags=EKG1Params,
@@ -385,8 +392,7 @@ FAMILIES = {
         decode=lambda v: kgen_from_normalized(math.exp(v[0]),
                                               min(_sigmoid(v[1]), _KAPPA_MAX)),
         encode=lambda p: np.array([math.log(p.alpha), _logit(p.kappa)]),
-        # the unit-mean scale's second derivatives are not in closed form
-        score=_normalized_score, hessian=None,
+        hessian=_normalized_hessian,
     ),
 }
 
@@ -414,25 +420,22 @@ def loglik(sample: WeightedSample, model, params):
 
 
 def loglik_score(sample: WeightedSample, model, params):
-    """The weighted log-likelihood, computed as loglik does, and its
-    gradient in the coordinates the family is fitted on (FAMILIES[model]
-    .decode's vector), for the families with a closed-form score."""
-    return _closed_form(sample, model, params, "score")
+    """The weighted log-likelihood and its gradient: loglik_hessian's first
+    two entries, from the same one pass."""
+    return loglik_hessian(sample, model, params)[:2]
 
 
 def loglik_hessian(sample: WeightedSample, model, params):
-    """loglik_score's value and gradient plus the Hessian in the same
-    coordinates, from one pass over the records, for the families with a
-    closed-form Hessian."""
-    return _closed_form(sample, model, params, "hessian")
-
-
-def _closed_form(sample, model, params, entry):
-    derivatives = getattr(_family(model), entry)
-    if derivatives is None:
-        raise DomainError(f"model {model!r} has no closed-form {entry}")
+    """The weighted log-likelihood, computed as loglik does, with its
+    gradient and Hessian in the coordinates the family is fitted on
+    (FAMILIES[model].decode's vector), from one pass over the records, for
+    the families with a closed-form Hessian: kappagen, weibull and
+    kappagen_normalized."""
+    hessian = _family(model).hessian
+    if hessian is None:
+        raise DomainError(f"model {model!r} has no closed-form Hessian")
     _check_support(sample.values, model)
-    return derivatives(sample.values, sample.weights, params)
+    return hessian(sample.values, sample.weights, params)
 
 
 # ---------------------------------------------------------------------------
@@ -515,84 +518,53 @@ def _two_stage_minimize(fun, x0, config):
     return best.x, float(best.fun), iterations
 
 
-def _inverse_if_positive_definite(hess):
-    """The inverse of a finite, symmetric positive-definite matrix, else None."""
-    if hess is None or not np.all(np.isfinite(hess)):
-        return None
-    try:
-        l_inv = np.linalg.inv(np.linalg.cholesky(hess))
-    except np.linalg.LinAlgError:
-        return None
-    inverse = l_inv.T @ l_inv
-    return inverse if np.all(np.isfinite(inverse)) else None
+def _newton(evaluate, x0, config):
+    """Newton's method on the closed-form Hessian, from x0.
 
-
-def _quasi_newton(fun_and_grad, x0, config, second_order=None):
-    """BFGS on the closed-form gradient, straight from x0.
-
-    second_order, when given, returns (f, g, Hessian of f) at x0 from one
-    pass over the records: (f, g) serve as BFGS's first evaluation, and the
-    inverse of the Hessian, where it is positive definite, as its starting
-    inverse-Hessian estimate, so the first steps are Newton steps.  Without
-    it, or where the Hessian is not positive definite, BFGS starts from the
-    identity.
-
-    Besides scipy's max-abs gradient test, the stage ends once the next
-    step's predicted decrease g.H.g/2 is below the rounding of f, eps
-    max(|f|, 1): from there the line search could only zoom on the last
-    bits of f.  H is the inverse-Hessian estimate, updated here from each
-    iterate's step and gradient change as BFGS updates its own, from the
-    same start.  Returns (x, f, iterations, reached); reached is False when
-    the stage ended any other way (failed line search, max_iter, a penalty
-    value).
+    evaluate returns (f, g, H) at a point from one pass over the records.
+    Each step is -H^-1 g with H's eigenvalues replaced by their absolute
+    values, floored at 1e-8 of the largest (Nocedal & Wright, Numerical
+    Optimization, 2006, sec. 3.4), so a step from an indefinite start still
+    descends; it is halved until f falls by 1e-4 |g.p| (Armijo).  The stage
+    is reached once max |g| <= _GTOL, or once H is positive definite and
+    Newton's predicted decrease g.H^-1.g/2 is below the rounding of f,
+    eps max(|f|, 1): from there a step could only move the last bits of f.
+    Returns (x, f, steps, reached); reached is False when the stage ended
+    any other way (a penalty value or a non-finite H, 40 halvings, max_iter
+    steps).
     """
-    track = {}
-    h0 = None
-    if second_order is not None:
-        f0, g0, hess0 = second_order(x0)
-        h0 = _inverse_if_positive_definite(hess0)
-        track["first"] = (x0.copy(), f0, g0)
-    if h0 is None:
-        h0 = np.eye(x0.size)
-
-    def evaluate(x):
-        first = track.pop("first", None)
-        if first is not None and np.array_equal(x, first[0]):
-            f, g = first[1:]
+    x = x0
+    f, g, hess = evaluate(x)
+    for steps in range(config.max_iter + 1):
+        if hess is None or not np.all(np.isfinite(hess)):
+            return x, f, steps, False
+        lam, vecs = np.linalg.eigh(hess)
+        along = vecs.T @ g
+        if np.max(np.abs(g)) <= _GTOL or (
+                lam[0] > 0.0 and 0.5 * np.sum(along * along / lam) <= _EPS * max(abs(f), 1.0)):
+            return x, f, steps, True
+        if steps == config.max_iter:
+            break
+        abs_lam = np.abs(lam)
+        step = -vecs @ (along / np.maximum(abs_lam, 1e-8 * abs_lam.max()))
+        decrease = 1e-4 * abs(float(g @ step))
+        for _ in range(40):
+            trial = evaluate(x + step)
+            if trial[0] <= f - decrease:
+                break
+            step /= 2.0
+            decrease /= 2.0
         else:
-            f, g = fun_and_grad(x)
-        if "h" not in track:  # the start
-            track.update(x=x.copy(), g=g, h=h0)
-        track["last"] = (x.copy(), g)
-        return f, g
-
-    def at_floor(intermediate_result):
-        x = intermediate_result.x
-        last_x, g = track["last"]
-        if not np.array_equal(x, last_x):
-            return
-        s, y = x - track["x"], g - track["g"]
-        sy = float(s @ y)
-        rho = 1.0 / sy if sy != 0.0 else 1000.0  # scipy's choice for sy = 0
-        a = np.eye(x.size) - rho * np.outer(s, y)
-        h = a @ track["h"] @ a.T + rho * np.outer(s, s)
-        track.update(x=x, g=g, h=h)
-        if 0.5 * float(g @ h @ g) <= _EPS * max(abs(intermediate_result.fun), 1.0):
-            track["floor"] = True
-            raise StopIteration
-
-    res = minimize(evaluate, x0, method="BFGS", jac=True, callback=at_floor,
-                   options={"maxiter": config.max_iter, "gtol": _GTOL,
-                            "hess_inv0": h0})
-    reached = (res.status == 0 or "floor" in track) and res.fun < 1e11
-    return res.x, float(res.fun), int(res.nit), bool(reached)
+            break
+        x = x + step
+        f, g, hess = trial
+    return x, f, steps, False
 
 
 def _fit_transformed(model, sample, config):
-    """Multistart maximization of the mean log-likelihood: one quasi-Newton
-    stage on the closed-form score per start, started from the closed-form
-    Hessian where the family has one, with the two-stage scheme as the
-    fallback (and the only scheme for families without a score).  Returns
+    """Multistart maximization of the mean log-likelihood: one Newton stage
+    on the closed-form Hessian per start, with the two-stage scheme as the
+    fallback (and the only scheme for families without a Hessian).  Returns
     a FitResult whose loglik is the optimizer's, with no goodness of fit."""
     family = FAMILIES[model]
     values = sample.values
@@ -602,15 +574,11 @@ def _fit_transformed(model, sample, config):
         raise DegenerateDataError("sample has a single distinct value")
     penalties = Counter()
     evaluations = 0
-    # loglik, loglik_score and loglik_hessian by the order of derivatives asked for
-    closed_forms = (lambda p: (loglik(sample, model, p),),
-                    lambda p: loglik_score(sample, model, p),
-                    lambda p: loglik_hessian(sample, model, p))
 
-    def evaluate(vec, order):
-        """The negative mean log-likelihood and its first `order` derivatives
-        at vec: f, (f, g) or (f, g, H); a penalty value, with g = 0 and
-        H = None, where the log-likelihood or its gradient cannot be had."""
+    def evaluate(vec, derivatives=False):
+        """The negative mean log-likelihood at vec, f, or with its gradient
+        and Hessian, (f, g, H); a penalty value, with g = 0 and H = None,
+        where the log-likelihood or its gradient cannot be had."""
         nonlocal evaluations
         evaluations += 1
         cause = None
@@ -618,7 +586,9 @@ def _fit_transformed(model, sample, config):
             cause = "out-of-range"
         else:
             try:
-                out = closed_forms[order](family.decode(vec))
+                params = family.decode(vec)
+                out = (loglik_hessian(sample, model, params) if derivatives
+                       else (loglik(sample, model, params),))
             except (DomainError, MomentDivergenceError, OverflowError) as exc:
                 cause = type(exc).__name__
             else:
@@ -629,9 +599,8 @@ def _fit_transformed(model, sample, config):
             out = (_PENALTY, np.zeros_like(vec), None)
         else:
             out = tuple(-part / total_w for part in out)
-        return out[0] if order == 0 else out[:order + 1]
+        return out if derivatives else out[0]
 
-    negative_mean_loglik = lambda vec: evaluate(vec, 0)
     x0 = family.encode(family.start(*_initial_kgen(sample)))
 
     best = None
@@ -642,22 +611,20 @@ def _fit_transformed(model, sample, config):
         start = x0 if replicate == 0 else x0 + rng.normal(0.0, 0.35, size=x0.size)
         before = evaluations
         reached = False
-        if family.score is not None:
-            second_order = None if family.hessian is None else lambda vec: evaluate(vec, 2)
-            x_opt, f_opt, nit, reached = _quasi_newton(
-                lambda vec: evaluate(vec, 1), start, config, second_order)
+        if family.hessian is not None:
+            x_opt, f_opt, nit, reached = _newton(lambda vec: evaluate(vec, True), start, config)
             iterations += nit
-        stage = "quasi-newton"
+        stage = "newton"
         if not reached:
-            x_fb, f_fb, nit = _two_stage_minimize(negative_mean_loglik, start, config)
+            x_fb, f_fb, nit = _two_stage_minimize(evaluate, start, config)
             iterations += nit
-            if family.score is None or f_fb <= f_opt:
+            if family.hessian is None or f_fb <= f_opt:
                 x_opt, f_opt, stage = x_fb, f_fb, "fallback"
         starts.append(StartTrace(model, -f_opt * total_w, stage, evaluations - before))
         if best is None or f_opt < best[1]:
             best = (x_opt, f_opt)
     x_opt, f_opt = best
-    score = _central_gradient(negative_mean_loglik, x_opt)
+    score = _central_gradient(evaluate, x_opt)
     score_norm = float(np.max(np.abs(score)))
     converged = math.isfinite(f_opt) and f_opt < 1e11 and score_norm <= _SCORE_TOL
     diagnostics = FitDiagnostics(tuple(starts), evaluations, tuple(sorted(penalties.items())))

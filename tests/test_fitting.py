@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from kappagen import (
     DegenerateDataError,
     DomainError,
+    EKG2Params,
     FitConfig,
     KappaGenParams,
     NetWealthMixtureParams,
@@ -189,12 +190,27 @@ class TestFitMle:
         s = kgen_data(5000, seed=18)
         res = fit_mle(s, FitConfig(model="kappagen", multistart=3, seed=0))
         d = res.diagnostics
-        assert [start.stage for start in d.starts] == ["quasi-newton"] * 3
+        assert [start.stage for start in d.starts] == ["newton"] * 3
         assert {start.model for start in d.starts} == {"kappagen"}
         assert max(start.loglik for start in d.starts) == pytest.approx(res.loglik, rel=1e-14)
         # every start's evaluations plus the convergence check's central differences
         assert d.evaluations == sum(start.evaluations for start in d.starts) + 6
         assert d.penalties == ()
+
+    def test_a_start_with_an_indefinite_hessian_reaches_the_optimum_by_newton(self):
+        s = WeightedSample(kgen_sample(10_000, KappaGenParams(2.0, 1.0, 0.5), 1))
+        config = FitConfig(model="kappagen", multistart=5, seed=1)
+        family = FAMILIES["kappagen"]
+        x0 = family.encode(family.start(*kfit._initial_kgen(s)))
+        start = x0 + np.random.default_rng([config.seed, 4]).normal(0.0, 0.35, size=x0.size)
+        _, _, hess = kfit.loglik_hessian(s, "kappagen", family.decode(start))
+        # the negative mean log-likelihood's Hessian there is indefinite
+        assert np.linalg.eigvalsh(-hess / s.total_weight)[0] < 0.0
+        starts = fit_mle(s, config).diagnostics.starts
+        assert [start.stage for start in starts] == ["newton"] * 5
+        best = max(start.loglik for start in starts)
+        for start in starts:
+            assert start.loglik == pytest.approx(best, rel=1e-12)
 
 
 class TestFitNormalized:
@@ -488,10 +504,10 @@ SCORE_KAPPAS = (1e-12, 1e-6, 1e-3, 0.3, 0.9)
 
 
 class TestScores:
-    """The closed-form scores of the families fitted by quasi-Newton."""
+    """The closed-form scores of the families fitted by the Newton stage."""
 
     def test_scored_families(self):
-        assert {m for m, f in FAMILIES.items() if f.score} == {
+        assert {m for m, f in FAMILIES.items() if f.hessian} == {
             "kappagen", "weibull", "kappagen_normalized"}
 
     @pytest.mark.parametrize("alpha", [0.5, 1.3, 2.5, 8.0])
@@ -514,7 +530,7 @@ class TestScores:
                 x = beta * y ** (1.0 / alpha)
                 if not x < 1e300:
                     continue
-                ll, got = family.score(np.array([x]), np.array([1.0]), p)
+                ll, got = family.hessian(np.array([x]), np.array([1.0]), p)[:2]
                 assert ll == family.logpdf(np.array([x]), p)[0]
                 for i, (want, scale) in enumerate(mp_score(model, x, p)):
                     # the kappa score keeps ~2e-12 relative just above the series switch
@@ -623,10 +639,6 @@ def mp_hessian(model, x, p):
     return hess, scale
 
 
-def assert_same_value_and_score(got, want):
-    assert got[0] == want[0] and np.array_equal(got[1], want[1])
-
-
 def assert_hessian_close(got, want, scale, context):
     for i in range(got.shape[0]):
         for j in range(got.shape[1]):
@@ -636,10 +648,11 @@ def assert_hessian_close(got, want, scale, context):
 
 
 class TestHessian:
-    """The closed-form Hessians that start the quasi-Newton stage."""
+    """The closed-form Hessians that drive the Newton stage."""
 
     def test_families_with_a_hessian(self):
-        assert {m for m, f in FAMILIES.items() if f.hessian} == {"kappagen", "weibull"}
+        assert {m for m, f in FAMILIES.items() if f.hessian} == {
+            "kappagen", "weibull", "kappagen_normalized"}
 
     @pytest.mark.parametrize("alpha", [0.5, 1.3, 2.5, 8.0])
     @pytest.mark.parametrize("model", ["raw", "weibull", "kappagen"])
@@ -656,13 +669,12 @@ class TestHessian:
                     continue
                 one = np.array([x]), np.array([1.0])
                 if model == "raw":
-                    first, second = kfit._kgen_loglik_score, kfit._kgen_loglik_hessian
+                    hessian = kfit._kgen_loglik_hessian
                     want, scale, _, _ = mp_raw_hessian(x, alpha, 1.7, kappa)
                 else:
-                    first, second = FAMILIES[model].score, FAMILIES[model].hessian
+                    hessian = FAMILIES[model].hessian
                     want, scale = mp_hessian(model, x, p)
-                ll, grad, got = second(*one, p)
-                assert_same_value_and_score((ll, grad), first(*one, p))
+                _, _, got = hessian(*one, p)
                 assert np.array_equal(got, got.T)
                 assert_hessian_close(got, want, scale, (kappa, y))
 
@@ -673,7 +685,6 @@ class TestHessian:
         x = math.sqrt(u / p.kappa)
         one = np.array([x]), np.array([1.0])
         ll, grad, hess = kfit._kgen_loglik_hessian(*one, p)
-        assert_same_value_and_score((ll, grad), kfit._kgen_loglik_score(*one, p))
         with mp.workdps(40):
             assert ll == pytest.approx(float(mp_logpdf(mp.mpf(x), 2, 1, mp.mpf(0.5))), rel=1e-15)
         assert FAMILIES["kappagen"].logpdf(x, p) == ll
@@ -685,13 +696,19 @@ class TestHessian:
         assert_hessian_close(hess, want, scale, u)
 
     @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(model=st.sampled_from(["kappagen", "weibull"]),
+    @given(model=st.sampled_from(["kappagen", "weibull", "kappagen_normalized"]),
            alpha=st.floats(0.5, 8.0), kappa=st.floats(0.01, 0.95),
            beta=st.floats(0.05, 20.0), seed=st.integers(0, 2 ** 16))
     def test_matches_central_difference_of_loglik_score(self, model, alpha, kappa, beta, seed):
         family = FAMILIES[model]
         rng = np.random.default_rng(seed)
-        params = family.start(alpha, beta, kappa)
+        if model == "kappagen_normalized":
+            if not alpha > 1.5 * kappa:
+                return
+            params = kgen_from_normalized(alpha, kappa)
+            beta = params.beta
+        else:
+            params = family.start(alpha, beta, kappa)
         draws = kgen_sample(200, KappaGenParams(alpha * 1.2, 1.1 * beta, kappa * 0.8), seed)
         s = WeightedSample(draws, rng.integers(1, 6, size=draws.size).astype(float))
         vec = family.encode(params)
@@ -712,5 +729,4 @@ class TestHessian:
         with pytest.raises(SupportViolationError):
             kfit.loglik_hessian(bad, "kappagen", KappaGenParams(2.0, 1.0, 0.5))
         with pytest.raises(DomainError):
-            kfit.loglik_hessian(kgen_data(50, seed=3), "kappagen_normalized",
-                                kgen_from_normalized(2.0, 0.5))
+            kfit.loglik_hessian(kgen_data(50, seed=3), "ekg2", EKG2Params(2.0, 1.0, 2.0, 1.2))
