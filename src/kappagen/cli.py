@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from .data import load_dataset
+from .distributions import KappaGenParams
 from .errors import KappagenError
 from .fitting import FAMILIES, FitConfig, FitResult, fit_mle
 from . import inequality as ineq
@@ -175,13 +176,13 @@ def _cmd_inequality(args):
         else:
             report["fitted"] = family.to_dict(result.params)
             report["converged"] = result.converged
-            report["inequality"] = _indices(family.as_kgen(result.params), thetas)
+            report["inequality"] = _indices(result.params, thetas)
             if not result.converged:
                 exit_code = _EXIT_NOCONV
     else:
         if not family.flags:
             raise UsageError("parameter-based inequality supports kappagen and weibull")
-        params = family.as_kgen(_params_from_args(args))
+        params = _params_from_args(args)
         report["params"] = FAMILIES["kappagen"].to_dict(params)
         report["inequality"] = _indices(params, thetas)
         exit_code = _EXIT_OK
@@ -216,22 +217,11 @@ def _cmd_compare(args):
             entry.update(error=str(exc))
         rows.append(entry)
 
-    def ranks(key, reverse):
-        scored = [(i, r[key]) for i, r in enumerate(rows) if key in r]
-        scored.sort(key=lambda t: t[1], reverse=reverse)
-        out = {}
-        for rank, (i, _) in enumerate(scored, start=1):
-            out[i] = rank
-        return out
-
-    rank_ll = ranks("loglik", reverse=True)
-    rank_lrsse = ranks("lrsse", reverse=False)
-    rank_aeg = ranks("aeg", reverse=False)
-    for i, row in enumerate(rows):
-        if "error" not in row:
-            row["rank_loglik"] = rank_ll[i]
-            row["rank_lrsse"] = rank_lrsse[i]
-            row["rank_aeg"] = rank_aeg[i]
+    fitted = [row for row in rows if "error" not in row]
+    for key, reverse in (("loglik", True), ("lrsse", False), ("aeg", False)):
+        for rank, row in enumerate(sorted(fitted, key=lambda r: r[key], reverse=reverse),
+                                   start=1):
+            row["rank_" + key] = rank
 
     header = ["model", "loglik", "lrsse", "aeg", "rank_loglik", "rank_lrsse",
               "rank_aeg", "status"]
@@ -335,7 +325,8 @@ def _build_parser():
     sp = sub.add_parser("inequality", help="inequality indices from parameters or data")
     sp.add_argument("--input", default=None)
     sp.add_argument("--model", default="kappagen",
-                    choices=tuple(m for m, f in FAMILIES.items() if f.as_kgen))
+                    choices=tuple(m for m, f in FAMILIES.items()
+                                  if issubclass(f.params, KappaGenParams)))
     _add_param_flags(sp)
     sp.add_argument("--theta", default=None,
                     help="comma-separated generalized-entropy orders")

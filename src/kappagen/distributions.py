@@ -53,23 +53,22 @@ class KappaGenParams:
         return math.inf if self.kappa == 0.0 else self.alpha / self.kappa
 
 
-@dataclass(frozen=True)
-class WeibullParams:
-    """Weibull shape and scale, both strictly positive."""
+class WeibullParams(KappaGenParams):
+    """Weibull shape and scale, both strictly positive: the base model pinned
+    at kappa = 0, which every base-model function takes as it is."""
 
-    shape: float
-    scale: float
+    def __init__(self, shape: float, scale: float):
+        if not (math.isfinite(shape) and shape > 0.0):
+            raise DomainError(f"shape must be positive, got {shape}")
+        if not (math.isfinite(scale) and scale > 0.0):
+            raise DomainError(f"scale must be positive, got {scale}")
+        super().__init__(shape, scale, 0.0)
 
-    def __post_init__(self):
-        if not (math.isfinite(self.shape) and self.shape > 0.0):
-            raise DomainError(f"shape must be positive, got {self.shape}")
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise DomainError(f"scale must be positive, got {self.scale}")
+    shape = property(lambda self: self.alpha)
+    scale = property(lambda self: self.beta)
 
-
-def _weibull_as_kgen(w: WeibullParams):
-    """The Weibull law is the base model at kappa = 0."""
-    return KappaGenParams(w.shape, w.scale, 0.0)
+    def __repr__(self):
+        return f"WeibullParams(shape={self.shape!r}, scale={self.scale!r})"
 
 
 @dataclass(frozen=True)
@@ -761,7 +760,7 @@ def mixture_pdf(w, p: NetWealthMixtureParams):
     neg = arr < 0.0
     pos = arr > 0.0
     if np.any(neg):
-        dens[neg] = p.theta1 * kgen_pdf(-arr[neg], _weibull_as_kgen(p.negative_branch))
+        dens[neg] = p.theta1 * kgen_pdf(-arr[neg], p.negative_branch)
     if np.any(pos):
         dens[pos] = p.theta3 * kgen_pdf(arr[pos], p.positive_branch)
     atom[arr == 0.0] = p.theta2
@@ -778,7 +777,7 @@ def mixture_cdf(w, p: NetWealthMixtureParams):
     neg = arr < 0.0
     pos = arr > 0.0
     if np.any(neg):
-        out[neg] = p.theta1 * kgen_ccdf(-arr[neg], _weibull_as_kgen(p.negative_branch))
+        out[neg] = p.theta1 * kgen_ccdf(-arr[neg], p.negative_branch)
     out[arr == 0.0] = rho
     if np.any(pos):
         out[pos] = rho + (1.0 - rho) * np.asarray(
@@ -805,7 +804,7 @@ def mixture_moment(r, p: NetWealthMixtureParams):
     ri = int(r)
     if ri != r or ri < 1:
         raise DomainError(f"moment order must be a positive integer, got {r}")
-    neg_part = (-1.0) ** ri * kgen_moment(ri, _weibull_as_kgen(p.negative_branch))
+    neg_part = (-1.0) ** ri * kgen_moment(ri, p.negative_branch)
     pos_part = kgen_moment(ri, p.positive_branch) if p.theta3 > 0.0 else 0.0
     return p.theta1 * neg_part + p.theta3 * pos_part
 

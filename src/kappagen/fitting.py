@@ -4,7 +4,7 @@ registry.
 FAMILIES describes each model once, keyed by its tag: parameter class,
 CLI flags, distribution functions, Lorenz curve and Gini, and the
 transform the fitting engine optimizes over.  The Weibull law is the base
-model at kappa = 0 throughout.
+model at kappa = 0 by type: WeibullParams subclasses KappaGenParams.
 
 Every family is fitted on transformed coordinates (log for positive
 parameters, logit for the tail deformation, shifted log for the extension
@@ -50,7 +50,6 @@ from .distributions import (
     WeibullParams,
     _kgen_loglik_hessian,
     _unit_mean_log_scale_grad,
-    _weibull_as_kgen,
     ekg1_ccdf,
     ekg1_cdf,
     ekg1_logpdf,
@@ -172,8 +171,8 @@ class Family:
     rebinding of those names (such as a tracing wrapper) reaches every
     call.  decode, encode and start are set for the families fitted on
     transformed coordinates, and hessian for those of them with a
-    closed-form gradient and Hessian, which the Newton stage takes; as_kgen
-    for those the closed-form base-model indices cover.
+    closed-form gradient and Hessian, which the Newton stage takes.  Families
+    whose params subclass KappaGenParams share the base model's functions.
     """
 
     params: type
@@ -193,7 +192,6 @@ class Family:
     start: Callable | None = None  # (alpha0, beta0, kappa0) -> initial parameters
     # (values, weights, parameters) -> (sum(w ln f), gradient, Hessian) in decode's vector
     hessian: Callable | None = None
-    as_kgen: Callable | None = None
     positive: bool = True  # support is x > 0
 
 
@@ -249,7 +247,7 @@ def _kgen_hessian(values, weights, p: KappaGenParams):
 
 
 def _weibull_hessian(values, weights, p: WeibullParams):
-    ll, grad, hess = _kgen_loglik_hessian(values, weights, _weibull_as_kgen(p))
+    ll, grad, hess = _kgen_loglik_hessian(values, weights, p)
     return ll, grad[:2], hess[:2, :2]
 
 
@@ -292,7 +290,7 @@ def _mixture_logpdf(x, p: NetWealthMixtureParams):
         if np.any(neg):
             out[neg] = math.log(p.theta1) if p.theta1 > 0.0 else -math.inf
             if p.theta1 > 0.0:
-                out[neg] += kgen_logpdf(-values[neg], _weibull_as_kgen(p.negative_branch))
+                out[neg] += kgen_logpdf(-values[neg], p.negative_branch)
         out[zero] = math.log(p.theta2) if p.theta2 > 0.0 else -math.inf
         if np.any(pos):
             out[pos] = math.log(p.theta3) if p.theta3 > 0.0 else -math.inf
@@ -325,26 +323,18 @@ _KAPPAGEN = Family(
     decode=lambda v: KappaGenParams(math.exp(v[0]), math.exp(v[1]),
                                     min(_sigmoid(v[2]), _KAPPA_MAX)),
     encode=lambda p: np.array([math.log(p.alpha), math.log(p.beta), _logit(p.kappa)]),
-    start=KappaGenParams, hessian=_kgen_hessian, as_kgen=lambda p: p,
+    start=KappaGenParams, hessian=_kgen_hessian,
 )
 
 FAMILIES = {
     "kappagen": _KAPPAGEN,
-    "weibull": Family(
-        params=WeibullParams, flags=("shape", "scale"), from_flags=WeibullParams,
+    "weibull": replace(
+        _KAPPAGEN, params=WeibullParams, flags=("shape", "scale"), from_flags=WeibullParams,
         to_dict=_attrs("shape", "scale"),
-        logpdf=lambda x, p: kgen_logpdf(x, _weibull_as_kgen(p)),
-        pdf=lambda x, p: kgen_pdf(x, _weibull_as_kgen(p)),
-        cdf=lambda x, p: kgen_cdf(x, _weibull_as_kgen(p)),
-        ccdf=lambda x, p: kgen_ccdf(x, _weibull_as_kgen(p)),
-        quantile=lambda u, p: kgen_quantile(u, _weibull_as_kgen(p)),
-        sample=lambda n, p, seed: kgen_sample(n, _weibull_as_kgen(p), seed),
-        lorenz=lambda u, p: ineq.kgen_lorenz(u, _weibull_as_kgen(p)),
-        gini=lambda p: ineq.kgen_gini(_weibull_as_kgen(p)),
         decode=lambda v: WeibullParams(math.exp(v[0]), math.exp(v[1])),
         encode=lambda p: np.array([math.log(p.shape), math.log(p.scale)]),
         start=lambda alpha0, beta0, kappa0: WeibullParams(alpha0, beta0),
-        hessian=_weibull_hessian, as_kgen=_weibull_as_kgen,
+        hessian=_weibull_hessian,
     ),
     "ekg1": Family(
         params=EKG1Params, flags=("a", "b", "q", "r"), from_flags=EKG1Params,
@@ -572,6 +562,8 @@ def _fit_transformed(model, sample, config):
     total_w = sample.total_weight
     if np.ptp(values[weights > 0.0]) == 0.0:  # max == min, and no copy outlives the test
         raise DegenerateDataError("sample has a single distinct value")
+    if family.positive:  # fail before any start, not from the penalized objective
+        _check_support(values, model)
     penalties = Counter()
     evaluations = 0
 

@@ -24,7 +24,6 @@ from .distributions import (
     NetWealthMixtureParams,
     _log_gamma_ratio,
     _log_gamma_ratio_grad,
-    _weibull_as_kgen,
     kgen_mean,
     kgen_moment,
 )
@@ -312,7 +311,7 @@ def _mixture_means(p: NetWealthMixtureParams):
     except MomentDivergenceError:
         raise MomentDivergenceError(
             "mixture Lorenz/Gini require the positive-branch mean to exist") from None
-    m_neg = kgen_mean(_weibull_as_kgen(p.negative_branch))
+    m_neg = kgen_mean(p.negative_branch)
     return -p.theta1 * m_neg + p.theta3 * m_pos, m_pos, m_neg
 
 

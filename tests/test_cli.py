@@ -300,6 +300,8 @@ class TestCompare:
         a = lines[1].split("\t")
         b = lines[2].split("\t")
         assert a[1:4] == b[1:4]
+        # tied rows are ranked in input order
+        assert (a[4:7], b[4:7]) == (["1", "1", "1"], ["2", "2", "2"])
 
     def test_nested_model_close_on_weibull_data(self, tmp_path, capsys):
         rng = np.random.default_rng(31)
@@ -406,6 +408,11 @@ PARAM_FAMILIES = {
 class TestEveryFamily:
     def test_table_covers_the_registry(self):
         assert set(PARAM_FAMILIES) == {m for m, f in FAMILIES.items() if f.flags}
+
+    def test_inequality_takes_the_base_models(self, capsys):
+        with pytest.raises(SystemExit):
+            run_cli("inequality", "--help")
+        assert "{kappagen,weibull,kappagen_normalized}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("model", sorted(PARAM_FAMILIES))
     def test_eval_matches_library(self, model, capsys):

@@ -86,6 +86,27 @@ class TestParamsValidation:
             NetWealthMixtureParams(wb, -0.1, 0.4, 0.7, kp)
 
 
+@pytest.mark.parametrize("shape", [0.5, 1.0, 2.0, 3.7])
+def test_weibull_is_the_base_model_at_kappa_zero(shape):
+    w, k = WeibullParams(shape, 1.5), KappaGenParams(shape, 1.5, 0.0)
+    x = np.array([1e-8, 0.3, 1.5, 4.0, 20.0])
+    for f in (kgen_logpdf, kgen_pdf, kgen_cdf, kgen_ccdf):
+        assert np.asarray(f(x, w)).tobytes() == np.asarray(f(x, k)).tobytes()
+    for f in (kgen_quantile, kgen_lorenz):
+        assert np.asarray(f(U_GRID, w)).tobytes() == np.asarray(f(U_GRID, k)).tobytes()
+    for r in (1, 2, 3):
+        assert kgen_moment(r, w) == kgen_moment(r, k)
+    for f in (kgen_gini, kgen_mld, kgen_theil):
+        assert f(w) == f(k)
+    assert (w.shape, w.scale, w.alpha, w.beta, w.kappa) == (shape, 1.5, shape, 1.5, 0.0)
+    assert repr(w) == f"WeibullParams(shape={shape!r}, scale=1.5)"
+    assert w == WeibullParams(shape, 1.5) and w != k
+    with pytest.raises(DomainError, match="shape must be positive"):
+        WeibullParams(-shape, 1.5)
+    with pytest.raises(DomainError, match="scale must be positive"):
+        WeibullParams(shape, 0.0)
+
+
 class TestKgenPdfCdf:
     def test_exponential_special_case(self):
         p = KappaGenParams(1.0, 1.0, 0.0)

@@ -181,10 +181,16 @@ class TestFitMle:
         res = fit_mle(s, FitConfig(model="kappagen", max_iter=1, multistart=1, seed=0))
         assert res.converged is False
 
-    def test_support_violation_raises(self):
+    def test_support_violation_raises(self, monkeypatch):
+        calls = []
+        for name in ("loglik", "loglik_hessian"):
+            inner = getattr(kfit, name)
+            monkeypatch.setattr(kfit, name, lambda *a, inner=inner: calls.append(a) or inner(*a))
         s = WeightedSample(np.array([1.0, 0.0, 2.0]))
-        with pytest.raises(SupportViolationError):
+        with pytest.raises(SupportViolationError) as err:
             fit_mle(s, FAST)
+        assert (err.value.index, err.value.value) == (1, 0.0)
+        assert calls == []  # raised before any start evaluated the objective
 
     def test_diagnostics_report_the_quasi_newton_stage(self):
         s = kgen_data(5000, seed=18)
