@@ -17,12 +17,13 @@ eigenvalues in absolute value, so a start where the Hessian is indefinite,
 as perturbed starts can be, still descends and reaches the optimum in a
 handful of steps.  The mixture gets the stage through its two branch fits.
 The two-stage scheme -- derivative-free simplex descent into the basin,
-then BFGS polish on central-difference gradients -- is the fallback when
-the Newton stage fails, and the only scheme for ekg1 and ekg2.  Both stop
-at a fixed max-abs gradient of _GTOL = 1e-8.  Convergence is judged by the
-max-abs central-difference gradient of the weight-normalized
-log-likelihood, the numerical surrogate for the score equations, and
-FitResult.diagnostics records how each start got there.
+then BFGS polish on scipy's central-difference gradients -- is the
+fallback when the Newton stage fails, and the only scheme for ekg1 and
+ekg2.  Both stop at a fixed max-abs gradient of _GTOL = 1e-8.  Convergence
+is judged by the max-abs gradient of the weight-normalized log-likelihood
+that the winning start's stage ended on, with no further evaluation:
+closed-form after the Newton stage, central differences after the
+two-stage scheme.  FitResult.diagnostics records how each start got there.
 
 Every fit takes one result path: _fit_transformed returns a FitResult
 without goodness of fit, and each entry point (fit_mle, fit_normalized,
@@ -133,10 +134,10 @@ class StartTrace:
 @dataclass(frozen=True)
 class FitDiagnostics:
     """How a fit reached its answer.  evaluations counts every objective
-    evaluation, the convergence check's included; penalties counts, by
-    cause, the evaluations that returned the objective's penalty value:
-    an exception's type name, "out-of-range" for an optimizer coordinate
-    beyond +-60, and "non-finite" for a nan or infinite log-likelihood."""
+    evaluation, the sum of its starts'; penalties counts, by cause, the
+    evaluations that returned the objective's penalty value: an exception's
+    type name, "out-of-range" for an optimizer coordinate beyond +-60, and
+    "non-finite" for a nan or infinite log-likelihood."""
 
     starts: tuple
     evaluations: int
@@ -482,30 +483,18 @@ def _initial_kgen(sample: WeightedSample):
 # optimizer core
 
 
-def _central_gradient(fun, x, step=6e-6):
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        h = step * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        grad[i] = (fun(xp) - fun(xm)) / (2.0 * h)
-    return grad
-
-
 def _two_stage_minimize(fun, x0, config):
-    """Simplex descent into the basin, then quasi-Newton polish."""
+    """Simplex descent into the basin, then quasi-Newton polish on scipy's
+    central-difference gradients.  BFGS's line search never ends above its
+    start, so its end point is the stage's.  Returns (x, f, g, iterations),
+    g the central-difference gradient BFGS ended on."""
     stage1 = minimize(fun, x0, method="Nelder-Mead",
                       options={"maxiter": config.max_iter,
                                "xatol": 1e-6, "fatol": 1e-10})
-    grad = lambda x: _central_gradient(fun, x)
-    stage2 = minimize(fun, stage1.x, method="BFGS", jac=grad,
+    stage2 = minimize(fun, stage1.x, method="BFGS", jac="3-point",
                       options={"maxiter": config.max_iter,
                                "gtol": _GTOL})
-    best = stage2 if stage2.fun <= stage1.fun else stage1
-    iterations = int(stage1.nit) + int(stage2.nit)
-    return best.x, float(best.fun), iterations
+    return stage2.x, float(stage2.fun), stage2.jac, int(stage1.nit) + int(stage2.nit)
 
 
 def _newton(evaluate, x0, config):
@@ -519,20 +508,20 @@ def _newton(evaluate, x0, config):
     is reached once max |g| <= _GTOL, or once H is positive definite and
     Newton's predicted decrease g.H^-1.g/2 is below the rounding of f,
     eps max(|f|, 1): from there a step could only move the last bits of f.
-    Returns (x, f, steps, reached); reached is False when the stage ended
-    any other way (a penalty value or a non-finite H, 40 halvings, max_iter
-    steps).
+    Returns (x, f, g, steps, reached), g the closed-form gradient at x;
+    reached is False when the stage ended any other way (a penalty value or
+    a non-finite H, 40 halvings, max_iter steps).
     """
     x = x0
     f, g, hess = evaluate(x)
     for steps in range(config.max_iter + 1):
         if hess is None or not np.all(np.isfinite(hess)):
-            return x, f, steps, False
+            return x, f, g, steps, False
         lam, vecs = np.linalg.eigh(hess)
         along = vecs.T @ g
         if np.max(np.abs(g)) <= _GTOL or (
                 lam[0] > 0.0 and 0.5 * np.sum(along * along / lam) <= _EPS * max(abs(f), 1.0)):
-            return x, f, steps, True
+            return x, f, g, steps, True
         if steps == config.max_iter:
             break
         abs_lam = np.abs(lam)
@@ -548,7 +537,7 @@ def _newton(evaluate, x0, config):
             break
         x = x + step
         f, g, hess = trial
-    return x, f, steps, False
+    return x, f, g, steps, False
 
 
 def _fit_transformed(model, sample, config):
@@ -604,20 +593,20 @@ def _fit_transformed(model, sample, config):
         before = evaluations
         reached = False
         if family.hessian is not None:
-            x_opt, f_opt, nit, reached = _newton(lambda vec: evaluate(vec, True), start, config)
+            x_opt, f_opt, g_opt, nit, reached = _newton(lambda vec: evaluate(vec, True),
+                                                        start, config)
             iterations += nit
         stage = "newton"
         if not reached:
-            x_fb, f_fb, nit = _two_stage_minimize(evaluate, start, config)
+            x_fb, f_fb, g_fb, nit = _two_stage_minimize(evaluate, start, config)
             iterations += nit
             if family.hessian is None or f_fb <= f_opt:
-                x_opt, f_opt, stage = x_fb, f_fb, "fallback"
+                x_opt, f_opt, g_opt, stage = x_fb, f_fb, g_fb, "fallback"
         starts.append(StartTrace(model, -f_opt * total_w, stage, evaluations - before))
         if best is None or f_opt < best[1]:
-            best = (x_opt, f_opt)
-    x_opt, f_opt = best
-    score = _central_gradient(evaluate, x_opt)
-    score_norm = float(np.max(np.abs(score)))
+            best = (x_opt, f_opt, g_opt)
+    x_opt, f_opt, g_opt = best
+    score_norm = float(np.max(np.abs(g_opt)))
     converged = math.isfinite(f_opt) and f_opt < 1e11 and score_norm <= _SCORE_TOL
     diagnostics = FitDiagnostics(tuple(starts), evaluations, tuple(sorted(penalties.items())))
     return FitResult(model, family.decode(x_opt), -f_opt * total_w, converged, iterations,

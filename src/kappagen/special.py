@@ -81,8 +81,10 @@ def inv_reg_inc_beta(u, a, b):
     below the normal range, x0 comes from logarithms instead.
 
     The other entries with 2^-64 <= u <= 1/2 come from _tabulated_inverse
-    when there are more of them than its table has nodes; everything else,
-    scalars included, comes from betaincinv.
+    when there are more of them than its table has nodes, and those with
+    subnormal u from _subnormal_inverse (betaincinv's answer there can be
+    off by a factor of 2); everything else, scalars included, comes from
+    betaincinv.
     """
     a, b = _check_shapes("inv_reg_inc_beta", a, b)
     arr, scalar = _asarray(u)
@@ -102,8 +104,32 @@ def inv_reg_inc_beta(u, a, b):
         if z is not None:
             out[lower] = z
             rest &= ~lower
+        sub = rest & (arr < _TINY)
+        if sub.any():
+            out[sub] = _subnormal_inverse(arr[sub], x0[sub], a, b)
+            rest &= ~sub
         out[rest] = sc.betaincinv(a, b, arr[rest])
     return _restore(out, scalar)
+
+
+def _subnormal_inverse(u, z, a, b):
+    """z with I_z(a, b) = u for subnormal u, by Newton's method in ln z from
+    the leading-term root z on
+    ln I_z = a ln z + b ln(1 - z) - ln a - ln B(a, b) + ln F,
+    F = 2F1(a + b, 1; a + 1; z) (DLMF 8.17.8), whose slope in ln z is
+    a / ((1 - z) F).  Each step is capped at halving |ln z|, so z stays in
+    (0, 1)."""
+    ln_u = np.log(u)
+    ln_lead = math.log(a) + sc.betaln(a, b)
+    y = np.log(z)
+    for _ in range(20):  # two to five steps at the shapes tested
+        z = np.exp(y)
+        f = sc.hyp2f1(a + b, 1.0, a + 1.0, z)
+        step = (a * y + b * np.log1p(-z) - ln_lead + np.log(f) - ln_u) * (1.0 - z) * f / a
+        y = np.minimum(y - step, 0.5 * y)
+        if np.all(np.abs(step) <= np.finfo(float).eps * np.abs(y)):
+            break
+    return np.exp(y)
 
 
 _TINY = np.finfo(float).tiny

@@ -199,9 +199,30 @@ class TestFitMle:
         assert [start.stage for start in d.starts] == ["newton"] * 3
         assert {start.model for start in d.starts} == {"kappagen"}
         assert max(start.loglik for start in d.starts) == pytest.approx(res.loglik, rel=1e-14)
-        # every start's evaluations plus the convergence check's central differences
-        assert d.evaluations == sum(start.evaluations for start in d.starts) + 6
+        # every evaluation is a start's: convergence is judged on the gradient
+        # the winning start's stage ended on
+        assert d.evaluations == sum(start.evaluations for start in d.starts)
         assert d.penalties == ()
+
+    @pytest.mark.parametrize("model", ["kappagen", "weibull", "kappagen_normalized"])
+    def test_score_norm_is_the_gradient_the_newton_stage_ended_on(self, model):
+        s = kgen_data(3000, seed=19)
+        res = fit_mle(s, FitConfig(model=model, multistart=2, seed=0))
+        d = res.diagnostics
+        assert [start.stage for start in d.starts] == ["newton"] * 2
+        assert d.evaluations == sum(start.evaluations for start in d.starts)
+        if res.scale is not None:  # the unit-mean model is fitted on the mean-scaled sample
+            s = WeightedSample(s.values / res.scale, s.weights)
+        grad = kfit.loglik_hessian(s, model, res.params)[1]
+        assert res.score_norm == np.max(np.abs(grad)) / s.total_weight
+
+    def test_evaluations_are_the_starts_on_the_two_stage_scheme(self):
+        from kappagen import ekg2_sample
+        x = ekg2_sample(500, EKG2Params(2.0, 1.0, 0.8, 1.2), seed=20)
+        res = fit_mle(WeightedSample(x), FitConfig(model="ekg2", multistart=2, seed=0))
+        d = res.diagnostics
+        assert [start.stage for start in d.starts] == ["fallback"] * 2
+        assert d.evaluations == sum(start.evaluations for start in d.starts)
 
     def test_a_start_with_an_indefinite_hessian_reaches_the_optimum_by_newton(self):
         s = WeightedSample(kgen_sample(10_000, KappaGenParams(2.0, 1.0, 0.5), 1))
@@ -251,6 +272,24 @@ class TestFitNormalized:
             got = np.array([getattr(r.params, name) for r in fits])
             assert np.ptp(got) <= 1e-9 * np.mean(got), name
         assert len({r.converged for r in fits}) == 1
+
+    def test_fallback_reaches_the_kappa_cap_the_newton_stage_cannot(self, monkeypatch):
+        # a Pareto tail of index 0.8: the unit-mean likelihood rises toward
+        # kappa = 1, where the decode caps kappa and the logit-kappa gradient
+        # vanishes; the Newton stage runs out of steps short of it and the
+        # two-stage scheme ends 1.05e-8 relative higher, on the cap
+        ends = []
+        newton = kfit._newton
+        monkeypatch.setattr(kfit, "_newton", lambda *args: ends.append(newton(*args)) or ends[-1])
+        s = WeightedSample((np.random.default_rng(0).pareto(0.8, 1000) + 1) * 10)
+        res = fit_mle(s, FitConfig(model="kappagen_normalized", multistart=1))
+        ((_, f_newton, _, _, reached),) = ends
+        assert not reached
+        (start,) = res.diagnostics.starts
+        assert start.stage == "fallback"
+        assert res.params.kappa == kfit._KAPPA_MAX
+        assert res.converged and res.score_norm <= 1e-4
+        assert f_newton + start.loglik / s.total_weight > 1e-9 * abs(f_newton)
 
 
 def region_sample(seed, region, n=10_000, alpha=2.5, beta=1.0, kappa=0.6):
