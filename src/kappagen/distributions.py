@@ -213,10 +213,10 @@ def _kgen_loglik_hessian(values, weights, p: KappaGenParams):
     q overwrites y, and arrays are freed as soon as their sums are taken.
     """
     out, ln_rel, y, asinh_ky, s = _kgen_log_terms(values, p)
-    ll = float(np.sum(weights * out))
     a, k = p.alpha, p.kappa
     hess = np.zeros((3, 3))
     with np.errstate(over="ignore", invalid="ignore"):
+        ll = float(np.sum(weights * out))  # -inf or nan past the double range
         if k == 0.0:
             q = y
         else:

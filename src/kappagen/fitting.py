@@ -39,7 +39,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .data import WeightedSample
 from .deformed import _asarray, _restore
@@ -406,8 +405,11 @@ def loglik(sample: WeightedSample, model, params):
     family = _family(model)
     if family.positive:
         _check_support(sample.values, model)
-    terms = family.logpdf(sample.values, params)
-    return float(np.sum(sample.weights * np.asarray(terms, dtype=float)))
+    terms = np.asarray(family.logpdf(sample.values, params), dtype=float)
+    # a weighted term past the double range makes the sum -inf, and a zero
+    # weight on a -inf term makes it nan: a fit counts either as non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sum(sample.weights * terms))
 
 
 def loglik_score(sample: WeightedSample, model, params):
@@ -488,6 +490,10 @@ def _two_stage_minimize(fun, x0, config):
     central-difference gradients.  BFGS's line search never ends above its
     start, so its end point is the stage's.  Returns (x, f, g, iterations),
     g the central-difference gradient BFGS ended on."""
+    # imported on first use: scipy.optimize is ~40% of the package's import
+    # time, which sample, eval and Newton-only fits need not pay
+    from scipy.optimize import minimize
+
     stage1 = minimize(fun, x0, method="Nelder-Mead",
                       options={"maxiter": config.max_iter,
                                "xatol": 1e-6, "fatol": 1e-10})

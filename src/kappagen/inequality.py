@@ -404,27 +404,33 @@ def empirical_lorenz(sample: WeightedSample):
     """Weight-sorted cumulative-share Lorenz curve from unit records.
 
     Equal values are grouped before cumulating; weights are normalized to
-    sum to one.
+    sum to one.  The sample's cached order is the only sort: groups start
+    where the sorted values change, and records of zero weight are dropped
+    from it only when the sample has some.
     """
     order = sample.order
-    order = order[sample.weights[order] > 0.0]  # the stable order of the positive weights
-    if order.size == 0:
-        raise DegenerateDataError("all weights are zero")
+    if not sample.weights.min() > 0.0:
+        order = order[sample.weights[order] > 0.0]  # the stable order of the positive weights
+        if order.size == 0:
+            raise DegenerateDataError("all weights are zero")
     values = sample.values[order]
     weights = sample.weights[order]
-    distinct, start = np.unique(values, return_index=True)
-    w_grouped = np.add.reduceat(weights, start)
-    xw_grouped = np.add.reduceat(values * weights, start)
-    total_w = w_grouped.sum()
-    total_xw = xw_grouped.sum()
+    weighted = values * weights
+    changes = values[1:] != values[:-1]
+    if not changes.all():  # a tie: sum each group of equal values
+        start = np.flatnonzero(np.concatenate(([True], changes)))
+        weights = np.add.reduceat(weights, start)
+        weighted = np.add.reduceat(weighted, start)
+    total_w = weights.sum()
+    total_xw = weighted.sum()
     if total_xw == 0.0:
         raise DegenerateNormalizationError("sample mean is zero; Lorenz undefined")
-    u = np.cumsum(w_grouped) / total_w
-    ell = np.cumsum(xw_grouped) / total_xw
-    u[-1] = 1.0
-    ell[-1] = 1.0
-    points = np.column_stack([np.concatenate([[0.0], u]),
-                              np.concatenate([[0.0], ell])])
+    points = np.empty((weights.size + 1, 2))
+    points[0] = 0.0
+    np.cumsum(weights, out=points[1:, 0])
+    np.cumsum(weighted, out=points[1:, 1])
+    points[1:] /= (total_w, total_xw)
+    points[-1] = 1.0
     return LorenzCurve(points=points, source="empirical")
 
 

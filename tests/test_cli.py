@@ -509,3 +509,23 @@ class TestProcessLevel:
     def test_usage_error_exit_one(self):
         proc = run_proc("fit")  # missing input argument
         assert proc.returncode == 1
+
+    def test_scipy_optimize_is_imported_only_by_a_fit_that_needs_it(self, tmp_path):
+        # only the two-stage scheme uses scipy.optimize: sample and a fit
+        # that the Newton stage finishes leave it unimported, and an ekg2
+        # fit, which has no other scheme, imports it on first use
+        path = str(tmp_path / "s.txt")
+        script = f"""
+import sys
+from kappagen.cli import main
+path = {path!r}
+assert main(["sample", "--model", "kappagen", "--alpha", "2", "--beta", "1",
+             "--kappa", "0.5", "--n", "2000", "--seed", "1", "-o", path]) == 0
+assert "scipy.optimize" not in sys.modules
+assert main(["fit", path, "--multistart", "1", "-o", path + ".kappagen.json"]) == 0
+assert "scipy.optimize" not in sys.modules
+assert main(["fit", path, "--model", "ekg2", "--multistart", "1", "-o", path + ".ekg2.json"]) == 0
+assert "scipy.optimize" in sys.modules
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

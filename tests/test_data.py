@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kappagen import DataFormatError, WeightedSample, load_dataset
+from kappagen import (DataFormatError, KappaGenParams, NetWealthMixtureParams, WeibullParams,
+                      WeightedSample, load_dataset, mixture_sample)
 from kappagen.data import _parse_bulk, _parse_line
 
 
@@ -187,3 +188,31 @@ class TestSortOrder:
         s = WeightedSample(np.array([3.0, 1.0, 3.0, 2.0, 1.0]))
         assert s.order.tolist() == [1, 4, 3, 0, 2]
         assert s.order is s.order
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(values=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]),
+                                     st.floats(allow_nan=False, allow_infinity=False)),
+                           min_size=1, max_size=80))
+    def test_order_is_the_stable_argsort(self, values):
+        values = np.array(values)
+        assert np.array_equal(WeightedSample(values).order, np.argsort(values, kind="stable"))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 20_000), distinct=st.integers(1, 10**9),
+           zero_share=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**32 - 1))
+    def test_order_of_large_and_heavily_tied_samples(self, n, distinct, zero_share, seed):
+        # sizes past the small-array paths of the sorts; distinct = 1 ties
+        # every record, and zero_share puts an atom of -0.0 and 0.0
+        rng = np.random.default_rng(seed)
+        values = (rng.integers(0, distinct, n) - distinct // 2) * 0.37
+        zeros = rng.random(n) < zero_share
+        values[zeros] = np.where(rng.random(n) < 0.5, 0.0, -0.0)[zeros]
+        assert np.array_equal(WeightedSample(values).order, np.argsort(values, kind="stable"))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_order_of_net_wealth_draws_with_their_zero_atom(self, seed):
+        p = NetWealthMixtureParams(WeibullParams(0.7, 1.0), 0.2, 0.1, 0.7,
+                                   KappaGenParams(2.0, 10.0, 0.75))
+        values = mixture_sample(5000, p, seed)
+        assert np.count_nonzero(values == 0.0) > 1
+        assert np.array_equal(WeightedSample(values).order, np.argsort(values, kind="stable"))

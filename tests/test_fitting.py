@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -775,3 +776,33 @@ class TestHessian:
             kfit.loglik_hessian(bad, "kappagen", KappaGenParams(2.0, 1.0, 0.5))
         with pytest.raises(DomainError):
             kfit.loglik_hessian(kgen_data(50, seed=3), "ekg2", EKG2Params(2.0, 1.0, 2.0, 1.2))
+
+
+class TestOverflowingTerms:
+    """A trial point whose weighted log-density terms leave the double range
+    is the objective's "non-finite" penalty, not a floating-point warning
+    (the suite runs with RuntimeWarning as an error)."""
+
+    SAMPLE = WeightedSample(np.array([0.5, 0.875]), np.array([5.0, 5.0]))
+    POINT = WeibullParams(176.9, 0.0159)  # a Newton trial step a weibull fit reached
+
+    def test_loglik_and_hessian_are_non_finite_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ll = kfit.loglik_hessian(self.SAMPLE, "weibull", self.POINT)[0]
+            assert ll == -math.inf
+            assert loglik(self.SAMPLE, "weibull", self.POINT) == -math.inf
+            # a zero weight on a -inf term, also without a warning
+            zero = WeightedSample(np.array([0.5, 0.875, 3.0]), np.array([5.0, 5.0, 0.0]))
+            assert not math.isfinite(loglik(zero, "weibull", self.POINT))
+            assert not math.isfinite(kfit.loglik_hessian(zero, "weibull", self.POINT)[0])
+
+    def test_a_fit_counts_it_as_a_non_finite_penalty(self, monkeypatch):
+        point = self.POINT
+        monkeypatch.setitem(FAMILIES, "weibull",
+                            replace(FAMILIES["weibull"], start=lambda *_: point))
+        res = kfit._fit_transformed("weibull", self.SAMPLE,
+                                    FitConfig(model="weibull", multistart=1, seed=0))
+        d = res.diagnostics
+        assert d.penalties == (("non-finite", d.evaluations),)
+        assert res.converged is False

@@ -344,6 +344,47 @@ class TestQuantileFallback:
             quantile_lorenz(0.5, lambda t: np.asarray(t, dtype=float), 0.0)
 
 
+def unique_reduceat_lorenz(values, weights):
+    """The empirical Lorenz points by their own stable sort of the records
+    of positive weight, np.unique's group starts and np.add.reduceat."""
+    weights = np.ones_like(values) if weights is None else weights
+    keep = weights > 0.0
+    if not keep.any():
+        raise DegenerateDataError("all weights are zero")
+    order = np.argsort(values[keep], kind="stable")
+    v, w = values[keep][order], weights[keep][order]
+    _, start = np.unique(v, return_index=True)
+    w_grouped, xw_grouped = np.add.reduceat(w, start), np.add.reduceat(v * w, start)
+    if xw_grouped.sum() == 0.0:
+        raise DegenerateNormalizationError("sample mean is zero")
+    u = np.cumsum(w_grouped) / w_grouped.sum()
+    ell = np.cumsum(xw_grouped) / xw_grouped.sum()
+    u[-1] = ell[-1] = 1.0
+    return np.column_stack([np.concatenate([[0.0], u]), np.concatenate([[0.0], ell])])
+
+
+def _kgen_draws(rounding=None):
+    x = kgen_sample(3000, KappaGenParams(2.0, 1.0, 0.5), seed=8)
+    return x if rounding is None else np.round(x, rounding)
+
+
+def _integer_weights(n, low=0):
+    return np.random.default_rng(9).integers(low, 5, n).astype(float)
+
+
+EMPIRICAL_CASES = {
+    "tie-free": lambda: (_kgen_draws(), None),
+    "tie-free, weighted": lambda: (_kgen_draws(), _integer_weights(3000, low=1)),
+    "tie-free, zero weights": lambda: (_kgen_draws(), _integer_weights(3000)),
+    "tied": lambda: (_kgen_draws(2), None),
+    "one record": lambda: (np.array([2.5]), None),
+    "signed zeros and negatives": lambda: (
+        np.array([0.0, -0.0, 3.0, -1.0, 0.0, 2.0, -0.0, 3.0]), None),
+    "all weights zero": lambda: (np.array([1.0, 2.0]), np.zeros(2)),
+    "zero mean": lambda: (np.array([-1.0, 1.0]), None),
+}
+
+
 class TestEmpirical:
     def test_perfect_equality(self):
         s = WeightedSample(np.full(50, 3.0))
@@ -375,17 +416,23 @@ class TestEmpirical:
         rng = np.random.default_rng(8)
         values = np.round(kgen_sample(3000, KappaGenParams(2.0, 1.0, 0.5), seed=8), 1)
         weights = rng.integers(0, 4, values.size) * 0.3
-        mask = weights > 0.0
-        order = np.argsort(values[mask], kind="stable")
-        v, w = values[mask][order], weights[mask][order]
-        _, start = np.unique(v, return_index=True)
-        w_grouped, xw_grouped = np.add.reduceat(w, start), np.add.reduceat(v * w, start)
-        u = np.cumsum(w_grouped) / w_grouped.sum()
-        ell = np.cumsum(xw_grouped) / xw_grouped.sum()
-        u[-1] = ell[-1] = 1.0
-        want = np.column_stack([np.concatenate([[0.0], u]), np.concatenate([[0.0], ell])])
+        want = unique_reduceat_lorenz(values, weights)
         got = empirical_lorenz(WeightedSample(values, weights)).points
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(EMPIRICAL_CASES))
+    def test_same_bits_and_errors_as_the_unique_reduceat_reference(self, case):
+        values, weights = EMPIRICAL_CASES[case]()
+        try:
+            want = unique_reduceat_lorenz(values, weights)
+        except (DegenerateDataError, DegenerateNormalizationError) as exc:
+            with pytest.raises(type(exc)):
+                empirical_lorenz(WeightedSample(values, weights))
+            return
+        s = WeightedSample(values, weights)
+        assert empirical_lorenz(s).points.tobytes() == want.tobytes()
+        u, ell = want[:, 0], want[:, 1]
+        assert empirical_gini(s) == 1.0 - float(np.sum(np.diff(u) * (ell[1:] + ell[:-1])))
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateDataError):
