@@ -192,6 +192,17 @@ def _asinh_rest(u):
     return 1.0 / 3.0 - u2 * (3.0 / 10.0 - u2 * (15.0 / 56.0 - u2 * (35.0 / 144.0)))
 
 
+def _weighted_sum(weights, terms):
+    """sum(w * term) over the records, where a record of zero weight adds
+    no term (not 0 * -inf = nan); past the double range it is -inf or nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(weights * terms))
+        if math.isnan(total) and not weights.all():
+            kept = weights != 0.0
+            total = float(np.sum(weights[kept] * terms[kept]))
+    return total
+
+
 def _kgen_loglik_hessian(values, weights, p: KappaGenParams):
     """Weighted log-likelihood sum(w ln f(x)) of the base model, its
     gradient and its 3x3 Hessian in (ln alpha, ln beta, kappa), from one
@@ -216,7 +227,7 @@ def _kgen_loglik_hessian(values, weights, p: KappaGenParams):
     a, k = p.alpha, p.kappa
     hess = np.zeros((3, 3))
     with np.errstate(over="ignore", invalid="ignore"):
-        ll = float(np.sum(weights * out))  # -inf or nan past the double range
+        ll = _weighted_sum(weights, out)
         if k == 0.0:
             q = y
         else:

@@ -12,18 +12,19 @@ parameter bounded above).  The base model, Weibull and the unit-mean model
 have a closed-form gradient and Hessian (loglik_hessian, one pass over the
 records; the unit-mean model's through the chain rule on its pinned
 scale), so each start runs one Newton stage on the exact Hessian straight
-from the survival-plot initializer.  Its steps take the Hessian's
-eigenvalues in absolute value, so a start where the Hessian is indefinite,
-as perturbed starts can be, still descends and reaches the optimum in a
-handful of steps.  The mixture gets the stage through its two branch fits.
-The two-stage scheme -- derivative-free simplex descent into the basin,
-then BFGS polish on scipy's central-difference gradients -- is the
-fallback when the Newton stage fails, and the only scheme for ekg1 and
-ekg2.  Both stop at a fixed max-abs gradient of _GTOL = 1e-8.  Convergence
-is judged by the max-abs gradient of the weight-normalized log-likelihood
-that the winning start's stage ended on, with no further evaluation:
-closed-form after the Newton stage, central differences after the
-two-stage scheme.  FitResult.diagnostics records how each start got there.
+from the survival-plot initializer, and nothing else.  Its steps take the
+Hessian's eigenvalues in absolute value, so a start where the Hessian is
+indefinite, as perturbed starts can be, still descends, and move at most
+_MAX_STEP along any eigen-direction, so a step along near-zero curvature
+neither overshoots nor stalls short of the kappa cap.  The mixture gets the
+stage through its two branch fits.  ekg1 and ekg2 have no Hessian and take
+the two-stage scheme ("fallback"): derivative-free simplex descent into the
+basin, then BFGS polish on scipy's central-difference gradients.  Both stop
+at a fixed max-abs gradient of _GTOL = 1e-8.  Convergence is judged by the
+max-abs gradient of the weight-normalized log-likelihood that the winning
+start's stage ended on, with no further evaluation: closed-form after the
+Newton stage, central differences after the two-stage scheme.
+FitResult.diagnostics records how each start got there.
 
 Every fit takes one result path: _fit_transformed returns a FitResult
 without goodness of fit, and each entry point (fit_mle, fit_normalized,
@@ -50,6 +51,7 @@ from .distributions import (
     WeibullParams,
     _kgen_loglik_hessian,
     _unit_mean_log_scale_grad,
+    _weighted_sum,
     ekg1_ccdf,
     ekg1_cdf,
     ekg1_logpdf,
@@ -87,7 +89,8 @@ _MIN_EFFECTIVE_BRANCH = 30.0
 _PENALTY = 1e12  # objective value where the log-likelihood cannot be evaluated
 _EPS = float(np.finfo(float).eps)
 _KAPPA_MAX = 1.0 - 1e-12  # the fitted families' decode caps kappa here
-_GTOL = 1e-8  # the max-abs gradient stop of both stages, on the mean log-likelihood
+_GTOL = 1e-8  # the max-abs gradient stop of both schemes, on the mean log-likelihood
+_MAX_STEP = 4.0  # the longest Newton step along any eigen-direction of the Hessian
 
 
 @dataclass(frozen=True)
@@ -120,8 +123,8 @@ class GoodnessOfFit:
 class StartTrace:
     """One start of a multistart fit: the model fitted (a mixture fit has a
     weibull and a kappagen branch), the log-likelihood it reached, the stage
-    that reached it ("newton", or "fallback" for the two-stage scheme,
-    which families without a Hessian always take) and its objective
+    that reached it ("newton" for the families with a closed-form Hessian,
+    "fallback" for the two-stage scheme the others take) and its objective
     evaluations."""
 
     model: str
@@ -382,6 +385,9 @@ FAMILIES = {
         decode=lambda v: kgen_from_normalized(math.exp(v[0]),
                                               min(_sigmoid(v[1]), _KAPPA_MAX)),
         encode=lambda p: np.array([math.log(p.alpha), _logit(p.kappa)]),
+        # the unit mean needs alpha/kappa > 1: a start outside it is the penalty
+        start=lambda alpha0, beta0, kappa0: KappaGenParams(alpha0, beta0,
+                                                           min(kappa0, alpha0 / 1.25)),
         hessian=_normalized_hessian,
     ),
 }
@@ -401,15 +407,12 @@ def _check_support(values, model):
 
 
 def loglik(sample: WeightedSample, model, params):
-    """Weighted log-likelihood sum(w_i * ln f(x_i)), computed in log space."""
+    """Weighted log-likelihood sum(w_i * ln f(x_i)), computed in log space;
+    a record of zero weight adds no term."""
     family = _family(model)
     if family.positive:
         _check_support(sample.values, model)
-    terms = np.asarray(family.logpdf(sample.values, params), dtype=float)
-    # a weighted term past the double range makes the sum -inf, and a zero
-    # weight on a -inf term makes it nan: a fit counts either as non-finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.sum(sample.weights * terms))
+    return _weighted_sum(sample.weights, family.logpdf(sample.values, params))
 
 
 def loglik_score(sample: WeightedSample, model, params):
@@ -508,30 +511,30 @@ def _newton(evaluate, x0, config):
 
     evaluate returns (f, g, H) at a point from one pass over the records.
     Each step is -H^-1 g with H's eigenvalues replaced by their absolute
-    values, floored at 1e-8 of the largest (Nocedal & Wright, Numerical
-    Optimization, 2006, sec. 3.4), so a step from an indefinite start still
-    descends; it is halved until f falls by 1e-4 |g.p| (Armijo).  The stage
-    is reached once max |g| <= _GTOL, or once H is positive definite and
-    Newton's predicted decrease g.H^-1.g/2 is below the rounding of f,
-    eps max(|f|, 1): from there a step could only move the last bits of f.
-    Returns (x, f, g, steps, reached), g the closed-form gradient at x;
-    reached is False when the stage ended any other way (a penalty value or
-    a non-finite H, 40 halvings, max_iter steps).
+    values (Nocedal & Wright, Numerical Optimization, 2006, sec. 3.4), so a
+    step from an indefinite start still descends, each floored at
+    |g_i|/_MAX_STEP, g_i the gradient along its eigenvector, so that no
+    eigen-direction moves further than _MAX_STEP (a bounded step, as in a
+    trust region: ibid., ch. 4); one with neither curvature nor slope, as
+    on the kappa cap, does not move.  The step is halved until f falls by
+    1e-4 |g.p| (Armijo).  The stage stops once max |g| <= _GTOL, or once H
+    is positive definite and Newton's predicted decrease g.H^-1.g/2 is below
+    the rounding of f, eps max(|f|, 1), from where a step could only move
+    the last bits of f; or at a penalty value or a non-finite H, 40 halvings
+    or max_iter steps.  Returns (x, f, g, steps), g the gradient at x.
     """
     x = x0
     f, g, hess = evaluate(x)
     for steps in range(config.max_iter + 1):
         if hess is None or not np.all(np.isfinite(hess)):
-            return x, f, g, steps, False
+            break
         lam, vecs = np.linalg.eigh(hess)
         along = vecs.T @ g
-        if np.max(np.abs(g)) <= _GTOL or (
+        if steps == config.max_iter or np.max(np.abs(g)) <= _GTOL or (
                 lam[0] > 0.0 and 0.5 * np.sum(along * along / lam) <= _EPS * max(abs(f), 1.0)):
-            return x, f, g, steps, True
-        if steps == config.max_iter:
             break
-        abs_lam = np.abs(lam)
-        step = -vecs @ (along / np.maximum(abs_lam, 1e-8 * abs_lam.max()))
+        floor = np.maximum(np.abs(lam), np.abs(along) / _MAX_STEP)
+        step = -vecs @ np.divide(along, floor, out=np.zeros_like(along), where=floor > 0.0)
         decrease = 1e-4 * abs(float(g @ step))
         for _ in range(40):
             trial = evaluate(x + step)
@@ -543,13 +546,13 @@ def _newton(evaluate, x0, config):
             break
         x = x + step
         f, g, hess = trial
-    return x, f, g, steps, False
+    return x, f, g, steps
 
 
 def _fit_transformed(model, sample, config):
-    """Multistart maximization of the mean log-likelihood: one Newton stage
-    on the closed-form Hessian per start, with the two-stage scheme as the
-    fallback (and the only scheme for families without a Hessian).  Returns
+    """Multistart maximization of the mean log-likelihood by one scheme per
+    family: a Newton stage on the closed-form Hessian per start where the
+    family has one, else the two-stage scheme (stage "fallback").  Returns
     a FitResult whose loglik is the optimizer's, with no goodness of fit."""
     family = FAMILIES[model]
     values = sample.values
@@ -590,6 +593,7 @@ def _fit_transformed(model, sample, config):
 
     x0 = family.encode(family.start(*_initial_kgen(sample)))
 
+    stage = "newton" if family.hessian is not None else "fallback"
     best = None
     iterations = 0
     starts = []
@@ -597,17 +601,11 @@ def _fit_transformed(model, sample, config):
         rng = np.random.default_rng([config.seed, replicate])
         start = x0 if replicate == 0 else x0 + rng.normal(0.0, 0.35, size=x0.size)
         before = evaluations
-        reached = False
         if family.hessian is not None:
-            x_opt, f_opt, g_opt, nit, reached = _newton(lambda vec: evaluate(vec, True),
-                                                        start, config)
-            iterations += nit
-        stage = "newton"
-        if not reached:
-            x_fb, f_fb, g_fb, nit = _two_stage_minimize(evaluate, start, config)
-            iterations += nit
-            if family.hessian is None or f_fb <= f_opt:
-                x_opt, f_opt, g_opt, stage = x_fb, f_fb, g_fb, "fallback"
+            x_opt, f_opt, g_opt, nit = _newton(lambda vec: evaluate(vec, True), start, config)
+        else:
+            x_opt, f_opt, g_opt, nit = _two_stage_minimize(evaluate, start, config)
+        iterations += nit
         starts.append(StartTrace(model, -f_opt * total_w, stage, evaluations - before))
         if best is None or f_opt < best[1]:
             best = (x_opt, f_opt, g_opt)

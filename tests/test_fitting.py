@@ -239,6 +239,34 @@ class TestFitMle:
         best = max(start.loglik for start in starts)
         for start in starts:
             assert start.loglik == pytest.approx(best, rel=1e-12)
+        # start 2 meets near-zero curvature: a full Newton step there would
+        # overshoot and be halved back, where the bounded step is taken whole
+        assert starts[2].evaluations <= 8
+
+    def test_no_family_with_a_hessian_reaches_the_two_stage_scheme(self, monkeypatch):
+        class TwoStage(Exception):
+            pass
+
+        def two_stage(*args):
+            raise TwoStage
+        monkeypatch.setattr(kfit, "_two_stage_minimize", two_stage)
+        # an unconverged max_iter=1 fit, and a unit-mean optimum on the kappa cap
+        res = fit_mle(kgen_data(4000), FitConfig(model="kappagen", multistart=1, seed=3,
+                                                  max_iter=1))
+        assert not res.converged and res.iterations == 1
+        cap = WeightedSample((np.random.default_rng(0).pareto(0.8, 1000) + 1) * 10)
+        assert fit_mle(cap, FitConfig(model="kappagen_normalized", multistart=1)).converged
+        # a start whose first evaluation is the penalty ends there
+        point = TestOverflowingTerms.POINT
+        monkeypatch.setitem(FAMILIES, "weibull",
+                            replace(FAMILIES["weibull"], start=lambda *_: point))
+        res = kfit._fit_transformed("weibull", TestOverflowingTerms.SAMPLE,
+                                    FitConfig(model="weibull", multistart=1, seed=0))
+        assert [(st.stage, st.evaluations) for st in res.diagnostics.starts] == [("newton", 1)]
+        assert not res.converged
+        # a family without a Hessian still takes it
+        with pytest.raises(TwoStage):
+            fit_mle(kgen_data(200), FitConfig(model="ekg2", multistart=1, seed=0))
 
 
 class TestFitNormalized:
@@ -274,23 +302,34 @@ class TestFitNormalized:
             assert np.ptp(got) <= 1e-9 * np.mean(got), name
         assert len({r.converged for r in fits}) == 1
 
-    def test_fallback_reaches_the_kappa_cap_the_newton_stage_cannot(self, monkeypatch):
+    def test_the_newton_stage_reaches_the_kappa_cap(self, monkeypatch):
         # a Pareto tail of index 0.8: the unit-mean likelihood rises toward
-        # kappa = 1, where the decode caps kappa and the logit-kappa gradient
-        # vanishes; the Newton stage runs out of steps short of it and the
-        # two-stage scheme ends 1.05e-8 relative higher, on the cap
-        ends = []
-        newton = kfit._newton
-        monkeypatch.setattr(kfit, "_newton", lambda *args: ends.append(newton(*args)) or ends[-1])
+        # kappa = 1, where the decode caps kappa and the logit-kappa
+        # curvature vanishes; the bounded Newton steps reach it, to the
+        # two-stage scheme's end from the same start
         s = WeightedSample((np.random.default_rng(0).pareto(0.8, 1000) + 1) * 10)
-        res = fit_mle(s, FitConfig(model="kappagen_normalized", multistart=1))
-        ((_, f_newton, _, _, reached),) = ends
-        assert not reached
+        config = FitConfig(model="kappagen_normalized", multistart=1)
+        res = fit_mle(s, config)
         (start,) = res.diagnostics.starts
-        assert start.stage == "fallback"
-        assert res.params.kappa == kfit._KAPPA_MAX
-        assert res.converged and res.score_norm <= 1e-4
-        assert f_newton + start.loglik / s.total_weight > 1e-9 * abs(f_newton)
+        assert start.stage == "newton" and res.converged
+        assert start.evaluations <= 100
+        assert res.params.kappa == pytest.approx(1.0, abs=1e-10)
+        monkeypatch.setitem(FAMILIES, "kappagen_normalized",
+                            replace(FAMILIES["kappagen_normalized"], hessian=None))
+        (reference,) = fit_mle(s, config).diagnostics.starts
+        assert reference.stage == "fallback"
+        assert start.loglik == pytest.approx(reference.loglik, rel=1e-11)
+
+    def test_a_start_outside_the_unit_mean_domain_is_moved_inside(self):
+        # the initializer puts this Pareto tail at alpha0/kappa0 < 1, where
+        # the unit-mean scale diverges and the objective is the penalty
+        s = WeightedSample((np.random.default_rng(8).pareto(0.5, 100) + 1) * 10)
+        alpha0, _, kappa0 = kfit._initial_kgen(WeightedSample(s.values / s.weighted_mean()))
+        assert alpha0 < kappa0
+        res = fit_mle(s, FitConfig(model="kappagen_normalized", multistart=1, seed=8))
+        (start,) = res.diagnostics.starts
+        assert start.stage == "newton" and res.converged
+        assert res.params.alpha > res.params.kappa
 
 
 def region_sample(seed, region, n=10_000, alpha=2.5, beta=1.0, kappa=0.6):
@@ -792,10 +831,23 @@ class TestOverflowingTerms:
             ll = kfit.loglik_hessian(self.SAMPLE, "weibull", self.POINT)[0]
             assert ll == -math.inf
             assert loglik(self.SAMPLE, "weibull", self.POINT) == -math.inf
-            # a zero weight on a -inf term, also without a warning
+            # a zero-weight record adds no term, also without a warning
             zero = WeightedSample(np.array([0.5, 0.875, 3.0]), np.array([5.0, 5.0, 0.0]))
-            assert not math.isfinite(loglik(zero, "weibull", self.POINT))
-            assert not math.isfinite(kfit.loglik_hessian(zero, "weibull", self.POINT)[0])
+            assert loglik(zero, "weibull", self.POINT) == ll
+            assert kfit.loglik_hessian(zero, "weibull", self.POINT)[0] == ll
+
+    @pytest.mark.parametrize("model, params", [
+        ("weibull", WeibullParams(60.0, 1.5)), ("kappagen", KappaGenParams(60.0, 1.5, 0.5))])
+    def test_a_zero_weight_record_adds_no_term(self, model, params):
+        # the record's log-density is -inf, and the rest of the sum is finite
+        with_zero = WeightedSample(np.array([1.0, 2.0, 1e6]), np.array([1.0, 1.0, 0.0]))
+        without = WeightedSample(np.array([1.0, 2.0]))
+        expected = loglik(without, model, params)
+        assert math.isfinite(expected)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert loglik(with_zero, model, params) == expected
+            assert kfit.loglik_hessian(with_zero, model, params)[0] == expected
 
     def test_a_fit_counts_it_as_a_non_finite_penalty(self, monkeypatch):
         point = self.POINT
