@@ -8,23 +8,21 @@ model at kappa = 0 by type: WeibullParams subclasses KappaGenParams.
 
 Every family is fitted on transformed coordinates (log for positive
 parameters, logit for the tail deformation, shifted log for the extension
-parameter bounded above).  The base model, Weibull and the unit-mean model
-have a closed-form gradient and Hessian (loglik_hessian, one pass over the
-records; the unit-mean model's through the chain rule on its pinned
-scale), so each start runs one Newton stage on the exact Hessian straight
-from the survival-plot initializer, and nothing else.  Its steps take the
-Hessian's eigenvalues in absolute value, so a start where the Hessian is
-indefinite, as perturbed starts can be, still descends, and move at most
+parameter bounded above), and every start runs one Newton stage straight
+from the survival-plot initializer, and nothing else.  The base model,
+Weibull and the unit-mean model give it their closed-form gradient and
+Hessian (loglik_hessian, one pass over the records; the unit-mean model's
+through the chain rule on its pinned scale); ekg1 and ekg2 give it central
+differences of the log-likelihood (_central_differences).  Its steps take
+the Hessian's eigenvalues in absolute value, so a start where the Hessian
+is indefinite, as perturbed starts can be, still descends, and move at most
 _MAX_STEP along any eigen-direction, so a step along near-zero curvature
 neither overshoots nor stalls short of the kappa cap.  The mixture gets the
-stage through its two branch fits.  ekg1 and ekg2 have no Hessian and take
-the two-stage scheme ("fallback"): derivative-free simplex descent into the
-basin, then BFGS polish on scipy's central-difference gradients.  Both stop
-at a fixed max-abs gradient of _GTOL = 1e-8.  Convergence is judged by the
-max-abs gradient of the weight-normalized log-likelihood that the winning
-start's stage ended on, with no further evaluation: closed-form after the
-Newton stage, central differences after the two-stage scheme.
-FitResult.diagnostics records how each start got there.
+stage through its two branch fits.  It stops at a max-abs gradient of
+_GTOL = 1e-8.  Convergence is judged by the max-abs gradient of the
+weight-normalized log-likelihood that the winning start's stage ended on,
+with no further evaluation.  FitResult.diagnostics records how each start
+got there.
 
 Every fit takes one result path: _fit_transformed returns a FitResult
 without goodness of fit, and each entry point (fit_mle, fit_normalized,
@@ -89,8 +87,9 @@ _MIN_EFFECTIVE_BRANCH = 30.0
 _PENALTY = 1e12  # objective value where the log-likelihood cannot be evaluated
 _EPS = float(np.finfo(float).eps)
 _KAPPA_MAX = 1.0 - 1e-12  # the fitted families' decode caps kappa here
-_GTOL = 1e-8  # the max-abs gradient stop of both schemes, on the mean log-likelihood
+_GTOL = 1e-8  # the Newton stage's max-abs gradient stop, on the mean log-likelihood
 _MAX_STEP = 4.0  # the longest Newton step along any eigen-direction of the Hessian
+_DIFF_STEP = _EPS ** 0.25  # central-difference step, relative to max(1, |x_i|)
 
 
 @dataclass(frozen=True)
@@ -121,15 +120,12 @@ class GoodnessOfFit:
 
 @dataclass(frozen=True)
 class StartTrace:
-    """One start of a multistart fit: the model fitted (a mixture fit has a
-    weibull and a kappagen branch), the log-likelihood it reached, the stage
-    that reached it ("newton" for the families with a closed-form Hessian,
-    "fallback" for the two-stage scheme the others take) and its objective
-    evaluations."""
+    """One start of a multistart fit, a Newton stage: the model fitted (a
+    mixture fit has a weibull and a kappagen branch), the log-likelihood it
+    reached and its objective evaluations."""
 
     model: str
     loglik: float
-    stage: str
     evaluations: int
 
 
@@ -174,8 +170,9 @@ class Family:
     rebinding of those names (such as a tracing wrapper) reaches every
     call.  decode, encode and start are set for the families fitted on
     transformed coordinates, and hessian for those of them with a
-    closed-form gradient and Hessian, which the Newton stage takes.  Families
-    whose params subclass KappaGenParams share the base model's functions.
+    closed-form gradient and Hessian (the Newton stage takes central
+    differences of the others').  Families whose params subclass
+    KappaGenParams share the base model's functions.
     """
 
     params: type
@@ -488,28 +485,32 @@ def _initial_kgen(sample: WeightedSample):
 # optimizer core
 
 
-def _two_stage_minimize(fun, x0, config):
-    """Simplex descent into the basin, then quasi-Newton polish on scipy's
-    central-difference gradients.  BFGS's line search never ends above its
-    start, so its end point is the stage's.  Returns (x, f, g, iterations),
-    g the central-difference gradient BFGS ended on."""
-    # imported on first use: scipy.optimize is ~40% of the package's import
-    # time, which sample, eval and Newton-only fits need not pay
-    from scipy.optimize import minimize
-
-    stage1 = minimize(fun, x0, method="Nelder-Mead",
-                      options={"maxiter": config.max_iter,
-                               "xatol": 1e-6, "fatol": 1e-10})
-    stage2 = minimize(fun, stage1.x, method="BFGS", jac="3-point",
-                      options={"maxiter": config.max_iter,
-                               "gtol": _GTOL})
-    return stage2.x, float(stage2.fun), stage2.jac, int(stage1.nit) + int(stage2.nit)
+def _central_differences(fun, x):
+    """(f, g, H) of the scalar fun at x by central differences with steps
+    h_i = eps^(1/4) max(1, |x_i|): g_i = (f+ - f-)/(2 h_i), H_ii =
+    (f+ - 2f + f-)/h_i^2 and H_ij from the four points x +- h_i +- h_j, in
+    1 + 2n + 2n(n - 1) evaluations.  H is None where any is the penalty, and
+    a penalty centre is returned as evaluate returns it, with no stencil."""
+    f = fun(x)
+    if not f < _PENALTY:
+        return f, np.zeros_like(x), None
+    h = _DIFF_STEP * np.maximum(1.0, np.abs(x))
+    e = np.diag(h)
+    plus = np.array([fun(x + ei) for ei in e])
+    minus = np.array([fun(x - ei) for ei in e])
+    i, j = np.tril_indices(x.size, -1)
+    corners = np.array([[fun(x + a * e[p] + b * e[q]) for a in (1, -1) for b in (1, -1)]
+                        for p, q in zip(i, j)])
+    hess = np.diag((plus - 2.0 * f + minus) / (h * h))
+    hess[i, j] = hess[j, i] = corners @ [1.0, -1.0, -1.0, 1.0] / (4.0 * h[i] * h[j])
+    penalized = not np.all(np.hstack([plus, minus, *corners]) < _PENALTY)
+    return f, (plus - minus) / (2.0 * h), None if penalized else hess
 
 
 def _newton(evaluate, x0, config):
-    """Newton's method on the closed-form Hessian, from x0.
+    """Newton's method from x0.
 
-    evaluate returns (f, g, H) at a point from one pass over the records.
+    evaluate returns (f, g, H) at a point, in closed form or by differences.
     Each step is -H^-1 g with H's eigenvalues replaced by their absolute
     values (Nocedal & Wright, Numerical Optimization, 2006, sec. 3.4), so a
     step from an indefinite start still descends, each floored at
@@ -550,18 +551,18 @@ def _newton(evaluate, x0, config):
 
 
 def _fit_transformed(model, sample, config):
-    """Multistart maximization of the mean log-likelihood by one scheme per
-    family: a Newton stage on the closed-form Hessian per start where the
-    family has one, else the two-stage scheme (stage "fallback").  Returns
-    a FitResult whose loglik is the optimizer's, with no goodness of fit."""
+    """Multistart maximization of the mean log-likelihood, one Newton stage
+    per start.  Returns a FitResult whose loglik is the optimizer's, with no
+    goodness of fit."""
     family = FAMILIES[model]
-    values = sample.values
-    weights = sample.weights
-    total_w = sample.total_weight
-    if np.ptp(values[weights > 0.0]) == 0.0:  # max == min, and no copy outlives the test
+    positive = sample.weights > 0.0
+    if np.ptp(sample.values[positive]) == 0.0:  # max == min, and no copy outlives the test
         raise DegenerateDataError("sample has a single distinct value")
-    if family.positive:  # fail before any start, not from the penalized objective
-        _check_support(values, model)
+    if family.positive:  # fail before any start, and on the caller's record indices
+        _check_support(sample.values, model)
+    if not positive.all():  # a zero-weight record adds no term, but 0 * inf is nan
+        sample = sample.subset(positive)
+    total_w = sample.total_weight
     penalties = Counter()
     evaluations = 0
 
@@ -592,8 +593,8 @@ def _fit_transformed(model, sample, config):
         return out if derivatives else out[0]
 
     x0 = family.encode(family.start(*_initial_kgen(sample)))
-
-    stage = "newton" if family.hessian is not None else "fallback"
+    derivatives_at = ((lambda vec: evaluate(vec, True)) if family.hessian is not None
+                      else (lambda vec: _central_differences(evaluate, vec)))
     best = None
     iterations = 0
     starts = []
@@ -601,12 +602,9 @@ def _fit_transformed(model, sample, config):
         rng = np.random.default_rng([config.seed, replicate])
         start = x0 if replicate == 0 else x0 + rng.normal(0.0, 0.35, size=x0.size)
         before = evaluations
-        if family.hessian is not None:
-            x_opt, f_opt, g_opt, nit = _newton(lambda vec: evaluate(vec, True), start, config)
-        else:
-            x_opt, f_opt, g_opt, nit = _two_stage_minimize(evaluate, start, config)
+        x_opt, f_opt, g_opt, nit = _newton(derivatives_at, start, config)
         iterations += nit
-        starts.append(StartTrace(model, -f_opt * total_w, stage, evaluations - before))
+        starts.append(StartTrace(model, -f_opt * total_w, evaluations - before))
         if best is None or f_opt < best[1]:
             best = (x_opt, f_opt, g_opt)
     x_opt, f_opt, g_opt = best

@@ -510,10 +510,9 @@ class TestProcessLevel:
         proc = run_proc("fit")  # missing input argument
         assert proc.returncode == 1
 
-    def test_scipy_optimize_is_imported_only_by_a_fit_that_needs_it(self, tmp_path):
-        # only the two-stage scheme uses scipy.optimize: sample and a fit
-        # that the Newton stage finishes leave it unimported, and an ekg2
-        # fit, which has no other scheme, imports it on first use
+    def test_no_command_imports_scipy_optimize(self, tmp_path):
+        # every family fits by the package's own Newton stage, so no
+        # command imports scipy.optimize, a fit of any family included
         path = str(tmp_path / "s.txt")
         script = f"""
 import sys
@@ -521,11 +520,15 @@ from kappagen.cli import main
 path = {path!r}
 assert main(["sample", "--model", "kappagen", "--alpha", "2", "--beta", "1",
              "--kappa", "0.5", "--n", "2000", "--seed", "1", "-o", path]) == 0
-assert "scipy.optimize" not in sys.modules
 assert main(["fit", path, "--multistart", "1", "-o", path + ".kappagen.json"]) == 0
-assert "scipy.optimize" not in sys.modules
 assert main(["fit", path, "--model", "ekg2", "--multistart", "1", "-o", path + ".ekg2.json"]) == 0
-assert "scipy.optimize" in sys.modules
+assert main(["compare", path, "--models", "weibull,kappagen_normalized,ekg1,mixture",
+             "--multistart", "1", "-o", path + ".compare.json"]) == 0
+assert main(["inequality", "--input", path, "--multistart", "1", "-o", path + ".ineq.json"]) == 0
+assert main(["eval", "--model", "ekg1", "--a", "2", "--b", "1", "--q", "1.5", "--r", "0.2",
+             "--x", "0.5,2", "-o", path + ".eval.txt"]) == 0
+assert main(["plotdata", "--input", path, "--kind", "lorenz", "-o", path + ".plot.txt"]) == 0
+assert "scipy.optimize" not in sys.modules
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -9,17 +9,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from kappagen import (
     DegenerateDataError,
     DomainError,
+    EKG1Params,
     EKG2Params,
     FitConfig,
     KappaGenParams,
+    MomentDivergenceError,
     NetWealthMixtureParams,
     SupportViolationError,
     WeibullParams,
     WeightedSample,
+    ekg1_sample,
+    ekg2_sample,
     fit_mixture,
     fit_mle,
     fit_normalized,
@@ -157,6 +162,19 @@ class TestFitMle:
         assert res.converged
         assert res.params.a == pytest.approx(3.0, rel=0.25)
 
+    @pytest.mark.parametrize("model, sample", [
+        ("ekg2", lambda: ekg2_sample(10000, EKG2Params(2.0, 1.0, 0.8, 1.2), seed=16)),
+        ("ekg2", lambda: ekg2_sample(10000, EKG2Params(2.0, 1.0, 0.8, 1.2), seed=16) * 40.0),
+        ("ekg1", lambda: ekg1_sample(2000, EKG1Params(3.0, 1.0, 0.6, 0.3), seed=17)),
+    ], ids=["ekg2", "ekg2-rescaled", "ekg1"])
+    def test_ekg_fit_ends_no_lower_than_the_two_stage_scheme(self, model, sample):
+        s = WeightedSample(sample())
+        config = FitConfig(model=model, multistart=1, seed=0)
+        res = kfit._fit_transformed(model, s, config)
+        reference, converged = two_stage_reference(model, s, config)
+        assert res.converged == converged
+        assert res.loglik >= reference - 1e-13 * abs(reference)
+
     def test_degenerate_sample_rejected(self):
         with pytest.raises(DegenerateDataError):
             fit_mle(WeightedSample(np.full(10, 2.0)), FAST)
@@ -197,7 +215,7 @@ class TestFitMle:
         s = kgen_data(5000, seed=18)
         res = fit_mle(s, FitConfig(model="kappagen", multistart=3, seed=0))
         d = res.diagnostics
-        assert [start.stage for start in d.starts] == ["newton"] * 3
+        assert len(d.starts) == 3
         assert {start.model for start in d.starts} == {"kappagen"}
         assert max(start.loglik for start in d.starts) == pytest.approx(res.loglik, rel=1e-14)
         # every evaluation is a start's: convergence is judged on the gradient
@@ -210,20 +228,25 @@ class TestFitMle:
         s = kgen_data(3000, seed=19)
         res = fit_mle(s, FitConfig(model=model, multistart=2, seed=0))
         d = res.diagnostics
-        assert [start.stage for start in d.starts] == ["newton"] * 2
+        assert len(d.starts) == 2
         assert d.evaluations == sum(start.evaluations for start in d.starts)
         if res.scale is not None:  # the unit-mean model is fitted on the mean-scaled sample
             s = WeightedSample(s.values / res.scale, s.weights)
         grad = kfit.loglik_hessian(s, model, res.params)[1]
         assert res.score_norm == np.max(np.abs(grad)) / s.total_weight
 
-    def test_evaluations_are_the_starts_on_the_two_stage_scheme(self):
-        from kappagen import ekg2_sample
+    def test_ekg2_starts_are_newton_stages_on_central_differences(self, monkeypatch):
+        newton = kfit._newton
+        stages = []
+        monkeypatch.setattr(kfit, "_newton", lambda *a: stages.append(a) or newton(*a))
         x = ekg2_sample(500, EKG2Params(2.0, 1.0, 0.8, 1.2), seed=20)
         res = fit_mle(WeightedSample(x), FitConfig(model="ekg2", multistart=2, seed=0))
         d = res.diagnostics
-        assert [start.stage for start in d.starts] == ["fallback"] * 2
+        assert len(stages) == len(d.starts) == 2
         assert d.evaluations == sum(start.evaluations for start in d.starts)
+        # each Newton point of a 4-parameter family is a 33-point stencil
+        assert all(start.evaluations % 33 == 0 for start in d.starts) and d.penalties == ()
+        assert res.iterations <= d.evaluations // 33 - 2
 
     def test_a_start_with_an_indefinite_hessian_reaches_the_optimum_by_newton(self):
         s = WeightedSample(kgen_sample(10_000, KappaGenParams(2.0, 1.0, 0.5), 1))
@@ -235,7 +258,7 @@ class TestFitMle:
         # the negative mean log-likelihood's Hessian there is indefinite
         assert np.linalg.eigvalsh(-hess / s.total_weight)[0] < 0.0
         starts = fit_mle(s, config).diagnostics.starts
-        assert [start.stage for start in starts] == ["newton"] * 5
+        assert len(starts) == 5
         best = max(start.loglik for start in starts)
         for start in starts:
             assert start.loglik == pytest.approx(best, rel=1e-12)
@@ -243,30 +266,57 @@ class TestFitMle:
         # overshoot and be halved back, where the bounded step is taken whole
         assert starts[2].evaluations <= 8
 
-    def test_no_family_with_a_hessian_reaches_the_two_stage_scheme(self, monkeypatch):
-        class TwoStage(Exception):
-            pass
-
-        def two_stage(*args):
-            raise TwoStage
-        monkeypatch.setattr(kfit, "_two_stage_minimize", two_stage)
-        # an unconverged max_iter=1 fit, and a unit-mean optimum on the kappa cap
+    def test_a_newton_stage_ends_at_max_iter_or_on_a_penalty_start(self, monkeypatch):
         res = fit_mle(kgen_data(4000), FitConfig(model="kappagen", multistart=1, seed=3,
                                                   max_iter=1))
         assert not res.converged and res.iterations == 1
-        cap = WeightedSample((np.random.default_rng(0).pareto(0.8, 1000) + 1) * 10)
-        assert fit_mle(cap, FitConfig(model="kappagen_normalized", multistart=1)).converged
-        # a start whose first evaluation is the penalty ends there
+        # a start whose first evaluation is the penalty ends there, on the
+        # closed-form Hessian and on central differences alike
         point = TestOverflowingTerms.POINT
         monkeypatch.setitem(FAMILIES, "weibull",
                             replace(FAMILIES["weibull"], start=lambda *_: point))
         res = kfit._fit_transformed("weibull", TestOverflowingTerms.SAMPLE,
                                     FitConfig(model="weibull", multistart=1, seed=0))
-        assert [(st.stage, st.evaluations) for st in res.diagnostics.starts] == [("newton", 1)]
+        assert [st.evaluations for st in res.diagnostics.starts] == [1]
         assert not res.converged
-        # a family without a Hessian still takes it
-        with pytest.raises(TwoStage):
-            fit_mle(kgen_data(200), FitConfig(model="ekg2", multistart=1, seed=0))
+        monkeypatch.setitem(FAMILIES, "ekg2", replace(FAMILIES["ekg2"],
+                                                      encode=lambda p: np.full(4, 61.0)))
+        res = kfit._fit_transformed("ekg2", kgen_data(200),
+                                    FitConfig(model="ekg2", multistart=1, seed=0))
+        assert [st.evaluations for st in res.diagnostics.starts] == [1]
+        assert res.diagnostics.penalties == (("out-of-range", 1),) and not res.converged
+
+
+def two_stage_reference(model, sample, config):
+    """The fit's objective minimized from the fit's starts by simplex
+    descent, then BFGS on scipy's central-difference gradients, as the
+    package once fitted the families without a closed-form Hessian: the
+    (loglik, converged) of the best start."""
+    family = FAMILIES[model]
+    total_w = sample.total_weight
+
+    def objective(vec):
+        if np.any(np.abs(vec) > 60.0):
+            return 1e12
+        try:
+            ll = loglik(sample, model, family.decode(vec))
+        except (DomainError, MomentDivergenceError, OverflowError):
+            return 1e12
+        return -ll / total_w if math.isfinite(ll) else 1e12
+
+    x0 = family.encode(family.start(*kfit._initial_kgen(sample)))
+    best = None
+    for replicate in range(config.multistart):
+        rng = np.random.default_rng([config.seed, replicate])
+        start = x0 if replicate == 0 else x0 + rng.normal(0.0, 0.35, size=x0.size)
+        simplex = minimize(objective, start, method="Nelder-Mead",
+                           options={"maxiter": config.max_iter, "xatol": 1e-6, "fatol": 1e-10})
+        polish = minimize(objective, simplex.x, method="BFGS", jac="3-point",
+                          options={"maxiter": config.max_iter, "gtol": 1e-8})
+        if best is None or polish.fun < best.fun:
+            best = polish
+    converged = best.fun < 1e11 and np.max(np.abs(best.jac)) <= 1e-4
+    return -best.fun * total_w, converged
 
 
 class TestFitNormalized:
@@ -302,7 +352,7 @@ class TestFitNormalized:
             assert np.ptp(got) <= 1e-9 * np.mean(got), name
         assert len({r.converged for r in fits}) == 1
 
-    def test_the_newton_stage_reaches_the_kappa_cap(self, monkeypatch):
+    def test_the_newton_stage_reaches_the_kappa_cap(self):
         # a Pareto tail of index 0.8: the unit-mean likelihood rises toward
         # kappa = 1, where the decode caps kappa and the logit-kappa
         # curvature vanishes; the bounded Newton steps reach it, to the
@@ -311,14 +361,12 @@ class TestFitNormalized:
         config = FitConfig(model="kappagen_normalized", multistart=1)
         res = fit_mle(s, config)
         (start,) = res.diagnostics.starts
-        assert start.stage == "newton" and res.converged
+        assert res.converged
         assert start.evaluations <= 100
         assert res.params.kappa == pytest.approx(1.0, abs=1e-10)
-        monkeypatch.setitem(FAMILIES, "kappagen_normalized",
-                            replace(FAMILIES["kappagen_normalized"], hessian=None))
-        (reference,) = fit_mle(s, config).diagnostics.starts
-        assert reference.stage == "fallback"
-        assert start.loglik == pytest.approx(reference.loglik, rel=1e-11)
+        scaled = WeightedSample(s.values / res.scale, s.weights)
+        reference, _ = two_stage_reference("kappagen_normalized", scaled, config)
+        assert start.loglik == pytest.approx(reference, rel=1e-11)
 
     def test_a_start_outside_the_unit_mean_domain_is_moved_inside(self):
         # the initializer puts this Pareto tail at alpha0/kappa0 < 1, where
@@ -327,8 +375,7 @@ class TestFitNormalized:
         alpha0, _, kappa0 = kfit._initial_kgen(WeightedSample(s.values / s.weighted_mean()))
         assert alpha0 < kappa0
         res = fit_mle(s, FitConfig(model="kappagen_normalized", multistart=1, seed=8))
-        (start,) = res.diagnostics.starts
-        assert start.stage == "newton" and res.converged
+        assert res.converged
         assert res.params.alpha > res.params.kappa
 
 
@@ -809,6 +856,21 @@ class TestHessian:
             ok = np.abs(d1 - d2) <= 1e-6 * scale  # a well-conditioned difference
             assert np.all(np.abs(hess[i] - d2)[ok] <= (np.abs(d1 - d2) + 1e-8 * scale)[ok]), i
 
+    @pytest.mark.parametrize("model", ["kappagen", "weibull"])
+    def test_central_differences_match_the_closed_form(self, model):
+        # the Newton stage's derivatives for the families without a Hessian,
+        # checked where the closed form exists, off the optimum
+        family = FAMILIES[model]
+        s = kgen_data(2000, seed=21)
+        vec = family.encode(family.start(1.5, 1.4, 0.3))
+        objective = lambda v: -loglik(s, model, family.decode(v)) / s.total_weight
+        f, grad, hess = kfit._central_differences(objective, vec)
+        ll, want_grad, want_hess = kfit.loglik_hessian(s, model, family.decode(vec))
+        assert f == -ll / s.total_weight
+        assert np.max(np.abs(want_grad)) / s.total_weight > 0.1
+        np.testing.assert_allclose(grad, -want_grad / s.total_weight, rtol=0.0, atol=1e-8)
+        np.testing.assert_allclose(hess, -want_hess / s.total_weight, rtol=1e-5)
+
     def test_support_is_checked_and_families_without_one_refuse(self):
         bad = WeightedSample(np.array([1.0, -2.0, 3.0]))
         with pytest.raises(SupportViolationError):
@@ -848,6 +910,19 @@ class TestOverflowingTerms:
             warnings.simplefilter("error")
             assert loglik(with_zero, model, params) == expected
             assert kfit.loglik_hessian(with_zero, model, params)[0] == expected
+
+    @pytest.mark.parametrize("model", ["weibull", "kappagen", "kappagen_normalized"])
+    def test_a_zero_weight_record_leaves_a_fit_as_without_it(self, model):
+        # the record's y overflows, and 0 * -inf would be nan in every
+        # derivative pass: the fit drops it before any start
+        x = 2.0 * np.random.default_rng(0).weibull(1.5, 500)
+        config = FitConfig(model=model, multistart=1)
+        with_zero = fit_mle(WeightedSample(np.append(x, 1e200), np.append(np.ones(500), 0.0)),
+                            config)
+        without = fit_mle(WeightedSample(x), config)
+        assert with_zero.converged and with_zero.diagnostics.penalties == ()
+        assert with_zero.params == without.params
+        assert with_zero.diagnostics == without.diagnostics
 
     def test_a_fit_counts_it_as_a_non_finite_penalty(self, monkeypatch):
         point = self.POINT
