@@ -146,26 +146,26 @@ def _kgen_log_terms(arr, p: KappaGenParams):
     kappa > 0, so only kappa = 0 takes the Weibull form (asinh_ky and s are
     then None).  s is formed once, without hypot: where (kappa y)^2
     overflows, s is kappa y itself, which it equals to the last bit there.
+    The caller holds the np.errstate scope that ignores overflow and divide.
     """
     a, b, k = p.alpha, p.beta, p.kappa
     rel = arr / b
-    with np.errstate(over="ignore", divide="ignore"):
-        y = rel ** a
-        ln_rel = np.log(rel, out=rel)
-        base = (a - 1.0) * ln_rel
-        base += math.log(a / b)
-        if k == 0.0:
-            return np.subtract(base, y, out=base), ln_rel, y, None, None
-        u = k * y
-        asinh_ky = np.arcsinh(u)
-        s = np.square(u, out=u)
-        s += 1.0
-        s = np.sqrt(s, out=s)
-        if s.max(initial=0.0) == np.inf:
-            big = s == np.inf
-            s[big] = k * y[big]
-        base -= asinh_ky / k
-        base -= np.log(s)
+    y = rel ** a
+    ln_rel = np.log(rel, out=rel)
+    base = (a - 1.0) * ln_rel
+    base += math.log(a / b)
+    if k == 0.0:
+        return np.subtract(base, y, out=base), ln_rel, y, None, None
+    u = k * y
+    asinh_ky = np.arcsinh(u)
+    s = np.square(u, out=u)
+    s += 1.0
+    s = np.sqrt(s, out=s)
+    if s.max(initial=0.0) == np.inf:
+        big = s == np.inf
+        s[big] = k * y[big]
+    base -= asinh_ky / k
+    base -= np.log(s)
     return base, ln_rel, y, asinh_ky, s
 
 
@@ -174,7 +174,7 @@ def kgen_logpdf(x, p: KappaGenParams):
     arr, scalar = _asarray(x)
     if np.any(~(arr > 0.0)):
         raise DomainError("kgen_logpdf requires x > 0")
-    with np.errstate(invalid="ignore"):  # inf - inf at x = inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf - inf at x = inf
         out = _kgen_log_terms(arr.reshape(-1), p)[0].reshape(arr.shape)
     if arr.max(initial=0.0) == np.inf:
         out = np.where(arr == np.inf, -np.inf, out)
@@ -193,13 +193,13 @@ def _asinh_rest(u):
 
 
 def _weighted_sum(weights, terms):
-    """sum(w * term) over the records, where a record of zero weight adds
-    no term (not 0 * -inf = nan); past the double range it is -inf or nan."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.sum(weights * terms))
-        if math.isnan(total) and not weights.all():
-            kept = weights != 0.0
-            total = float(np.sum(weights[kept] * terms[kept]))
+    """sum(w * term) over the records, under the caller's np.errstate scope
+    that ignores overflow and invalid: a record of zero weight adds no term
+    (not 0 * -inf = nan), and past the double range it is -inf or nan."""
+    total = float((weights * terms).sum())
+    if math.isnan(total) and not weights.all():
+        kept = weights != 0.0
+        total = float((weights[kept] * terms[kept]).sum())
     return total
 
 
@@ -223,10 +223,10 @@ def _kgen_loglik_hessian(values, weights, p: KappaGenParams):
     across to kappa, and q^3 - q^2 + 2 t^2 q^2 - 2 y^3 S(u) for kappa twice.
     q overwrites y, and arrays are freed as soon as their sums are taken.
     """
-    out, ln_rel, y, asinh_ky, s = _kgen_log_terms(values, p)
     a, k = p.alpha, p.kappa
     hess = np.zeros((3, 3))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out, ln_rel, y, asinh_ky, s = _kgen_log_terms(values, p)
         ll = _weighted_sum(weights, out)
         if k == 0.0:
             q = y
@@ -239,9 +239,9 @@ def _kgen_loglik_hessian(values, weights, p: KappaGenParams):
         if k != 0.0:
             one_minus_h -= t * t
         w_dh = np.multiply(weights, one_minus_h, out=one_minus_h)
-        w_dh_ln, w_dh_sum = float(np.dot(w_dh, ln_rel)), float(np.sum(w_dh))
+        w_dh_ln, w_dh_sum = float(np.dot(w_dh, ln_rel)), float(w_dh.sum())
         del out, one_minus_h, w_dh
-        grad = np.array([float(np.sum(weights)) + a * w_dh_ln, -a * w_dh_sum, 0.0])
+        grad = np.array([float(weights.sum()) + a * w_dh_ln, -a * w_dh_sum, 0.0])
         if k != 0.0:
             score_k = np.subtract(asinh_ky, t, out=asinh_ky)  # kappa y^3 S(u)
             score_k /= k * k
@@ -267,23 +267,22 @@ def _kgen_loglik_hessian(values, weights, p: KappaGenParams):
             del s
         w_g_ln = w_g * ln_rel
         hess[0, 0] = a * w_dh_ln - a * a * float(np.dot(w_g_ln, ln_rel))
-        hess[0, 1] = -a * w_dh_sum + a * a * float(np.sum(w_g_ln))
-        hess[1, 1] = -a * a * float(np.sum(w_g))
+        hess[0, 1] = hess[1, 0] = -a * w_dh_sum + a * a * float(w_g_ln.sum())
+        hess[1, 1] = -a * a * float(w_g.sum())
         del w_g_ln
         if k != 0.0:
             q2 = np.square(q, out=q)
             w_hk = np.subtract(2.0, m, out=w_g)
             w_hk *= q2
             w_hk *= weights
-            hess[0, 2] = -a * k * float(np.dot(w_hk, ln_rel))
-            hess[1, 2] = a * k * float(np.sum(w_hk))
+            hess[0, 2] = hess[2, 0] = -a * k * float(np.dot(w_hk, ln_rel))
+            hess[1, 2] = hess[2, 1] = a * k * float(w_hk.sum())
             del w_hk, w_g
             m -= 1.0  # q^2 (q + 2 t^2 - 1) - 2 y^3 S(u)
             m *= q2
             y3s *= 2.0
             m -= y3s
             hess[2, 2] = float(np.dot(weights, m))
-    hess += np.triu(hess, 1).T
     return ll, grad, hess
 
 

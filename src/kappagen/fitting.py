@@ -11,18 +11,21 @@ parameters, logit for the tail deformation, shifted log for the extension
 parameter bounded above), and every start runs one Newton stage straight
 from the survival-plot initializer, and nothing else.  The base model,
 Weibull and the unit-mean model give it their closed-form gradient and
-Hessian (loglik_hessian, one pass over the records; the unit-mean model's
+Hessian (Family.hessian, one pass over the records; the unit-mean model's
 through the chain rule on its pinned scale); ekg1 and ekg2 give it central
-differences of the log-likelihood (_central_differences).  Its steps take
-the Hessian's eigenvalues in absolute value, so a start where the Hessian
-is indefinite, as perturbed starts can be, still descends, and move at most
-_MAX_STEP along any eigen-direction, so a step along near-zero curvature
-neither overshoots nor stalls short of the kappa cap.  The mixture gets the
-stage through its two branch fits.  It stops at a max-abs gradient of
-_GTOL = 1e-8.  Convergence is judged by the max-abs gradient of the
-weight-normalized log-likelihood that the winning start's stage ended on,
-with no further evaluation.  FitResult.diagnostics records how each start
-got there.
+differences of the log-likelihood (_central_differences) at the points it
+moves to.  After the fit's one support check, the objective calls these
+kernels on the fit's own arrays, not through loglik and loglik_hessian, so
+a tracer of the public fitting functions sees no call per point.  Its
+steps take the Hessian's eigenvalues in absolute value, so a start where
+the Hessian is indefinite, as perturbed starts can be, still descends, and
+move at most _MAX_STEP along any eigen-direction, so a step along
+near-zero curvature neither overshoots nor stalls short of the kappa cap.
+The mixture gets the stage through its two branch fits.  It stops at a
+max-abs gradient of _GTOL = 1e-8.  Convergence is judged by the max-abs
+gradient of the weight-normalized log-likelihood that the winning start's
+stage ended on, with no further evaluation.  FitResult.diagnostics records
+how each start got there.
 
 Every fit takes one result path: _fit_transformed returns a FitResult
 without goodness of fit, and each entry point (fit_mle, fit_normalized,
@@ -171,8 +174,10 @@ class Family:
     call.  decode, encode and start are set for the families fitted on
     transformed coordinates, and hessian for those of them with a
     closed-form gradient and Hessian (the Newton stage takes central
-    differences of the others').  Families whose params subclass
-    KappaGenParams share the base model's functions.
+    differences of the others').  A fit calls hessian, or logpdf, on its
+    own arrays after its one support check, not through loglik or
+    loglik_hessian.  Families whose params subclass KappaGenParams share
+    the base model's functions.
     """
 
     params: type
@@ -409,7 +414,9 @@ def loglik(sample: WeightedSample, model, params):
     family = _family(model)
     if family.positive:
         _check_support(sample.values, model)
-    return _weighted_sum(sample.weights, family.logpdf(sample.values, params))
+    terms = family.logpdf(sample.values, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _weighted_sum(sample.weights, terms)
 
 
 def loglik_score(sample: WeightedSample, model, params):
@@ -419,15 +426,17 @@ def loglik_score(sample: WeightedSample, model, params):
 
 
 def loglik_hessian(sample: WeightedSample, model, params):
-    """The weighted log-likelihood, computed as loglik does, with its
+    """The weighted log-likelihood, summed as a fit sums it, with its
     gradient and Hessian in the coordinates the family is fitted on
-    (FAMILIES[model].decode's vector), from one pass over the records, for
-    the families with a closed-form Hessian: kappagen, weibull and
-    kappagen_normalized."""
+    (FAMILIES[model].decode's vector), from one pass over the records of
+    positive weight (0 * inf would be nan), for the families with a
+    closed-form Hessian: kappagen, weibull and kappagen_normalized."""
     hessian = _family(model).hessian
     if hessian is None:
         raise DomainError(f"model {model!r} has no closed-form Hessian")
     _check_support(sample.values, model)
+    if not sample.weights.all():
+        sample = sample.subset(sample.weights > 0.0)
     return hessian(sample.values, sample.weights, params)
 
 
@@ -437,24 +446,24 @@ def loglik_hessian(sample: WeightedSample, model, params):
 
 def _weighted_lstsq(x, y, w):
     sw = w.sum()
-    mx = np.sum(w * x) / sw
-    my = np.sum(w * y) / sw
-    sxx = np.sum(w * (x - mx) ** 2)
+    mx = (w * x).sum() / sw
+    my = (w * y).sum() / sw
+    sxx = (w * (x - mx) ** 2).sum()
     if sxx <= 0.0:
         return math.nan, math.nan
-    slope = np.sum(w * (x - mx) * (y - my)) / sxx
+    slope = (w * (x - mx) * (y - my)).sum() / sxx
     return slope, my - slope * mx
 
 
 def _initial_shape_scale(sample: WeightedSample):
-    """Shape and scale from a weighted least-squares line on the
-    double-log survival plot, restricted to the distribution bulk."""
+    """Shape and scale from a weighted least-squares line on the double-log
+    survival plot of a sample of positive values, restricted to its bulk."""
     v = sample.values[sample.order]
     w = sample.weights[sample.order]
     cw = np.cumsum(w)
     total = cw[-1]
     cdf_mid = (cw - 0.5 * w) / total
-    bulk = (cdf_mid > 0.01) & (cdf_mid < 0.9) & (v > 0.0)
+    bulk = (cdf_mid > 0.01) & (cdf_mid < 0.9)
     if bulk.sum() >= 5:
         x = np.log(v[bulk])
         y = np.log(-np.log1p(-cdf_mid[bulk]))
@@ -473,7 +482,7 @@ def _initial_kgen(sample: WeightedSample):
     the upper-decile survival slope pins the tail deformation."""
     alpha0, beta0, (v, w, cdf_mid) = _initial_shape_scale(sample)
     kappa0 = 0.25
-    tail = (cdf_mid >= 0.9) & (cdf_mid < 1.0) & (v > 0.0)
+    tail = (cdf_mid >= 0.9) & (cdf_mid < 1.0)
     if tail.sum() >= 10:
         slope, _ = _weighted_lstsq(np.log(v[tail]), np.log1p(-cdf_mid[tail]), w[tail])
         if math.isfinite(slope) and slope < 0.0:
@@ -485,13 +494,12 @@ def _initial_kgen(sample: WeightedSample):
 # optimizer core
 
 
-def _central_differences(fun, x):
-    """(f, g, H) of the scalar fun at x by central differences with steps
-    h_i = eps^(1/4) max(1, |x_i|): g_i = (f+ - f-)/(2 h_i), H_ii =
-    (f+ - 2f + f-)/h_i^2 and H_ij from the four points x +- h_i +- h_j, in
-    1 + 2n + 2n(n - 1) evaluations.  H is None where any is the penalty, and
-    a penalty centre is returned as evaluate returns it, with no stencil."""
-    f = fun(x)
+def _central_differences(fun, x, f):
+    """(f, g, H) of the scalar fun at x, where fun(x) = f, by central
+    differences with steps h_i = eps^(1/4) max(1, |x_i|): g_i = (f+ - f-) /
+    (2 h_i), H_ii = (f+ - 2f + f-)/h_i^2 and H_ij from the four points
+    x +- h_i +- h_j, in 2n + 2n(n - 1) more evaluations.  H is None where any
+    is the penalty, and a penalty centre is returned with no stencil."""
     if not f < _PENALTY:
         return f, np.zeros_like(x), None
     h = _DIFF_STEP * np.maximum(1.0, np.abs(x))
@@ -507,17 +515,19 @@ def _central_differences(fun, x):
     return f, (plus - minus) / (2.0 * h), None if penalized else hess
 
 
-def _newton(evaluate, x0, config):
+def _newton(evaluate, complete, x0, config):
     """Newton's method from x0.
 
-    evaluate returns (f, g, H) at a point, in closed form or by differences.
-    Each step is -H^-1 g with H's eigenvalues replaced by their absolute
-    values (Nocedal & Wright, Numerical Optimization, 2006, sec. 3.4), so a
-    step from an indefinite start still descends, each floored at
-    |g_i|/_MAX_STEP, g_i the gradient along its eigenvector, so that no
-    eigen-direction moves further than _MAX_STEP (a bounded step, as in a
-    trust region: ibid., ch. 4); one with neither curvature nor slope, as
-    on the kappa cap, does not move.  The step is halved until f falls by
+    evaluate(x) returns a tuple that starts with f at x, and complete(x,
+    evaluate(x)) the (f, g, H) there, in closed form (that tuple) or by
+    differences: a trial is decided on f, and only a point the stage moves
+    to is completed.  Each step is -H^-1 g with H's eigenvalues replaced by
+    their absolute values (Nocedal & Wright, Numerical Optimization, 2006,
+    sec. 3.4), so a step from an indefinite start still descends, each
+    floored at |g_i|/_MAX_STEP, g_i the gradient along its eigenvector, so
+    that no eigen-direction moves further than _MAX_STEP (a bounded step, as
+    in a trust region: ibid., ch. 4); one with neither curvature nor slope,
+    as on the kappa cap, does not move.  The step is halved until f falls by
     1e-4 |g.p| (Armijo).  The stage stops once max |g| <= _GTOL, or once H
     is positive definite and Newton's predicted decrease g.H^-1.g/2 is below
     the rounding of f, eps max(|f|, 1), from where a step could only move
@@ -525,17 +535,17 @@ def _newton(evaluate, x0, config):
     or max_iter steps.  Returns (x, f, g, steps), g the gradient at x.
     """
     x = x0
-    f, g, hess = evaluate(x)
+    f, g, hess = complete(x, evaluate(x))
     for steps in range(config.max_iter + 1):
-        if hess is None or not np.all(np.isfinite(hess)):
+        if (hess is None or steps == config.max_iter or np.abs(g).max() <= _GTOL
+                or not np.isfinite(hess).all()):
             break
         lam, vecs = np.linalg.eigh(hess)
         along = vecs.T @ g
-        if steps == config.max_iter or np.max(np.abs(g)) <= _GTOL or (
-                lam[0] > 0.0 and 0.5 * np.sum(along * along / lam) <= _EPS * max(abs(f), 1.0)):
+        if lam[0] > 0.0 and 0.5 * (along * along / lam).sum() <= _EPS * max(abs(f), 1.0):
             break
         floor = np.maximum(np.abs(lam), np.abs(along) / _MAX_STEP)
-        step = -vecs @ np.divide(along, floor, out=np.zeros_like(along), where=floor > 0.0)
+        step = -vecs @ np.divide(along, floor, out=np.zeros(along.shape), where=floor > 0.0)
         decrease = 1e-4 * abs(float(g @ step))
         for _ in range(40):
             trial = evaluate(x + step)
@@ -546,7 +556,7 @@ def _newton(evaluate, x0, config):
         else:
             break
         x = x + step
-        f, g, hess = trial
+        f, g, hess = complete(x, trial)
     return x, f, g, steps
 
 
@@ -562,7 +572,7 @@ def _fit_transformed(model, sample, config):
         _check_support(sample.values, model)
     if not positive.all():  # a zero-weight record adds no term, but 0 * inf is nan
         sample = sample.subset(positive)
-    total_w = sample.total_weight
+    values, weights, total_w = sample.values, sample.weights, sample.total_weight
     penalties = Counter()
     evaluations = 0
 
@@ -573,36 +583,41 @@ def _fit_transformed(model, sample, config):
         nonlocal evaluations
         evaluations += 1
         cause = None
-        if np.any(np.abs(vec) > 60.0):
+        if (np.abs(vec) > 60.0).any():
             cause = "out-of-range"
         else:
             try:
                 params = family.decode(vec)
-                out = (loglik_hessian(sample, model, params) if derivatives
-                       else (loglik(sample, model, params),))
+                if derivatives:
+                    ll, grad, hess = family.hessian(values, weights, params)
+                else:
+                    terms = family.logpdf(values, params)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        ll = _weighted_sum(weights, terms)
             except (DomainError, MomentDivergenceError, OverflowError) as exc:
                 cause = type(exc).__name__
             else:
-                if not all(np.all(np.isfinite(part)) for part in out[:2]):
+                if not (math.isfinite(ll) and (not derivatives or np.isfinite(grad).all())):
                     cause = "non-finite"
         if cause is not None:
             penalties[cause] += 1
-            out = (_PENALTY, np.zeros_like(vec), None)
-        else:
-            out = tuple(-part / total_w for part in out)
-        return out if derivatives else out[0]
+            return (_PENALTY, np.zeros_like(vec), None) if derivatives else _PENALTY
+        return (-ll / total_w, -grad / total_w, -hess / total_w) if derivatives else -ll / total_w
 
     x0 = family.encode(family.start(*_initial_kgen(sample)))
-    derivatives_at = ((lambda vec: evaluate(vec, True)) if family.hessian is not None
-                      else (lambda vec: _central_differences(evaluate, vec)))
+    if family.hessian is not None:  # one kernel pass gives a trial point's (f, g, H)
+        trial, complete = (lambda vec: evaluate(vec, True)), (lambda vec, point: point)
+    else:  # a trial is decided on its centre, and differenced only where it is taken
+        trial = lambda vec: (evaluate(vec),)
+        complete = lambda vec, point: _central_differences(evaluate, vec, point[0])
     best = None
     iterations = 0
     starts = []
     for replicate in range(config.multistart):
-        rng = np.random.default_rng([config.seed, replicate])
-        start = x0 if replicate == 0 else x0 + rng.normal(0.0, 0.35, size=x0.size)
+        start = x0 if replicate == 0 else x0 + np.random.default_rng(
+            [config.seed, replicate]).normal(0.0, 0.35, size=x0.size)
         before = evaluations
-        x_opt, f_opt, g_opt, nit = _newton(derivatives_at, start, config)
+        x_opt, f_opt, g_opt, nit = _newton(trial, complete, start, config)
         iterations += nit
         starts.append(StartTrace(model, -f_opt * total_w, evaluations - before))
         if best is None or f_opt < best[1]:

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import mpmath as mp
@@ -201,14 +202,17 @@ class TestFitMle:
         assert res.converged is False
 
     def test_support_violation_raises(self, monkeypatch):
+        # the objective's kernels: the closed-form pass, and the weighted sum
+        # of the log-densities that central differences take
         calls = []
-        for name in ("loglik", "loglik_hessian"):
+        for name in ("_kgen_loglik_hessian", "_weighted_sum"):
             inner = getattr(kfit, name)
             monkeypatch.setattr(kfit, name, lambda *a, inner=inner: calls.append(a) or inner(*a))
         s = WeightedSample(np.array([1.0, 0.0, 2.0]))
-        with pytest.raises(SupportViolationError) as err:
-            fit_mle(s, FAST)
-        assert (err.value.index, err.value.value) == (1, 0.0)
+        for model in ("kappagen", "ekg2"):
+            with pytest.raises(SupportViolationError) as err:
+                fit_mle(s, replace(FAST, model=model))
+            assert (err.value.index, err.value.value) == (1, 0.0)
         assert calls == []  # raised before any start evaluated the objective
 
     def test_diagnostics_report_the_quasi_newton_stage(self):
@@ -235,18 +239,61 @@ class TestFitMle:
         grad = kfit.loglik_hessian(s, model, res.params)[1]
         assert res.score_norm == np.max(np.abs(grad)) / s.total_weight
 
-    def test_ekg2_starts_are_newton_stages_on_central_differences(self, monkeypatch):
+    @pytest.mark.parametrize("model", ["kappagen", "weibull", "kappagen_normalized"])
+    def test_a_newton_point_is_one_kernel_pass(self, model, monkeypatch):
+        # the support is checked once per fit, and every evaluation is one
+        # pass of the kernel on the fit's arrays, past the public wrappers
+        calls = Counter()
+        for name in ("_kgen_loglik_hessian", "_check_support", "loglik", "loglik_hessian"):
+            inner = getattr(kfit, name)
+            monkeypatch.setattr(kfit, name, lambda *a, name=name, inner=inner:
+                                calls.update([name]) or inner(*a))
+        s = kgen_data(2000, seed=22)
+        s = WeightedSample(s.values / s.weighted_mean())
+        res = kfit._fit_transformed(model, s, FitConfig(model=model, multistart=3, seed=0))
+        d = res.diagnostics
+        assert res.converged and d.penalties == ()
+        assert calls == {"_check_support": 1, "_kgen_loglik_hessian": d.evaluations}
+
+    @pytest.mark.parametrize("model", ["kappagen", "weibull", "kappagen_normalized"])
+    @pytest.mark.parametrize("resampled", [False, True])
+    def test_a_newton_point_is_the_public_hessian_over_the_weight(self, model, resampled,
+                                                                 monkeypatch):
         newton = kfit._newton
         stages = []
         monkeypatch.setattr(kfit, "_newton", lambda *a: stages.append(a) or newton(*a))
+        x = kgen_sample(600, KappaGenParams(2.0, 1.0, 0.5), 23)
+        # a resample's counts leave about a third of the records at weight 0
+        w = np.random.default_rng(23).multinomial(600, np.full(600, 1 / 600)).astype(float)
+        s = WeightedSample(x, w if resampled else None)
+        assert resampled == (not s.weights.all())
+        kfit._fit_transformed(model, s, FitConfig(model=model, multistart=1, seed=0))
+        trial, complete, x0, _ = stages[0]
+        for vec in (x0, x0 + 0.05):
+            f, g, h = complete(vec, trial(vec))
+            ll, grad, hess = kfit.loglik_hessian(s, model, FAMILIES[model].decode(vec))
+            assert f == -ll / s.total_weight
+            np.testing.assert_array_equal(g, -grad / s.total_weight)
+            np.testing.assert_array_equal(h, -hess / s.total_weight)
+
+    def test_ekg2_starts_are_newton_stages_on_central_differences(self, monkeypatch):
+        newton, differences = kfit._newton, kfit._central_differences
+        stages, stencils = [], []
+        monkeypatch.setattr(kfit, "_newton", lambda *a: stages.append(a) or newton(*a))
+        monkeypatch.setattr(kfit, "_central_differences",
+                            lambda *a: stencils.append(a[1]) or differences(*a))
         x = ekg2_sample(500, EKG2Params(2.0, 1.0, 0.8, 1.2), seed=20)
         res = fit_mle(WeightedSample(x), FitConfig(model="ekg2", multistart=2, seed=0))
         d = res.diagnostics
         assert len(stages) == len(d.starts) == 2
         assert d.evaluations == sum(start.evaluations for start in d.starts)
-        # each Newton point of a 4-parameter family is a 33-point stencil
-        assert all(start.evaluations % 33 == 0 for start in d.starts) and d.penalties == ()
-        assert res.iterations <= d.evaluations // 33 - 2
+        assert d.penalties == ()
+        # a 4-parameter family differences 32 points around each point a start
+        # begins at or steps to, and a trial point costs its centre alone:
+        # the starts here halve some steps, whose trials take no stencil
+        assert len(stencils) == len(d.starts) + res.iterations
+        trials = d.evaluations - 32 * len(stencils) - len(d.starts)
+        assert trials > res.iterations
 
     def test_a_start_with_an_indefinite_hessian_reaches_the_optimum_by_newton(self):
         s = WeightedSample(kgen_sample(10_000, KappaGenParams(2.0, 1.0, 0.5), 1))
@@ -864,7 +911,7 @@ class TestHessian:
         s = kgen_data(2000, seed=21)
         vec = family.encode(family.start(1.5, 1.4, 0.3))
         objective = lambda v: -loglik(s, model, family.decode(v)) / s.total_weight
-        f, grad, hess = kfit._central_differences(objective, vec)
+        f, grad, hess = kfit._central_differences(objective, vec, objective(vec))
         ll, want_grad, want_hess = kfit.loglik_hessian(s, model, family.decode(vec))
         assert f == -ll / s.total_weight
         assert np.max(np.abs(want_grad)) / s.total_weight > 0.1
@@ -899,17 +946,24 @@ class TestOverflowingTerms:
             assert kfit.loglik_hessian(zero, "weibull", self.POINT)[0] == ll
 
     @pytest.mark.parametrize("model, params", [
-        ("weibull", WeibullParams(60.0, 1.5)), ("kappagen", KappaGenParams(60.0, 1.5, 0.5))])
+        ("weibull", WeibullParams(60.0, 1.5)), ("kappagen", KappaGenParams(60.0, 1.5, 0.5)),
+        ("kappagen", KappaGenParams(2.5, 1.0, 0.6)),
+        ("kappagen_normalized", KappaGenParams(2.5, 1.0, 0.6))])
     def test_a_zero_weight_record_adds_no_term(self, model, params):
-        # the record's log-density is -inf, and the rest of the sum is finite
-        with_zero = WeightedSample(np.array([1.0, 2.0, 1e6]), np.array([1.0, 1.0, 0.0]))
+        # the record's log-density is -inf, and the rest of the sum is finite;
+        # its score and curvature terms would be 0 * inf = nan
+        with_zero = WeightedSample(np.array([1.0, 2.0, 1e300]), np.array([1.0, 1.0, 0.0]))
         without = WeightedSample(np.array([1.0, 2.0]))
         expected = loglik(without, model, params)
-        assert math.isfinite(expected)
+        _, grad, hess = kfit.loglik_hessian(without, model, params)
+        assert math.isfinite(expected) and np.isfinite(hess).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert loglik(with_zero, model, params) == expected
-            assert kfit.loglik_hessian(with_zero, model, params)[0] == expected
+            got = kfit.loglik_hessian(with_zero, model, params)
+        assert got[0] == expected
+        np.testing.assert_array_equal(got[1], grad)
+        np.testing.assert_array_equal(got[2], hess)
 
     @pytest.mark.parametrize("model", ["weibull", "kappagen", "kappagen_normalized"])
     def test_a_zero_weight_record_leaves_a_fit_as_without_it(self, model):
