@@ -93,7 +93,21 @@ class WeightedSample:
         return float(w.sum() ** 2 / np.sum(w * w))
 
     def subset(self, mask):
-        return WeightedSample(self.values[mask], self.weights[mask])
+        """The records where the boolean array mask is true.
+
+        Their values and weights were checked finite and nonnegative when
+        this sample was built, so only emptiness and the total weight are
+        checked again.
+        """
+        values, weights = self.values[mask], self.weights[mask]
+        if values.size == 0:
+            raise DegenerateDataError("sample is empty")
+        if not weights.sum() > 0.0:
+            raise DegenerateDataError("total weight must be positive")
+        sample = object.__new__(WeightedSample)
+        object.__setattr__(sample, "values", values)
+        object.__setattr__(sample, "weights", weights)
+        return sample
 
 
 def _parse_line(line, line_number):

@@ -707,23 +707,18 @@ def ekg2_quantile(u, p: EKG2Params):
     where z itself would round to 1.
     """
     arr, scalar = _asarray(u)
-    if np.any(~((arr >= 0.0) & (arr < 1.0))):
+    if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < 1.0):
         raise DomainError("ekg2_quantile requires 0 <= u < 1")
-    lnz = np.full_like(arr, -np.inf)
-    log1mz = np.zeros_like(arr)
+    out = np.zeros_like(arr)
     upper = arr > 0.5
     lower = (arr > 0.0) & ~upper
-    with np.errstate(divide="ignore"):
-        if np.any(lower):
+    with np.errstate(divide="ignore", over="ignore"):
+        if lower.any():
             z = inv_reg_inc_beta(arr[lower], p.p, p.q)
-            lnz[lower] = np.log(z)
-            log1mz[lower] = np.log1p(-z)
-        if np.any(upper):
+            out[lower] = p.b * np.exp(np.log(z) / p.a - np.log1p(-z) / (2.0 * p.a))
+        if upper.any():
             w = inv_reg_inc_beta(1.0 - arr[upper], p.q, p.p)
-            lnz[upper] = np.log1p(-w)
-            log1mz[upper] = np.log(w)
-    with np.errstate(over="ignore"):
-        out = p.b * np.exp(lnz / p.a - log1mz / (2.0 * p.a))
+            out[upper] = p.b * np.exp(np.log1p(-w) / p.a - np.log(w) / (2.0 * p.a))
     return _restore(out, scalar)
 
 

@@ -1,5 +1,6 @@
 """load_dataset: the bulk parse against the line-by-line reader it replaces."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kappagen import (DataFormatError, KappaGenParams, NetWealthMixtureParams, WeibullParams,
-                      WeightedSample, load_dataset, mixture_sample)
+from kappagen import (DataFormatError, DegenerateDataError, KappaGenParams,
+                      NetWealthMixtureParams, WeibullParams, WeightedSample, load_dataset,
+                      mixture_sample)
 from kappagen.data import _parse_bulk, _parse_line
 
 
@@ -216,3 +218,31 @@ class TestSortOrder:
         values = mixture_sample(5000, p, seed)
         assert np.count_nonzero(values == 0.0) > 1
         assert np.array_equal(WeightedSample(values).order, np.argsort(values, kind="stable"))
+
+
+class TestSubset:
+    def test_equals_the_sample_of_the_masked_arrays(self):
+        rng = np.random.default_rng(31)
+        values = rng.normal(size=400)
+        weights = rng.integers(0, 3, 400).astype(float)
+        sample = WeightedSample(values, weights)
+        for mask in (weights > 0.0, values > 0.3, np.ones(400, dtype=bool)):
+            got, want = sample.subset(mask), WeightedSample(values[mask], weights[mask])
+            for field in dataclasses.fields(WeightedSample):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+            assert np.array_equal(got.order, want.order)
+            assert got.total_weight == want.total_weight
+
+    def test_skips_the_validation_of_checked_arrays(self, monkeypatch):
+        sample = WeightedSample([3.0, 1.0, 2.0], [1.0, 0.0, 2.0])
+        monkeypatch.setattr(WeightedSample, "__post_init__",
+                            lambda self: pytest.fail("subset re-validated its arrays"))
+        assert sample.subset(sample.weights > 0.0).values.tolist() == [3.0, 2.0]
+
+    def test_empty_and_weightless_subsets_still_raise(self):
+        sample = WeightedSample([1.0, 2.0], [1.0, 0.0])
+        with pytest.raises(DegenerateDataError, match="empty"):
+            sample.subset(np.zeros(2, dtype=bool))
+        with pytest.raises(DegenerateDataError, match="total weight"):
+            sample.subset(np.array([False, True]))

@@ -94,6 +94,22 @@ class TestGamma:
         with pytest.raises(DomainError):
             log_gamma(-2.5)
 
+    def test_log_gamma_float_path_matches_the_array_path(self, monkeypatch):
+        z = np.concatenate([np.exp(np.linspace(-700.0, 700.0, 301)), np.linspace(0.01, 40.0, 400),
+                            [5e-324, np.finfo(float).tiny, 1.0, 2.0, np.inf]])
+        want = log_gamma(z).tolist()
+        # Python floats and numpy float64 take the float path, past _asarray
+        monkeypatch.setattr(special, "_asarray", None)
+        assert [log_gamma(float(v)) for v in z] == want
+        assert [log_gamma(v) for v in z] == want
+        for bad in (0.0, -0.0, -2.5, -np.inf, np.nan):
+            with pytest.raises(DomainError):
+                log_gamma(bad)
+        monkeypatch.undo()
+        for bad in (0.0, -0.0, -2.5, -np.inf, np.nan):
+            with pytest.raises(DomainError):
+                log_gamma(np.array([bad]))
+
 
 class TestDigamma:
     def test_euler_mascheroni(self):
@@ -247,6 +263,10 @@ def _mp_root_near(u, a, b, x):
     raise AssertionError(f"no root for u={u}, a={a}, b={b}")
 
 
+_TABLE_SHAPES = [(2.0, 1.2), (1.2, 2.0), (0.3, 0.4), (0.1, 0.1), (5.0, 0.3), (0.05, 50.0),
+                 (50.0, 50.0)]
+
+
 @st.composite
 def _table_inputs(draw):
     """Shapes and an array large enough for the table: uniform and
@@ -308,11 +328,122 @@ class TestTabulatedInverse:
             want = _mp_root_near(u[i], a, b, z[i])
             assert float(abs(z[i] - want) / want) <= 1e-12
 
-    @pytest.mark.parametrize("a, b", [(2.0, 1.2), (1.2, 2.0), (0.3, 0.4), (0.1, 0.1),
-                                      (5.0, 0.3), (0.05, 50.0), (50.0, 50.0)])
+    @pytest.mark.parametrize("a, b", _TABLE_SHAPES)
     def test_large_arrays_take_the_table(self, a, b):
         u = np.random.default_rng(6).uniform(0.0, 0.5, 5000)
         assert special._tabulated_inverse(u, a, b) is not None
+
+    def test_betainc_runs_on_the_nodes_only(self, monkeypatch):
+        # the residual of every entry comes from the quadrature, anchored on
+        # the one betainc call at the n + 1 nodes
+        a, b = 2.0, 1.2
+        u = np.random.default_rng(12).random(100_000)
+        n = math.ceil((math.log(0.5) - math.log(u[u <= 0.5].min())) / special._NODE_STEP)
+        sizes = []
+        betainc = sc.betainc
+        monkeypatch.setattr(special.sc, "betainc",
+                            lambda *args: sizes.append(np.size(args[2])) or betainc(*args))
+        z = inv_reg_inc_beta(u, a, b)
+        monkeypatch.undo()
+        assert sizes == [n + 1]
+        np.testing.assert_allclose(z, sc.betaincinv(a, b, u), rtol=4e-15)
+
+    @pytest.mark.parametrize("a, b", _TABLE_SHAPES + [(50.0, 0.05)])
+    def test_increment_within_its_bound(self, a, b):
+        # on table intervals from u = 1e-4 to 1/2, the rule's increment from
+        # either node across half the interval and across all of it, against
+        # a 30-digit integral over the same s with the same ln B (betaln is
+        # off by 1e-14 at (0.05, 50), and that is not the rule's error);
+        # rounding adds a few ulp of the terms of the log-density
+        n = math.ceil(math.log(0.5 / 1e-4) / special._NODE_STEP)
+        zn = sc.betaincinv(a, b, np.exp(np.linspace(math.log(1e-4), math.log(0.5), n + 1)))
+        y = np.log(zn)
+        rate = special._quadrature_rate(a, b, zn, y)
+        ln_beta = sc.betaln(a, b)
+        i = np.repeat([0, n // 3, 2 * n // 3, n - 1], 4)
+        j = i + np.tile([0, 0, 1, 1], 4)
+        width = np.log1p((zn[i + 1] - zn[i]) / zn[i]) * np.tile([0.5, 1.0, -0.5, -1.0], 4)
+        got = special._density_increment(a, b, ln_beta, y[j], width)
+        bound = special._quadrature_bound(width, rate[i], got)
+        scale = a * np.abs(y[j]) + abs(ln_beta) + abs(b - 1.0) * np.abs(np.log1p(-zn[j])) + 1.0
+        with mp.workdps(30):
+            A, B = mp.mpf(a), mp.mpf(b)
+            log_beta = mp.mpf(ln_beta)
+            for k in range(got.size):
+                lo = mp.mpf(y[j[k]])
+                want = mp.quad(lambda s: mp.exp(A * s + (B - 1) * mp.log1p(-mp.exp(s)) - log_beta),
+                               [lo, lo + mp.mpf(width[k])])
+                slack = 4.0 * np.finfo(float).eps * scale[k] * abs(got[k])
+                assert float(abs(got[k] - want)) <= bound[k] + slack
+
+    @pytest.mark.parametrize("a, b", [(2.0, 1.2), (1.2, 2.0), (5.0, 0.3), (50.0, 50.0)])
+    def test_anchor_corrections_against_mpmath(self, a, b):
+        # each node's betainc value averaged with its neighbours' is nearer
+        # the 30-digit I(z_j), on the mean and at the worst node
+        lo = math.log(1e-6) if a < 10.0 else math.log(1e-3)
+        n = math.ceil((math.log(0.5) - lo) / special._NODE_STEP)
+        un = np.exp(np.linspace(lo, math.log(0.5), n + 1))
+        zn = sc.betaincinv(a, b, un)
+        y = np.log(zn)
+        i_nodes = sc.betainc(a, b, zn)
+        rate = special._quadrature_rate(a, b, zn, y)
+        corr = special._anchor_corrections(a, b, sc.betaln(a, b), zn, y, un, i_nodes, rate)
+        with mp.workdps(30):
+            want = np.array([float(mp.betainc(a, b, 0, mp.mpf(z), regularized=True)) for z in zn])
+        raw = np.abs(i_nodes - want) / un
+        corrected = np.abs((i_nodes - want) + corr) / un
+        assert corrected.mean() <= 0.9 * raw.mean()
+        assert corrected.max() <= raw.max()
+
+    @pytest.mark.parametrize("a, b", _TABLE_SHAPES + [(50.0, 0.05)])
+    def test_roots_against_mpmath(self, a, b, monkeypatch):
+        u = np.random.default_rng(6).uniform(0.0, 0.5, 5000)
+        starts = []
+        betainc = sc.betainc
+        with monkeypatch.context() as m:
+            m.setattr(special.sc, "betainc", lambda *args: starts.append(args[2]) or betainc(*args))
+            z = inv_reg_inc_beta(u, a, b)
+        rate = special._quadrature_rate
+        monkeypatch.setattr(special, "_quadrature_rate",
+                            lambda *args: np.full_like(rate(*args), np.inf))
+        every_betainc = inv_reg_inc_beta(u, a, b)  # the residual of betainc alone
+        monkeypatch.setattr(special, "_tabulated_inverse", lambda *args: None)
+        table = np.flatnonzero(every_betainc != inv_reg_inc_beta(u, a, b))
+        # past the node check, betainc sees the starts of the entries whose
+        # quadrature bound sent them back to its residual (at (0.1, 0.1), and
+        # near z -> 1 at (5, 0.3) and (50, 0.05)); each one's root is the
+        # nearest to its start
+        starts = np.concatenate([np.empty(0)] + starts[1:])
+        sent_back = np.abs(z - starts[:, None]).argmin(axis=1)
+        assert (sent_back.size > 0) == ((a, b) in [(0.1, 0.1), (5.0, 0.3), (50.0, 0.05)])
+        np.testing.assert_array_equal(z[sent_back], every_betainc[sent_back])
+        rng = np.random.default_rng(7)
+        pick = np.concatenate([rng.choice(table, min(40, table.size), replace=False),
+                               sent_back[:8]])
+        err, err_betainc, cond = [], [], []
+        for i in pick:
+            root = _mp_root_near(u[i], a, b, z[i])
+            ulp = mp.mpf(np.spacing(float(root)))
+            err.append(float(abs(z[i] - root) / ulp))
+            err_betainc.append(float(abs(every_betainc[i] - root) / ulp))
+            cond.append(u[i] / (z[i] * math.exp((a - 1.0) * math.log(z[i])
+                                                + (b - 1.0) * math.log1p(-z[i]) - sc.betaln(a, b))))
+        err, cond = np.array(err), np.array(cond)
+        # betainc's error at the anchoring node, a few ulp of u, carried into
+        # z by the conditioning d ln z / d ln u, for the sent-back entries too
+        assert np.all(err <= 8.0 * np.maximum(1.0, cond))
+        assert err.mean() <= np.mean(err_betainc) + 0.5 + 2.0 * cond.max()
+
+    @pytest.mark.parametrize("a, b", [(2.0, 1.2), (1.2, 2.0)])
+    def test_small_roots_against_mpmath(self, a, b):
+        # roots down to 1e-6 and 5e-11, where ln z is -14 and -24: the increment's
+        # interval ln z - ln z_j must be good to an ulp of itself, since a
+        # difference of the two logarithms would carry |ln z| ulp into z
+        u = np.exp(np.random.default_rng(8).uniform(math.log(1e-12), math.log(1e-3), 2000))
+        z = inv_reg_inc_beta(u, a, b)
+        for i in range(0, u.size, 80):
+            root = _mp_root_near(u[i], a, b, z[i])
+            assert float(abs(z[i] - root) / mp.mpf(np.spacing(float(root)))) <= 4.0
 
     def test_table_declined_where_betainc_misses_its_nodes(self):
         # scipy's betainc is off by up to ~2000 ulp at (43.5, 8), and
