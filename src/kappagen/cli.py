@@ -253,6 +253,7 @@ def _cmd_plotdata(args):
             curve = ineq.empirical_lorenz(sample)
             pairs = curve.points
         elif args.kind == "ccdf-loglog":
+            sample = sample.nonzero
             v = sample.values[sample.order]
             w = sample.weights[sample.order]
             ccdf = 1.0 - (np.cumsum(w) - 0.5 * w) / w.sum()

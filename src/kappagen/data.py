@@ -20,9 +20,9 @@ class WeightedSample:
     Weights default to 1 for every observation.  Values may be negative or
     zero (net-wealth data); income-family fits reject those at fit time.
 
-    The arrays are treated as immutable once ``order`` has been read: the
-    sort order is cached, so changing ``values`` in place afterwards (through
-    this sample or an array it aliases) leaves a stale order.  They are not
+    The arrays are treated as immutable once ``order`` or ``nonzero`` has been
+    read: both are cached, so changing the arrays in place afterwards (through
+    this sample or an array it aliases) leaves them stale.  They are not
     made read-only, since they may be the caller's own arrays.
     """
 
@@ -79,6 +79,19 @@ class WeightedSample:
         keys.sort()
         keys -= run_base
         return keys
+
+    @property
+    def nonzero(self):
+        """The records of nonzero weight, which every likelihood sum and
+        empirical curve covers: this sample itself where no weight is zero,
+        else subset(weights > 0), built once.  Its order is this sample's
+        stable order with the zero-weight records left out."""
+        kept = self._nonzero_subset
+        return self if kept is None else kept
+
+    @cached_property
+    def _nonzero_subset(self):  # None, not self: a sample cached on itself is a cycle
+        return None if self.weights.all() else self.subset(self.weights > 0.0)
 
     @property
     def total_weight(self):

@@ -192,21 +192,11 @@ def _asinh_rest(u):
     return 1.0 / 3.0 - u2 * (3.0 / 10.0 - u2 * (15.0 / 56.0 - u2 * (35.0 / 144.0)))
 
 
-def _weighted_sum(weights, terms):
-    """sum(w * term) over the records, under the caller's np.errstate scope
-    that ignores overflow and invalid: a record of zero weight adds no term
-    (not 0 * -inf = nan), and past the double range it is -inf or nan."""
-    total = float((weights * terms).sum())
-    if math.isnan(total) and not weights.all():
-        kept = weights != 0.0
-        total = float((weights[kept] * terms[kept]).sum())
-    return total
-
-
 def _kgen_loglik_hessian(values, weights, p: KappaGenParams):
     """Weighted log-likelihood sum(w ln f(x)) of the base model, its
     gradient and its 3x3 Hessian in (ln alpha, ln beta, kappa), from one
-    pass over the records; requires x > 0.
+    pass over a sample's nonzero records (0 * inf would be nan), summed as
+    loglik sums them; requires x > 0.
 
     With y = (x/beta)^alpha, L = ln(x/beta), u = kappa y, s = sqrt(1 + u^2),
     q = y/s and t = kappa q, the per-record scores are 1 + alpha L (1 - h)
@@ -227,7 +217,7 @@ def _kgen_loglik_hessian(values, weights, p: KappaGenParams):
     hess = np.zeros((3, 3))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         out, ln_rel, y, asinh_ky, s = _kgen_log_terms(values, p)
-        ll = _weighted_sum(weights, out)
+        ll = float((weights * out).sum())
         if k == 0.0:
             q = y
         else:

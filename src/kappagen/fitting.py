@@ -14,13 +14,15 @@ Weibull and the unit-mean model give it their closed-form gradient and
 Hessian (Family.hessian, one pass over the records; the unit-mean model's
 through the chain rule on its pinned scale); ekg1 and ekg2 give it central
 differences of the log-likelihood (_central_differences) at the points it
-moves to.  After the fit's one support check, the objective calls these
-kernels on the fit's own arrays, not through loglik and loglik_hessian, so
-a tracer of the public fitting functions sees no call per point.  Its
-steps take the Hessian's eigenvalues in absolute value, so a start where
-the Hessian is indefinite, as perturbed starts can be, still descends, and
-move at most _MAX_STEP along any eigen-direction, so a step along
-near-zero curvature neither overshoots nor stalls short of the kappa cap.
+moves to.  loglik, loglik_hessian and a fit all sum over sample.nonzero,
+the records of nonzero weight.  Once a fit has checked the support, before
+its first start, the objective calls these kernels on those records, not
+through loglik and loglik_hessian, so a tracer of the public fitting
+functions sees no call per point.  Its steps take the Hessian's
+eigenvalues in absolute value, so a start where the Hessian is indefinite,
+as perturbed starts can be, still descends, and move at most _MAX_STEP
+along any eigen-direction, so a step along near-zero curvature neither
+overshoots nor stalls short of the kappa cap.
 The mixture gets the stage through its two branch fits.  It stops at a
 max-abs gradient of _GTOL = 1e-8.  Convergence is judged by the max-abs
 gradient of the weight-normalized log-likelihood that the winning start's
@@ -52,7 +54,6 @@ from .distributions import (
     WeibullParams,
     _kgen_loglik_hessian,
     _unit_mean_log_scale_grad,
-    _weighted_sum,
     ekg1_ccdf,
     ekg1_cdf,
     ekg1_logpdf,
@@ -175,7 +176,7 @@ class Family:
     transformed coordinates, and hessian for those of them with a
     closed-form gradient and Hessian (the Newton stage takes central
     differences of the others').  A fit calls hessian, or logpdf, on its
-    own arrays after its one support check, not through loglik or
+    own nonzero records after its one support check, not through loglik or
     loglik_hessian.  Families whose params subclass KappaGenParams share
     the base model's functions.
     """
@@ -408,15 +409,21 @@ def _check_support(values, model):
             f"of model {model!r}", index=idx, value=float(values[idx]))
 
 
-def loglik(sample: WeightedSample, model, params):
-    """Weighted log-likelihood sum(w_i * ln f(x_i)), computed in log space;
-    a record of zero weight adds no term."""
-    family = _family(model)
-    if family.positive:
+def _records(sample: WeightedSample, model):
+    """sample.nonzero, the records a log-likelihood sums over, once the
+    support is checked on the caller's indices where the family's is x > 0."""
+    if _family(model).positive:
         _check_support(sample.values, model)
-    terms = family.logpdf(sample.values, params)
+    return sample.nonzero
+
+
+def loglik(sample: WeightedSample, model, params):
+    """Weighted log-likelihood sum(w_i * ln f(x_i)) over sample.nonzero, in
+    log space: loglik_hessian's value bit for bit, where it has one."""
+    records = _records(sample, model)
+    terms = _family(model).logpdf(records.values, params)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _weighted_sum(sample.weights, terms)
+        return float((records.weights * terms).sum())
 
 
 def loglik_score(sample: WeightedSample, model, params):
@@ -428,16 +435,14 @@ def loglik_score(sample: WeightedSample, model, params):
 def loglik_hessian(sample: WeightedSample, model, params):
     """The weighted log-likelihood, summed as a fit sums it, with its
     gradient and Hessian in the coordinates the family is fitted on
-    (FAMILIES[model].decode's vector), from one pass over the records of
-    positive weight (0 * inf would be nan), for the families with a
-    closed-form Hessian: kappagen, weibull and kappagen_normalized."""
+    (FAMILIES[model].decode's vector), from one pass over sample.nonzero,
+    for the families with a closed-form Hessian: kappagen, weibull and
+    kappagen_normalized."""
     hessian = _family(model).hessian
     if hessian is None:
         raise DomainError(f"model {model!r} has no closed-form Hessian")
-    _check_support(sample.values, model)
-    if not sample.weights.all():
-        sample = sample.subset(sample.weights > 0.0)
-    return hessian(sample.values, sample.weights, params)
+    records = _records(sample, model)
+    return hessian(records.values, records.weights, params)
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +478,7 @@ def _initial_shape_scale(sample: WeightedSample):
             beta0 = math.exp(-intercept / slope)
             if math.isfinite(beta0) and beta0 > 0.0:
                 return alpha0, beta0, (v, w, cdf_mid)
-    mean = float(np.sum(sample.values * sample.weights) / sample.weights.sum())
-    return 1.0, max(mean, 1e-12), (v, w, cdf_mid)
+    return 1.0, max(sample.weighted_mean(), 1e-12), (v, w, cdf_mid)
 
 
 def _initial_kgen(sample: WeightedSample):
@@ -561,17 +565,13 @@ def _newton(evaluate, complete, x0, config):
 
 
 def _fit_transformed(model, sample, config):
-    """Multistart maximization of the mean log-likelihood, one Newton stage
-    per start.  Returns a FitResult whose loglik is the optimizer's, with no
-    goodness of fit."""
+    """Multistart maximization of the mean log-likelihood over sample.nonzero,
+    whose support the caller has checked, one Newton stage per start.  Returns
+    a FitResult whose loglik is the optimizer's, with no goodness of fit."""
     family = FAMILIES[model]
-    positive = sample.weights > 0.0
-    if np.ptp(sample.values[positive]) == 0.0:  # max == min, and no copy outlives the test
+    sample = sample.nonzero
+    if np.ptp(sample.values) == 0.0:
         raise DegenerateDataError("sample has a single distinct value")
-    if family.positive:  # fail before any start, and on the caller's record indices
-        _check_support(sample.values, model)
-    if not positive.all():  # a zero-weight record adds no term, but 0 * inf is nan
-        sample = sample.subset(positive)
     values, weights, total_w = sample.values, sample.weights, sample.total_weight
     penalties = Counter()
     evaluations = 0
@@ -593,7 +593,7 @@ def _fit_transformed(model, sample, config):
                 else:
                     terms = family.logpdf(values, params)
                     with np.errstate(over="ignore", invalid="ignore"):
-                        ll = _weighted_sum(weights, terms)
+                        ll = float((weights * terms).sum())
             except (DomainError, MomentDivergenceError, OverflowError) as exc:
                 cause = type(exc).__name__
             else:
@@ -640,7 +640,8 @@ def fit_mle(sample: WeightedSample, config: FitConfig):
         return fit_mixture(sample, config)
     if config.model == "kappagen_normalized":
         return fit_normalized(sample, config)
-    return _with_gof(sample, _fit_transformed(config.model, sample, config))
+    records = _records(sample, config.model)
+    return _with_gof(sample, _fit_transformed(config.model, records, config))
 
 
 def _with_gof(sample, fit: FitResult, **changes):

@@ -29,7 +29,6 @@ from .distributions import (
 )
 from .errors import (
     CurveNonexistenceError,
-    DegenerateDataError,
     DegenerateNormalizationError,
     DomainError,
     MomentDivergenceError,
@@ -401,20 +400,13 @@ def ekg2_lorenz(u, p: EKG2Params):
 
 
 def empirical_lorenz(sample: WeightedSample):
-    """Weight-sorted cumulative-share Lorenz curve from unit records.
-
-    Equal values are grouped before cumulating; weights are normalized to
-    sum to one.  The sample's cached order is the only sort: groups start
-    where the sorted values change, and records of zero weight are dropped
-    from it only when the sample has some.
-    """
-    order = sample.order
-    if not sample.weights.min() > 0.0:
-        order = order[sample.weights[order] > 0.0]  # the stable order of the positive weights
-        if order.size == 0:
-            raise DegenerateDataError("all weights are zero")
-    values = sample.values[order]
-    weights = sample.weights[order]
+    """Weight-sorted cumulative-share Lorenz curve of sample.nonzero, the
+    records of nonzero weight, whose cached order is the only sort (a fit of
+    the same sample shares it).  Equal values are grouped before
+    cumulating; weights are normalized to sum to one."""
+    sample = sample.nonzero
+    values = sample.values[sample.order]
+    weights = sample.weights[sample.order]
     weighted = values * weights
     changes = values[1:] != values[:-1]
     if not changes.all():  # a tie: sum each group of equal values

@@ -372,6 +372,17 @@ class TestPlotdata:
         rows = [l.split("\t") for l in capsys.readouterr().out.strip().splitlines()]
         assert float(rows[-1][1]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_empirical_ccdf_leaves_out_records_of_zero_weight(self, tmp_path, capsys):
+        path = tmp_path / "weighted.txt"
+        path.write_text("1 1\n2 1\n3 0\n4 1\n5 1\n")
+        assert run_cli("plotdata", "--input", str(path), "--kind", "ccdf-loglog") == 0
+        rows = [[float(t) for t in l.split("\t")]
+                for l in capsys.readouterr().out.strip().splitlines()]
+        # the four records of weight 1, each at its mid-point survival share
+        want = [[math.log10(x), math.log10(c)] for x, c in ((1, 7 / 8), (2, 5 / 8),
+                                                            (4, 3 / 8), (5, 1 / 8))]
+        assert rows == [pytest.approx(row, rel=1e-14, abs=1e-15) for row in want]
+
 
 def eval_rows(capsys, *argv):
     assert run_cli("eval", *argv) == 0

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kappagen import (DataFormatError, DegenerateDataError, KappaGenParams,
-                      NetWealthMixtureParams, WeibullParams, WeightedSample, load_dataset,
-                      mixture_sample)
+from kappagen import (DataFormatError, DegenerateDataError, FitConfig, KappaGenParams,
+                      NetWealthMixtureParams, WeibullParams, WeightedSample, empirical_gini,
+                      fit_mle, kgen_sample, load_dataset, mixture_sample)
 from kappagen.data import _parse_bulk, _parse_line
 
 
@@ -246,3 +246,46 @@ class TestSubset:
             sample.subset(np.zeros(2, dtype=bool))
         with pytest.raises(DegenerateDataError, match="total weight"):
             sample.subset(np.array([False, True]))
+
+
+class TestNonzero:
+    def test_is_the_sample_itself_where_no_weight_is_zero(self):
+        sample = WeightedSample([3.0, 1.0, 2.0], [1.0, 0.5, 2.0])
+        assert sample.nonzero is sample
+
+    def test_equals_the_subset_of_positive_weights_built_once(self):
+        rng = np.random.default_rng(31)
+        values = rng.normal(size=400)
+        weights = rng.integers(0, 3, 400).astype(float)
+        weights[::7] = -0.0  # a nonnegative weight that is zero
+        sample = WeightedSample(values, weights)
+        got, want = sample.nonzero, sample.subset(weights > 0.0)
+        for field in dataclasses.fields(WeightedSample):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+        assert sample.nonzero is got
+        assert got.nonzero is got
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.tuples(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+                                             st.floats(allow_nan=False, allow_infinity=False)),
+                                   st.sampled_from([0.0, -0.0, 1.0, 2.0])),
+                         min_size=1, max_size=80).filter(lambda rows: any(w for _, w in rows)))
+    def test_order_is_the_original_order_without_the_zero_weights(self, rows):
+        values, weights = (np.array(column) for column in zip(*rows))
+        sample = WeightedSample(values, weights)
+        kept = sample.order[weights[sample.order] > 0.0]
+        # nonzero's order indexes the kept records, which sit at these indices
+        assert np.array_equal(np.flatnonzero(weights > 0.0)[sample.nonzero.order], kept)
+
+    def test_a_resample_fit_and_its_gini_never_sort_the_full_resample(self):
+        # the fit, its goodness of fit and the empirical Gini share one sort,
+        # that of the resample's records of nonzero weight
+        values = kgen_sample(600, KappaGenParams(2.0, 1.0, 0.5), 5)
+        counts = np.random.default_rng(5).multinomial(600, np.full(600, 1 / 600))
+        sample = WeightedSample(values, counts.astype(float))
+        assert sample.nonzero is not sample
+        fit_mle(sample, FitConfig(model="kappagen", multistart=1))
+        empirical_gini(sample)
+        assert "order" in vars(sample.nonzero)
+        assert "order" not in vars(sample)

@@ -2,7 +2,6 @@
 
 import math
 import warnings
-from collections import Counter
 from dataclasses import replace
 
 import mpmath as mp
@@ -180,6 +179,14 @@ class TestFitMle:
         with pytest.raises(DegenerateDataError):
             fit_mle(WeightedSample(np.full(10, 2.0)), FAST)
 
+    @pytest.mark.parametrize("model", ["kappagen", "weibull", "kappagen_normalized", "ekg2"])
+    def test_the_support_is_checked_before_the_single_value_test(self, model):
+        with pytest.raises(SupportViolationError) as err:
+            fit_mle(WeightedSample(np.zeros(3)), replace(FAST, model=model))
+        assert err.value.index == 0
+        with pytest.raises(DegenerateDataError):
+            fit_mle(WeightedSample(np.array([2.0, 2.0])), replace(FAST, model=model))
+
     @pytest.mark.parametrize("model", ["kappagen", "weibull"])
     def test_values_with_zero_weight_do_not_count_as_distinct(self, model):
         s = WeightedSample(np.array([2.0, 5.0, 2.0, 0.5, 2.0, 9.0]),
@@ -202,10 +209,10 @@ class TestFitMle:
         assert res.converged is False
 
     def test_support_violation_raises(self, monkeypatch):
-        # the objective's kernels: the closed-form pass, and the weighted sum
-        # of the log-densities that central differences take
+        # the objective's kernels: the closed-form pass, and the log-density
+        # that central differences sum
         calls = []
-        for name in ("_kgen_loglik_hessian", "_weighted_sum"):
+        for name in ("_kgen_loglik_hessian", "ekg2_logpdf"):
             inner = getattr(kfit, name)
             monkeypatch.setattr(kfit, name, lambda *a, inner=inner: calls.append(a) or inner(*a))
         s = WeightedSample(np.array([1.0, 0.0, 2.0]))
@@ -241,19 +248,21 @@ class TestFitMle:
 
     @pytest.mark.parametrize("model", ["kappagen", "weibull", "kappagen_normalized"])
     def test_a_newton_point_is_one_kernel_pass(self, model, monkeypatch):
-        # the support is checked once per fit, and every evaluation is one
-        # pass of the kernel on the fit's arrays, past the public wrappers
-        calls = Counter()
+        # the entry point checks the support once, before the first start;
+        # every evaluation is one pass of the kernel on the fit's arrays,
+        # past the public wrappers; the goodness of fit's loglik checks again
+        calls = []
         for name in ("_kgen_loglik_hessian", "_check_support", "loglik", "loglik_hessian"):
             inner = getattr(kfit, name)
             monkeypatch.setattr(kfit, name, lambda *a, name=name, inner=inner:
-                                calls.update([name]) or inner(*a))
+                                calls.append(name) or inner(*a))
         s = kgen_data(2000, seed=22)
         s = WeightedSample(s.values / s.weighted_mean())
-        res = kfit._fit_transformed(model, s, FitConfig(model=model, multistart=3, seed=0))
+        res = fit_mle(s, FitConfig(model=model, multistart=3, seed=0))
         d = res.diagnostics
         assert res.converged and d.penalties == ()
-        assert calls == {"_check_support": 1, "_kgen_loglik_hessian": d.evaluations}
+        assert calls == (["_check_support"] + ["_kgen_loglik_hessian"] * d.evaluations
+                         + ["loglik", "_check_support"])
 
     @pytest.mark.parametrize("model", ["kappagen", "weibull", "kappagen_normalized"])
     @pytest.mark.parametrize("resampled", [False, True])
@@ -748,10 +757,17 @@ class TestScores:
 
     def test_value_is_loglik_and_support_is_checked_first(self):
         s = kgen_data(500, seed=19)
-        for model in ("kappagen", "weibull", "kappagen_normalized"):
-            family = FAMILIES[model]
-            params = family.decode(np.array(TRANSFORM_VECTORS[model]))
-            assert kfit.loglik_score(s, model, params)[0] == loglik(s, model, params)
+        # a multinomial resample leaves about a third of the records at weight
+        # 0, which every one of the three sums leaves out
+        counts = np.random.default_rng(0).multinomial(500, np.full(500, 1 / 500))
+        resample = WeightedSample(s.values, counts.astype(float))
+        for sample in (s, resample):
+            for model in ("kappagen", "weibull", "kappagen_normalized"):
+                family = FAMILIES[model]
+                params = family.decode(np.array(TRANSFORM_VECTORS[model]))
+                value = loglik(sample, model, params)
+                assert kfit.loglik_score(sample, model, params)[0] == value
+                assert kfit.loglik_hessian(sample, model, params)[0] == value
         bad = WeightedSample(np.array([1.0, -2.0, 3.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
