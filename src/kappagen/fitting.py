@@ -230,8 +230,7 @@ def _ekg1_decode(vec):
 
 def _ekg1_lorenz(u, p: EKG1Params):
     qf = lambda t: ekg1_quantile(t, p)
-    mean = ineq.quantile_mean(qf)
-    return np.array([ineq.quantile_lorenz(float(ui), qf, mean) for ui in u])
+    return ineq.quantile_lorenz(u, qf, ineq.quantile_mean(qf))
 
 
 def _dkappa_dlogit(kappa):

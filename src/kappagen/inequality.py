@@ -3,8 +3,11 @@
 Closed forms are used wherever the families admit them; the generic
 quantile-integral fallback (Gauss-Legendre panels with geometric
 refinement toward both endpoints) covers everything else, including the
-quantile-defined four-parameter extension.  Empirical counterparts
-operate on weighted unit-record samples.
+quantile-defined four-parameter extension; each integral calls the quantile
+once (quantile_lorenz takes arrays, 1024 points a call), and stops at
+u = 1 - 1e-16 (base-model mean off by -5.8e-6 relative at alpha/kappa = 1.5,
+-1.7e-12 at 4).  Empirical counterparts operate on weighted unit-record
+samples.
 """
 
 from __future__ import annotations
@@ -102,82 +105,101 @@ class LorenzOrdering(Enum):
 
 
 # ---------------------------------------------------------------------------
-# quadrature helpers
+# Lorenz scaffold and quadrature
 
 
-def _gl_panel(f, a, b):
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _GL_NODES
-    return half * float(np.sum(_GL_WEIGHTS * f(x)))
+def _lorenz_at(u, name, interior):
+    """L(u) for 0 <= u <= 1 (else DomainError naming the function): exactly
+    0 and 1 at the ends, interior(v) on the entries 0 < v < 1, and a float
+    for a scalar u."""
+    arr, scalar = _asarray(u)
+    if np.any(~((arr >= 0.0) & (arr <= 1.0))):
+        raise DomainError(f"{name} requires 0 <= u <= 1")
+    out = np.where(arr == 1.0, 1.0, 0.0)
+    inside = (arr > 0.0) & (arr < 1.0)
+    if np.any(inside):
+        out[inside] = interior(arr[inside])
+    return _restore(out, scalar)
 
 
-def _integral_zero_to(f, u):
-    """Integral of f over [0, u] with geometric refinement toward 0."""
-    if u <= 0.0:
-        return 0.0
-    edges = [0.0] + [u * 10.0 ** (-k) for k in range(13, 0, -1)] + [u]
-    return sum(_gl_panel(f, a, b) for a, b in zip(edges[:-1], edges[1:]))
+# Panel edges of [0, u]: thirteen decades toward 0 below min(u, 0.9), then
+# from 0.9 the decades toward 1 below u, and u; [0, 1) stops at 1 - 1e-16.
+_HEAD = np.array([0.0] + [10.0 ** (-k) for k in range(13, 0, -1)] + [1.0])
+_TAIL = np.array([0.9] + [1.0 - 10.0 ** (-k) for k in range(2, 17)])
+_JOIN = _HEAD.size - 1  # the zero-width panel from the head's end to the tail's start
+_LORENZ_BLOCK = 1024  # points a quantile call: ~1000 nodes each, tens of MB
 
 
-def _upper_tail_edges():
-    return [1.0 - 10.0 ** (-k) for k in range(2, 17)]
+def _edges(u):
+    """Rows of panel edges of [0, u], u in (0, 1]: the head, a zero-width join
+    and the tail, whose panels above u have zero width."""
+    u = np.asarray(u, dtype=float)[..., None]
+    return np.concatenate((np.minimum(u, 0.9) * _HEAD, np.minimum(_TAIL, u)), axis=-1)
 
 
-def _integral_with_tail(f):
-    """Integral of f over [0, 1) with geometric refinement at both ends.
+def _panels(f, edges):
+    """64-point Gauss-Legendre integrals of f (or of a stack of integrands
+    f returns) over the panels between consecutive edges, from one call of
+    f on the nodes of every panel of nonzero width; the others are 0."""
+    a, b = edges[..., :-1], edges[..., 1:]
+    live = b > a
+    half = 0.5 * (b[live] - a[live])
+    x = (0.5 * (a[live] + b[live]))[:, None] + half[:, None] * _GL_NODES
+    values = np.asarray(f(x.ravel()), dtype=float)
+    values = values.reshape(values.shape[:-1] + x.shape)
+    out = np.zeros(values.shape[:-2] + a.shape)
+    out[..., live] = half * np.sum(_GL_WEIGHTS * values, axis=-1)
+    return out
 
-    Raises MomentDivergenceError when successive tail-panel contributions
-    stop decaying, the signature of a divergent quantile integral.
-    """
-    total = _integral_zero_to(f, 0.9)
-    edges = [0.9] + _upper_tail_edges()
-    prev = math.inf
-    for a, b in zip(edges[:-1], edges[1:]):
-        part = _gl_panel(f, a, b)
-        if not math.isfinite(part):
-            raise MomentDivergenceError("quantile integral diverges near u = 1")
-        if abs(part) >= abs(prev) and abs(part) > 1e-9 * max(abs(total), 1e-300):
-            raise MomentDivergenceError(
-                "quantile integral shows no tail decay; mean appears divergent")
-        total += part
-        prev = part
-    return total
+
+def _in_order(parts):
+    """Sum over the last axis, one panel after another (np.sum would pair)."""
+    return np.cumsum(parts, axis=-1)[..., -1]
+
+
+def _integral(parts):
+    """The integral over [0, 1) from its panels, summed in order.  Raises
+    MomentDivergenceError if a tail panel is not finite, or is no smaller
+    than the one before it while adding more than 1e-9 of the total so far."""
+    total = np.cumsum(parts)
+    tail = parts[_JOIN + 1:]
+    stalled = (np.abs(tail) >= np.abs(np.append(math.inf, tail[:-1]))) & (
+        np.abs(tail) > 1e-9 * np.maximum(np.abs(total[_JOIN:-1]), 1e-300))
+    if np.any(stalled | ~np.isfinite(tail)):
+        raise MomentDivergenceError("quantile integral diverges near u = 1")
+    return float(total[-1])
 
 
 def quantile_mean(quantile_fn):
     """Mean as the integral of the quantile function over [0, 1)."""
-    return _integral_with_tail(lambda t: np.asarray(quantile_fn(t), dtype=float))
+    return _integral(_panels(quantile_fn, _edges(1.0)))
 
 
 def quantile_lorenz(u, quantile_fn, mean):
-    """Generic Lorenz value L(u) = (1/mean) * integral of the quantile to u."""
+    """Generic Lorenz curve L(u) = (1/mean) * integral of the quantile to u,
+    for a scalar or an array u."""
     if not math.isfinite(mean) or mean == 0.0:
         raise DegenerateNormalizationError(
             f"Lorenz curve needs a finite nonzero mean, got {mean}")
-    uf = float(u)
-    if not 0.0 <= uf <= 1.0:
-        raise DomainError("quantile_lorenz requires 0 <= u <= 1")
-    if uf == 1.0:
-        return 1.0
-    f = lambda t: np.asarray(quantile_fn(t), dtype=float)
-    if uf <= 0.9:
-        value = _integral_zero_to(f, uf)
-    else:
-        value = _integral_zero_to(f, 0.9)
-        edges = [e for e in [0.9] + _upper_tail_edges() if e < uf] + [uf]
-        value += sum(_gl_panel(f, a, b) for a, b in zip(edges[:-1], edges[1:]))
-    return value / mean
+
+    def block(v):
+        parts = _panels(quantile_fn, _edges(v))
+        return (_in_order(parts[:, :_JOIN]) + _in_order(parts[:, _JOIN + 1:])) / mean
+
+    return _lorenz_at(u, "quantile_lorenz", lambda v: np.concatenate(
+        [block(v[i:i + _LORENZ_BLOCK]) for i in range(0, v.size, _LORENZ_BLOCK)]))
 
 
 def quantile_gini(quantile_fn):
     """Generic Gini 1 - 2 * integral of L; computed as 1 - (2/m) E[(1-U) Q(U)]."""
-    f = lambda t: np.asarray(quantile_fn(t), dtype=float)
-    mean = _integral_with_tail(f)
+    # the integrands of the mean, Q, and of E[(1-U) Q(U)], from one call
+    both = lambda t: quantile_fn(t) * np.stack((np.ones_like(t), 1.0 - t))
+    parts = _panels(both, _edges(1.0))
+    mean = _integral(parts[0])
     if not math.isfinite(mean) or mean == 0.0:
         raise DegenerateNormalizationError(
             f"Gini needs a finite nonzero mean, got {mean}")
-    damped = _integral_with_tail(lambda t: f(t) * (1.0 - t))
-    return 1.0 - 2.0 * damped / mean
+    return 1.0 - 2.0 * _integral(parts[1]) / mean
 
 
 # ---------------------------------------------------------------------------
@@ -193,32 +215,21 @@ def _require_curve(p: KappaGenParams):
 def kgen_lorenz(u, p: KappaGenParams):
     """Closed-form Lorenz curve of the base model; needs alpha/kappa > 1."""
     _require_curve(p)
-    arr, scalar = _asarray(u)
-    if np.any(~((arr >= 0.0) & (arr <= 1.0))):
-        raise DomainError("kgen_lorenz requires 0 <= u <= 1")
     a, k = p.alpha, p.kappa
-    out = np.empty_like(arr)
-    interior = (arr > 0.0) & (arr < 1.0)
-    if np.any(interior):
-        ui = arr[interior]
+
+    def interior(v):
         if k < _TINY_KAPPA:
-            out[interior] = reg_lower_inc_gamma(1.0 + 1.0 / a, -np.log1p(-ui))
-        else:
-            pa = 1.0 + 1.0 / a
-            pb = 1.0 / (2.0 * k) - 1.0 / (2.0 * a)
-            log_y = 2.0 * k * np.log1p(-ui)  # y = (1-u)^(2k) = 1 - X
-            vals = np.empty_like(ui)
-            # complement form keeps the deep upper tail when X collides with 1
-            low = log_y > math.log(0.5)
-            if np.any(low):
-                vals[low] = reg_inc_beta(-np.expm1(log_y[low]), pa, pb)
-            if np.any(~low):
-                vals[~low] = 1.0 - np.asarray(
-                    reg_inc_beta(np.exp(log_y[~low]), pb, pa), dtype=float)
-            out[interior] = vals
-    out[arr == 0.0] = 0.0
-    out[arr == 1.0] = 1.0
-    return _restore(out, scalar)
+            return reg_lower_inc_gamma(1.0 + 1.0 / a, -np.log1p(-v))
+        pa, pb = 1.0 + 1.0 / a, 1.0 / (2.0 * k) - 1.0 / (2.0 * a)
+        log_y = 2.0 * k * np.log1p(-v)  # y = (1-u)^(2k) = 1 - X
+        vals = np.empty_like(v)
+        # complement form keeps the deep upper tail when X collides with 1
+        low = log_y > math.log(0.5)
+        vals[low] = reg_inc_beta(-np.expm1(log_y[low]), pa, pb)
+        vals[~low] = 1.0 - reg_inc_beta(np.exp(log_y[~low]), pb, pa)
+        return vals
+
+    return _lorenz_at(u, "kgen_lorenz", interior)
 
 
 def lorenz_dominates(p1: KappaGenParams, p2: KappaGenParams):
@@ -324,28 +335,21 @@ def mixture_lorenz(u, p: NetWealthMixtureParams):
     m, m_pos, m_neg = _mixture_means(p)
     if m == 0.0:
         raise DegenerateNormalizationError("mixture mean is zero; Lorenz undefined")
-    arr, scalar = _asarray(u)
-    if np.any(~((arr >= 0.0) & (arr <= 1.0))):
-        raise DomainError("mixture_lorenz requires 0 <= u <= 1")
     s, lam = p.negative_branch.shape, p.negative_branch.scale
     th1, rho = p.theta1, p.rho
-    out = np.empty_like(arr)
 
-    lower = (arr > 0.0) & (arr < th1)
-    flat = (arr >= th1) & (arr <= rho)
-    upper = (arr > rho) & (arr < 1.0)
-    if np.any(lower):
+    def interior(v):
+        out = np.full_like(v, -(th1 / m) * m_neg)  # the flat branch
+        lower, upper = v < th1, v > rho
         # partial Weibull mean: an upper incomplete gamma the base model lacks
-        out[lower] = -(lam * th1 / m) * np.asarray(
-            upper_inc_gamma(1.0 + 1.0 / s, np.log(th1 / arr[lower])), dtype=float)
-    out[flat] = -(th1 / m) * m_neg
-    if np.any(upper):
-        v = (arr[upper] - rho) / (1.0 - rho)
-        pos_lorenz = np.asarray(kgen_lorenz(v, p.positive_branch), dtype=float)
-        out[upper] = (p.theta3 * m_pos * pos_lorenz - th1 * m_neg) / m
-    out[arr == 0.0] = 0.0
-    out[arr == 1.0] = 1.0
-    return _restore(out, scalar)
+        out[lower] = -(lam * th1 / m) * upper_inc_gamma(1.0 + 1.0 / s, np.log(th1 / v[lower]))
+        if np.any(upper):  # only then need the positive branch have a curve
+            w = (v[upper] - rho) / (1.0 - rho)
+            pos_lorenz = np.asarray(kgen_lorenz(w, p.positive_branch), dtype=float)
+            out[upper] = (p.theta3 * m_pos * pos_lorenz - th1 * m_neg) / m
+        return out
+
+    return _lorenz_at(u, "mixture_lorenz", interior)
 
 
 def mixture_gini(p: NetWealthMixtureParams):
@@ -385,14 +389,8 @@ def ekg2_lorenz(u, p: EKG2Params):
     if not b2 > 0.0:
         raise CurveNonexistenceError(
             f"ekg2 Lorenz curve requires q > 1/(2a), got q={p.q}, a={p.a}")
-    arr, scalar = _asarray(u)
-    if np.any(~((arr >= 0.0) & (arr <= 1.0))):
-        raise DomainError("ekg2_lorenz requires 0 <= u <= 1")
-    z = np.asarray(inv_reg_inc_beta(arr, p.p, p.q), dtype=float)
-    out = np.asarray(reg_inc_beta(z, p.p + 1.0 / p.a, b2), dtype=float)
-    out[arr == 0.0] = 0.0
-    out[arr == 1.0] = 1.0
-    return _restore(out, scalar)
+    return _lorenz_at(u, "ekg2_lorenz", lambda v: reg_inc_beta(
+        inv_reg_inc_beta(v, p.p, p.q), p.p + 1.0 / p.a, b2))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from kappagen import (
     DegenerateDataError,
     DegenerateNormalizationError,
     DomainError,
+    EKG1Params,
     EKG2Params,
     KappaGenParams,
     LorenzCurve,
@@ -19,6 +20,7 @@ from kappagen import (
     NetWealthMixtureParams,
     WeibullParams,
     WeightedSample,
+    ekg1_quantile,
     ekg2_lorenz,
     ekg2_quantile,
     empirical_gini,
@@ -41,6 +43,7 @@ from kappagen import (
     quantile_lorenz,
     quantile_mean,
 )
+from kappagen.inequality import _LORENZ_BLOCK
 
 EULER_GAMMA = np.euler_gamma
 
@@ -342,6 +345,78 @@ class TestQuantileFallback:
     def test_zero_mean_rejected(self):
         with pytest.raises(DegenerateNormalizationError):
             quantile_lorenz(0.5, lambda t: np.asarray(t, dtype=float), 0.0)
+
+    @pytest.mark.parametrize("power", [-1.2, -1.0])  # -1: the log-divergent edge
+    def test_divergent_gini_detected(self, power):
+        qf = lambda t: (1.0 - np.asarray(t, dtype=float)) ** power
+        with pytest.raises(MomentDivergenceError):
+            quantile_mean(qf)
+        with pytest.raises(MomentDivergenceError):
+            quantile_gini(qf)
+
+    def test_one_quantile_call_per_integral(self):
+        p = KappaGenParams(2.0, 1.3, 0.6)
+        calls = []
+
+        def qf(t):
+            calls.append(np.size(t))
+            return kgen_quantile(t, p)
+
+        mean = quantile_mean(qf)
+        quantile_gini(qf)
+        quantile_lorenz(np.array([0.0, 0.2, 0.9, 0.95, 1.0 - 1e-12, 1.0]), qf, mean)
+        assert len(calls) == 3
+        # a zero-width panel is never evaluated: the full integral has 29
+        # panels of 64 nodes, the four interior u 14 head panels each plus
+        # 0, 0, 1 and 11 tail panels
+        assert calls == [29 * 64, 29 * 64, (4 * 14 + 12) * 64]
+
+    def test_long_arrays_go_in_blocks(self):
+        p = KappaGenParams(2.0, 1.3, 0.6)
+        calls = []
+        qf = lambda t: calls.append(np.size(t)) or kgen_quantile(t, p)
+        u = np.linspace(0.0, 1.0, _LORENZ_BLOCK + 3)  # one interior point too many
+        values = quantile_lorenz(u, qf, 1.0)
+        assert len(calls) == 2
+        for i in (1, _LORENZ_BLOCK, _LORENZ_BLOCK + 1):
+            assert values[i] == quantile_lorenz(u[i], qf, 1.0)
+
+
+# base model (kappa = 0.6, 0 and below _TINY_KAPPA), the mixture, ekg2, and
+# the quantile integral on base-model and ekg1 quantiles
+_KGEN = KappaGenParams(2.0, 1.3, 0.6)
+_EKG1 = EKG1Params(2.0, 1.0, 1.5, 0.2)
+LORENZ_CURVES = {
+    "kgen": lambda u: kgen_lorenz(u, _KGEN),
+    "kgen-weibull": lambda u: kgen_lorenz(u, KappaGenParams(2.0, 1.3, 0.0)),
+    "kgen-tiny-kappa": lambda u: kgen_lorenz(u, KappaGenParams(2.0, 1.3, 1e-12)),
+    "mixture": lambda u: mixture_lorenz(u, FIG_MIXTURE),
+    "ekg2": lambda u: ekg2_lorenz(u, EKG2Params(2.0, 1.0, 2.0, 1.2)),
+    "quantile-kgen": lambda u: quantile_lorenz(
+        u, lambda t: kgen_quantile(t, _KGEN), kgen_mean(_KGEN)),
+    "quantile-ekg1": lambda u: quantile_lorenz(
+        u, lambda t: ekg1_quantile(t, _EKG1),
+        quantile_mean(lambda t: ekg1_quantile(t, _EKG1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LORENZ_CURVES))
+def test_lorenz_scaffold(name):
+    """Every Lorenz curve takes arrays entry by entry, is exactly 0 and 1 at
+    the ends, returns a float for a scalar and rejects u outside [0, 1]."""
+    curve = LORENZ_CURVES[name]
+    u = np.array([0.0, 1e-9, 0.05, 0.2, 0.25, 0.5, 0.9, 0.93, 0.999, 1.0 - 1e-12, 1.0])
+    values = curve(u)
+    assert isinstance(values, np.ndarray) and values.shape == u.shape
+    np.testing.assert_array_equal(values, [curve(float(x)) for x in u])
+    assert values[0] == 0.0 and values[-1] == 1.0
+    assert type(curve(0.0)) is float and type(curve(0.5)) is float
+    assert curve(0.0) == 0.0 and curve(1.0) == 1.0
+    for bad in (-1e-12, 1.0 + 1e-12, math.nan):
+        with pytest.raises(DomainError):
+            curve(bad)
+    with pytest.raises(DomainError):
+        curve(np.array([0.5, 1.5]))
 
 
 def unique_reduceat_lorenz(values, weights):
