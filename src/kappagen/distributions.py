@@ -23,7 +23,7 @@ import numpy as np
 
 from .deformed import _asarray, _restore, _scaled, kappa_exp, log_kappa_exp
 from .errors import DomainError, MomentDivergenceError
-from .special import digamma, inv_reg_inc_beta, log_gamma, reg_inc_beta
+from .special import digamma, inv_reg_inc_beta, log_gamma, reg_inc_beta, trigamma
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +320,7 @@ def kgen_quantile(u, p: KappaGenParams):
 
 
 _LOG_MAX = math.log(np.finfo(float).max)
+_TINY = np.finfo(float).tiny
 
 
 def _check_moment_order(r, p: KappaGenParams):
@@ -512,9 +513,10 @@ def ekg1_quantile(u, p: EKG1Params):
     return _restore(out, scalar)
 
 
-def _ekg1_t_from_x(x, p: EKG1Params):
-    """Invert the quantile at x > 0 for t = -ln(1-u), by safeguarded Newton
-    steps in s = ln t on G(s) = L(e^s) - a ln(x/b), L the log-bracket.
+def _ekg1_log_t(x, p: EKG1Params):
+    """s = ln t at x > 0, t = -ln(1-u) the quantile's inverse (inf at
+    x = inf), by safeguarded Newton steps on G(s) = L(e^s) - a ln(x/b), L
+    the log-bracket.
 
     With c = 1/(2q) - r > 0 and e = 1 - e^(-t/q), L = ln q + c t + ln e and
     dL/ds = c t + (t/q)(1 - e)/e > 0, so the root is unique.  Since
@@ -530,8 +532,9 @@ def _ekg1_t_from_x(x, p: EKG1Params):
     evaluations at the benchmark's parameters.  Below a target of -700 (x
     below about b e^(-700/a)) the lower end follows the target: there
     L(t) = ln t - r t + (t/q)^2/24 + ... is ln t to the last bit, so the
-    root is s = target itself, and t = e^target underflows only where the
-    CDF does (the steps, whose t would go subnormal, run on -700 instead).
+    root is s = target itself, which stays finite where t = e^s is
+    subnormal or underflows (the steps, whose t would go subnormal, run on
+    -700 instead).
     """
     top = x == np.inf  # t = inf there; invert a finite stand-in
     target = p.a * np.log(np.where(top, p.b, x) / p.b)
@@ -563,7 +566,7 @@ def _ekg1_t_from_x(x, p: EKG1Params):
             break
     if deep.any():
         s = np.where(deep, deep_target, s)
-    return np.where(top, np.inf, np.exp(s))
+    return np.where(top, np.inf, s)
 
 
 def ekg1_cdf(x, p: EKG1Params):
@@ -574,8 +577,7 @@ def ekg1_cdf(x, p: EKG1Params):
     out = np.zeros_like(arr)
     pos = arr > 0.0
     if np.any(pos):
-        t = _ekg1_t_from_x(arr[pos], p)
-        out[pos] = -np.expm1(-t)
+        out[pos] = -np.expm1(-np.exp(_ekg1_log_t(arr[pos], p)))
     return _restore(out, scalar)
 
 
@@ -585,19 +587,29 @@ def ekg1_ccdf(x, p: EKG1Params):
     out = np.ones_like(arr)
     pos = arr > 0.0
     if np.any(pos):
-        out[pos] = np.exp(-_ekg1_t_from_x(arr[pos], p))
+        out[pos] = np.exp(-np.exp(_ekg1_log_t(arr[pos], p)))
     return _restore(out, scalar)
 
 
-def _ekg1_log_density_at_t(t, lg, p: EKG1Params):
-    """Log density expressed through t = -ln(1-u) > 0 and its log-bracket lg."""
-    a, b, q, r = p.a, p.b, p.q, p.r
-    tau = t / (2.0 * q)
-    # cosh(tau) - 2qr sinh(tau) = e^tau [(1-2qr)/2 + (1+2qr) e^(-2tau)/2] > 0,
-    # with (1-2qr)/2 = q (1/(2q) - r)
-    log_denom = tau + np.log(q * _ekg1_slope(p)
-                             + (1.0 + 2.0 * q * r) * np.exp(-2.0 * tau) / 2.0)
-    return math.log(a / b) + (1.0 - 1.0 / a) * lg - (1.0 - r) * t - log_denom
+def _ekg1_log_terms(s, ln_rel, p: EKG1Params):
+    """(log-density, t, c t, t/q, m) at s = ln t and ln(x/b), x the
+    quantile at t: the one EKG1 log-density formula, which ekg1_logpdf,
+    ekg1_density_at_u and _ekg1_loglik_hessian share.
+
+    f = e^(-t) dt/dx and x = b e^(L(t)/a), so ln f = ln a - ln x - t -
+    ln L'(t), and t L'(t) = c t + m with c = 1/(2q) - r and m = tau/(e^tau - 1),
+    tau = t/q (m = 1 at tau = 0).  In s, ln L'(t) = ln(c t + m) - s, which
+    stays finite where t underflows."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t = np.exp(s)
+        ct = _ekg1_slope(p) * t
+        tau = t / p.q
+        m = np.where(tau > 0.0, tau / np.expm1(tau), 1.0)
+        out = s - t
+        out -= ln_rel
+        out -= np.log(ct + m)
+        out += math.log(p.a / p.b)
+    return out, t, ct, tau, m
 
 
 def ekg1_density_at_u(u, p: EKG1Params):
@@ -606,21 +618,72 @@ def ekg1_density_at_u(u, p: EKG1Params):
     if np.any(~((arr > 0.0) & (arr < 1.0))):
         raise DomainError("ekg1_density_at_u requires 0 < u < 1")
     t = -np.log1p(-arr)
+    log_density = _ekg1_log_terms(np.log(t), _ekg1_log_bracket(t, p) / p.a, p)[0]
     with np.errstate(over="ignore", under="ignore"):
-        out = np.exp(_ekg1_log_density_at_t(t, _ekg1_log_bracket(t, p), p))
+        out = np.exp(log_density)
     return _restore(out, scalar)
 
 
 def _ekg1_log_density_at_x(arr, p: EKG1Params, name):
-    """Log density at x > 0 through the numeric inverse; -inf at x = inf.
-    The log-bracket is the inversion's target a ln(x/b) itself, which stays
-    exact where t = (x/b)^a is subnormal or underflows to 0."""
+    """Log density at x > 0 through the numeric inverse; -inf at x = inf."""
     if np.any(~(arr > 0.0)):
         raise DomainError(f"{name} requires x > 0")
-    t = _ekg1_t_from_x(arr, p)
-    with np.errstate(invalid="ignore"):  # inf - inf at t = inf
-        log_density = _ekg1_log_density_at_t(t, p.a * np.log(arr / p.b), p)
-        return np.where(t == np.inf, -np.inf, log_density)
+    log_density = _ekg1_log_terms(_ekg1_log_t(arr, p), np.log(arr / p.b), p)[0]
+    return np.where(arr == np.inf, -np.inf, log_density)
+
+
+def _ekg1_loglik_hessian(values, weights, p: EKG1Params):
+    """Weighted log-likelihood sum(w ln f(x)) of the quantile-defined
+    extension, its gradient and its 4x4 Hessian in (ln a, ln b, ln q, ln c),
+    c = 1/(2q) - r (the fit's vector), from one inversion and one pass over
+    a sample's nonzero records, summed as loglik sums them; requires x > 0.
+
+    ln f = ln a - ln x - t + s - ln D with s = ln t and D = c t + m(tau),
+    tau = t/q, where s solves G = ln q + c e^s + ln(1 - e^(-tau)) - eta = 0,
+    eta = a ln(x/b).  With m1 = dm/ds = m (1 - tau - m) and
+    m2 = d2m/ds2 = m1 (1 - tau - 2m) - m tau, G's partials are G_s = D,
+    G_ss = c t + m1 and, along the vector, (-eta, a, 1 - m, c t), so
+    s' = -G'/D (implicit differentiation), and once more
+    s'' = -(G'' + G_s' s'^T + s' G_s'^T + G_ss s' s'^T)/D.  The total
+    derivatives are l' + l_s s' and
+    l'' + l_s' s'^T + s' l_s'^T + l_ss s' s'^T + l_s s''; per record, with
+    u = m1/D, v = c t/D, n = m2/D, l_s = 1 - t - u - v and
+    k = l_s - u - v, they gather to (1, 0, u, -v) + l_s s' and
+    A + B s'^T + s' B^T + C s' s'^T with B = (0, 0, n + u k, -v (1 + k)),
+    C = -t - v - n - (u + v) k and A's nonzero entries l_s eta/D,
+    -l_s a/D, -n - u (l_s - u), -u v and -v (1 - v + l_s) at (0, 0),
+    (0, 1), (2, 2), (2, 3) and (3, 3).  One triangle is mirrored, as the
+    products round asymmetrically.
+    """
+    a = p.a
+    s = _ekg1_log_t(values, p)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ln_rel = np.log(values / p.b)
+        out, t, ct, tau, m = _ekg1_log_terms(s, ln_rel, p)
+        ll = float((weights * out).sum())
+        d = ct + m
+        m1 = m * (1.0 - tau - m)
+        n = (m1 * (1.0 - tau - 2.0 * m) - m * tau) / d
+        u = m1 / d
+        v = ct / d
+        l_s = 1.0 - t - u - v
+        k = l_s - u - v
+        eta_d = a * ln_rel / d
+        ds = np.stack([eta_d, -a / d, (m - 1.0) / d, -v])
+        grad = ds @ (weights * l_s)
+        grad[0] += float(weights.sum())
+        grad[2] += float(np.dot(weights, u))
+        grad[3] -= float(np.dot(weights, v))
+        hess = (ds * (weights * (-t - v - n - (u + v) * k))) @ ds.T
+        cross = (np.stack([n + u * k, -v * (1.0 + k)]) * weights) @ ds.T
+        hess[2:] += cross
+        hess[:, 2:] += cross.T
+        hess[0, 0] += float(np.dot(weights, l_s * eta_d))
+        hess[0, 1] -= a * float(np.dot(weights, l_s / d))
+        hess[2, 2] -= float(np.dot(weights, n + u * (l_s - u)))
+        hess[2, 3] -= float(np.dot(weights, u * v))
+        hess[3, 3] -= float(np.dot(weights, v * (1.0 - v + l_s)))
+    return ll, grad, np.triu(hess) + np.triu(hess, 1).T
 
 
 def ekg1_pdf(x, p: EKG1Params):
@@ -633,7 +696,7 @@ def ekg1_pdf(x, p: EKG1Params):
 
 
 def ekg1_logpdf(x, p: EKG1Params):
-    """Log-density at x > 0 (numeric inversion, used by the fitting engine)."""
+    """Log-density at x > 0, through the numeric inverse of the quantile."""
     arr, scalar = _asarray(x)
     return _restore(_ekg1_log_density_at_x(arr, p, "ekg1_logpdf"), scalar)
 
@@ -648,32 +711,49 @@ def ekg1_sample(n, p: EKG1Params, seed):
 
 
 def _ekg2_transform(x, p: EKG2Params):
-    """Map x >= 0 to (z, ln z, ln(1-z)) with z = y/D, 1-z = 1/D^2,
-    D = (y + sqrt(y^2 + 4))/2 and y = (x/b)^a; z lies in [0, 1].  ln D is
-    asinh(y/2), which keeps its precision at small y and does not overflow;
-    where y overflows, z = 1 and ln z = 0, their limits."""
+    """(ln(x/b), A, w) at x >= 0, with A = asinh(y/2), y = (x/b)^a, and
+    w = 1 - z = e^(-2A): z = y/D = -expm1(-2A) lies in [0, 1], D = e^A =
+    (y + sqrt(y^2 + 4))/2.  A keeps its precision at small y and does not
+    overflow; where y overflows, A = eta = a ln(x/b), its value to the last
+    bit there.  From them, ln z = eta - A stays exact where y is subnormal
+    or underflows."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ln_rel = np.log(x / p.b)
         y = (x / p.b) ** p.a
         ln_d = np.arcsinh(0.5 * y)
-        log1mz = -2.0 * ln_d
-        z = -np.expm1(log1mz)
-        lnz = np.log(y) - ln_d
-    if y.max(initial=0.0) == np.inf:
-        lnz = np.where(y == np.inf, 0.0, lnz)
-    return z, lnz, log1mz
+        if y.max(initial=0.0) == np.inf:
+            ln_d = np.where(y == np.inf, p.a * ln_rel, ln_d)
+        return ln_rel, ln_d, np.exp(-2.0 * ln_d)
+
+
+def _ekg2_log_beta(p: EKG2Params):
+    return log_gamma(p.p) + log_gamma(p.q) - log_gamma(p.p + p.q)
 
 
 def _ekg2_tail(x, p: EKG2Params):
     """(v, lower): v is the CDF I_z(p, q) where lower (z <= 1/2), else the
     survival function I_(1-z)(q, p), each side one minus the other: betainc
-    loses digits at arguments near 1, so it only sees z or 1 - z up to 1/2."""
-    z, _, log1mz = _ekg2_transform(np.maximum(np.asarray(x, dtype=float), 0.0), p)
-    z = np.asarray(z)
+    loses digits at arguments near 1, so it only sees z or 1 - z up to 1/2.
+    Below the normal range of z, where z has lost digits or is 0, and where
+    the CDF is subnormal, which betainc returns as 0, the CDF is the
+    expansion z^p / (p B(p, q)) (1 + p (1 - q) z / (p + 1)) that
+    inv_reg_inc_beta inverts at tiny roots, from ln z = eta - A below the
+    normal range of z."""
+    arr = np.maximum(np.atleast_1d(np.asarray(x, dtype=float)), 0.0)
+    ln_rel, ln_d, w = _ekg2_transform(arr, p)
+    z = -np.expm1(-2.0 * ln_d)
     lower = z <= 0.5
     out = np.empty_like(z)
     out[lower] = reg_inc_beta(z[lower], p.p, p.q)
-    out[~lower] = reg_inc_beta(np.exp(log1mz[~lower]), p.q, p.p)
-    return out, lower
+    out[~lower] = reg_inc_beta(w[~lower], p.q, p.p)
+    deep = lower & ((z < _TINY) | (out < _TINY))
+    if deep.any():
+        zd = z[deep]
+        with np.errstate(divide="ignore"):  # -inf at x = 0
+            lnz = np.where(zd < _TINY, p.a * ln_rel[deep] - ln_d[deep], np.log(zd))
+        lead = np.exp(p.p * lnz - math.log(p.p) - _ekg2_log_beta(p))
+        out[deep] = lead * (1.0 + p.p * (1.0 - p.q) * zd / (p.p + 1.0))
+    return out.reshape(np.shape(x)), lower.reshape(np.shape(x))
 
 
 def ekg2_cdf(x, p: EKG2Params):
@@ -712,17 +792,83 @@ def ekg2_quantile(u, p: EKG2Params):
     return _restore(out, scalar)
 
 
+def _ekg2_log_terms(arr, p: EKG2Params):
+    """(log-density, ln(x/b), A, w) at a one-dimensional array of x > 0,
+    with _ekg2_transform's A and w: the one EKG2 log-density formula, which
+    ekg2_logpdf and _ekg2_loglik_hessian share.
+
+    With eta = a ln(x/b), ln z = eta - A, ln(1 - z) = -2A and
+    1 - z/2 = (1 + w)/2, the density
+    a/b z^(p - 1/a) (1 - z)^(q + 1/(2a)) / (B(p, q) (1 - z/2)) gives
+    ln f = ln(2a/b) - ln B(p, q) + (a p - 1) ln(x/b) - (p + 2q) A - log1p(w),
+    finite where y = (x/b)^a is subnormal, underflows or overflows."""
+    ln_rel, ln_d, w = _ekg2_transform(arr, p)
+    out = (p.a * p.p - 1.0) * ln_rel
+    out -= (p.p + 2.0 * p.q) * ln_d
+    out -= np.log1p(w)
+    out += math.log(2.0 * p.a / p.b) - _ekg2_log_beta(p)
+    return out, ln_rel, ln_d, w
+
+
 def ekg2_logpdf(x, p: EKG2Params):
-    """Log-density at x > 0."""
+    """Log-density at x > 0; -inf at x = inf."""
     arr, scalar = _asarray(x)
     if np.any(~(arr > 0.0)):
         raise DomainError("ekg2_logpdf requires x > 0")
-    a, b, pp, q = p.a, p.b, p.p, p.q
-    z, lnz, log1mz = _ekg2_transform(arr, p)
-    ln_beta = log_gamma(pp) + log_gamma(q) - log_gamma(pp + q)
-    out = (math.log(a / b) - ln_beta + (pp - 1.0 / a) * lnz
-           + (q + 1.0 / (2.0 * a)) * log1mz - np.log1p(-0.5 * z))
+    with np.errstate(invalid="ignore"):  # inf - inf at x = inf
+        out = _ekg2_log_terms(arr.reshape(-1), p)[0].reshape(arr.shape)
+    if arr.max(initial=0.0) == np.inf:
+        out = np.where(arr == np.inf, -np.inf, out)
     return _restore(out, scalar)
+
+
+def _ekg2_loglik_hessian(values, weights, p: EKG2Params):
+    """Weighted log-likelihood sum(w ln f(x)) of the incomplete-beta
+    extension, its gradient and its 4x4 Hessian in (ln a, ln b, ln p, ln q)
+    (the fit's vector), from one pass over a sample's nonzero records,
+    summed as loglik sums them; requires x > 0.
+
+    ln f depends on a and b through ln a and eta = a ln(x/b) (d eta/d ln a
+    = eta, d eta/d ln b = -a), and with s = tanh A = z/(2 - z),
+    1 - s = 2w/(1 + w) and dA/deta = s, its eta derivatives are
+    l1 = p - (p + 2q - 1) s - s^2 and l2 = -s (1 - s^2) (p + 2q - 1 + 2s).
+    The per-record scores are 1 + l1 eta, -a l1, p (ln z - psi(p) + psi(p + q))
+    and q (-2A - psi(q) + psi(p + q)); the Hessian is l1 eta + l2 eta^2,
+    -a (l1 + l2 eta) and a^2 l2 in the (ln a, ln b) block, p (1 - s) eta,
+    -a p (1 - s), -2q s eta and 2a q s across to (ln p, ln q), and
+    the ln p, ln q scores plus p^2 (psi'(p + q) - psi'(p)),
+    q^2 (psi'(p + q) - psi'(q)) and p q psi'(p + q) in the (ln p, ln q) block.
+    """
+    a, pp, q = p.a, p.p, p.q
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out, ln_rel, ln_d, w = _ekg2_log_terms(values, p)
+        ll = float((weights * out).sum())
+        z = -np.expm1(-2.0 * ln_d)
+        eta = a * ln_rel
+        lnz = eta - ln_d
+        upper = z > 0.5
+        lnz[upper] = np.log1p(-w[upper])  # where eta - A cancels
+        s = z / (1.0 + w)
+        one_m_s = 2.0 * w / (1.0 + w)
+        k = pp + 2.0 * q - 1.0
+        l1 = pp - (k + s) * s
+        l2 = -s * one_m_s * (1.0 + s) * (k + 2.0 * s)
+        terms = np.stack([l1, l2, one_m_s, s])
+        by_w, by_we = terms @ weights, terms @ (weights * eta)
+        total = float(weights.sum())
+        l2_ee = float(np.dot(weights * eta, l2 * eta))
+        sum_lnz, sum_a = float(np.dot(weights, lnz)), float(np.dot(weights, ln_d))
+    psi_pq, tri_pq = digamma(pp + q), trigamma(pp + q)
+    grad = np.array([total + by_we[0], -a * by_w[0],
+                     pp * (sum_lnz - total * (digamma(pp) - psi_pq)),
+                     q * (-2.0 * sum_a - total * (digamma(q) - psi_pq))])
+    hess = np.zeros((4, 4))
+    hess[0] = by_we[0] + l2_ee, -a * (by_w[0] + by_we[1]), pp * by_we[2], -2.0 * q * by_we[3]
+    hess[1, 1:] = a * a * by_w[1], -a * pp * by_w[2], 2.0 * a * q * by_w[3]
+    hess[2, 2:] = (grad[2] + pp * pp * total * (tri_pq - trigamma(pp)),
+                   pp * q * total * tri_pq)
+    hess[3, 3] = grad[3] + q * q * total * (tri_pq - trigamma(q))
+    return ll, grad, np.triu(hess) + np.triu(hess, 1).T
 
 
 def ekg2_pdf(x, p: EKG2Params):

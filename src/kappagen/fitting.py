@@ -9,16 +9,16 @@ model at kappa = 0 by type: WeibullParams subclasses KappaGenParams.
 Every family is fitted on transformed coordinates (log for positive
 parameters, logit for the tail deformation, shifted log for the extension
 parameter bounded above), and every start runs one Newton stage straight
-from the survival-plot initializer, and nothing else.  The base model,
-Weibull and the unit-mean model give it their closed-form gradient and
-Hessian (Family.hessian, one pass over the records; the unit-mean model's
-through the chain rule on its pinned scale); ekg1 and ekg2 give it central
-differences of the log-likelihood (_central_differences) at the points it
-moves to.  loglik, loglik_hessian and a fit all sum over sample.nonzero,
-the records of nonzero weight.  Once a fit has checked the support, before
-its first start, the objective calls these kernels on those records, not
-through loglik and loglik_hessian, so a tracer of the public fitting
-functions sees no call per point.  Its steps take the Hessian's
+from the survival-plot initializer, and nothing else.  Every fitted family
+gives it its closed-form gradient and Hessian (Family.hessian, one pass
+over the records: the base model's kernel for kappagen, Weibull and, through
+the chain rule on its pinned scale, the unit-mean model; ekg1's and ekg2's
+own kernels), so every point the stage evaluates, a trial step's included,
+is one kernel call.  loglik, loglik_hessian and a fit all sum over
+sample.nonzero, the records of nonzero weight.  Once a fit has checked the
+support, before its first start, the objective calls the kernel on those
+records, not through loglik and loglik_hessian, so a tracer of the public
+fitting functions sees no call per point.  Its steps take the Hessian's
 eigenvalues in absolute value, so a start where the Hessian is indefinite,
 as perturbed starts can be, still descends, and move at most _MAX_STEP
 along any eigen-direction, so a step along near-zero curvature neither
@@ -52,6 +52,8 @@ from .distributions import (
     KappaGenParams,
     NetWealthMixtureParams,
     WeibullParams,
+    _ekg1_loglik_hessian,
+    _ekg2_loglik_hessian,
     _kgen_loglik_hessian,
     _unit_mean_log_scale_grad,
     ekg1_ccdf,
@@ -93,7 +95,6 @@ _EPS = float(np.finfo(float).eps)
 _KAPPA_MAX = 1.0 - 1e-12  # the fitted families' decode caps kappa here
 _GTOL = 1e-8  # the Newton stage's max-abs gradient stop, on the mean log-likelihood
 _MAX_STEP = 4.0  # the longest Newton step along any eigen-direction of the Hessian
-_DIFF_STEP = _EPS ** 0.25  # central-difference step, relative to max(1, |x_i|)
 
 
 @dataclass(frozen=True)
@@ -172,13 +173,12 @@ class Family:
 
     Entries call layer functions through their module-level names, so a
     rebinding of those names (such as a tracing wrapper) reaches every
-    call.  decode, encode and start are set for the families fitted on
-    transformed coordinates, and hessian for those of them with a
-    closed-form gradient and Hessian (the Newton stage takes central
-    differences of the others').  A fit calls hessian, or logpdf, on its
-    own nonzero records after its one support check, not through loglik or
-    loglik_hessian.  Families whose params subclass KappaGenParams share
-    the base model's functions.
+    call.  decode, encode, start and hessian, the closed-form gradient and
+    Hessian, are set for the families fitted on transformed coordinates:
+    every family but the mixture, which is fitted through its branches.  A
+    fit calls hessian on its own nonzero records after its one support
+    check, not through loglik or loglik_hessian.  Families whose params
+    subclass KappaGenParams share the base model's functions.
     """
 
     params: type
@@ -355,6 +355,7 @@ FAMILIES = {
                                    math.log(max(1.0 / (2.0 * p.q) - p.r, 1e-12))]),
         start=lambda alpha0, beta0, kappa0: EKG1Params(alpha0, beta0,
                                                        1.0 / (2.0 * kappa0), 0.0),
+        hessian=lambda values, weights, p: _ekg1_loglik_hessian(values, weights, p),
     ),
     "ekg2": Family(
         params=EKG2Params, flags=("a", "b", "p", "q"), from_flags=EKG2Params,
@@ -370,6 +371,7 @@ FAMILIES = {
         # the base model is ekg2 at p = 1, q = 1/(2 kappa), b = beta (2 kappa)^(-1/alpha)
         start=lambda alpha0, beta0, kappa0: EKG2Params(
             alpha0, beta0 * (2.0 * kappa0) ** (-1.0 / alpha0), 1.0, 1.0 / (2.0 * kappa0)),
+        hessian=lambda values, weights, p: _ekg2_loglik_hessian(values, weights, p),
     ),
     "mixture": Family(
         params=NetWealthMixtureParams,
@@ -435,8 +437,8 @@ def loglik_hessian(sample: WeightedSample, model, params):
     """The weighted log-likelihood, summed as a fit sums it, with its
     gradient and Hessian in the coordinates the family is fitted on
     (FAMILIES[model].decode's vector), from one pass over sample.nonzero,
-    for the families with a closed-form Hessian: kappagen, weibull and
-    kappagen_normalized."""
+    for every family a fit evaluates: all but the mixture, whose fit takes
+    its branches' kernels."""
     hessian = _family(model).hessian
     if hessian is None:
         raise DomainError(f"model {model!r} has no closed-form Hessian")
@@ -497,34 +499,11 @@ def _initial_kgen(sample: WeightedSample):
 # optimizer core
 
 
-def _central_differences(fun, x, f):
-    """(f, g, H) of the scalar fun at x, where fun(x) = f, by central
-    differences with steps h_i = eps^(1/4) max(1, |x_i|): g_i = (f+ - f-) /
-    (2 h_i), H_ii = (f+ - 2f + f-)/h_i^2 and H_ij from the four points
-    x +- h_i +- h_j, in 2n + 2n(n - 1) more evaluations.  H is None where any
-    is the penalty, and a penalty centre is returned with no stencil."""
-    if not f < _PENALTY:
-        return f, np.zeros_like(x), None
-    h = _DIFF_STEP * np.maximum(1.0, np.abs(x))
-    e = np.diag(h)
-    plus = np.array([fun(x + ei) for ei in e])
-    minus = np.array([fun(x - ei) for ei in e])
-    i, j = np.tril_indices(x.size, -1)
-    corners = np.array([[fun(x + a * e[p] + b * e[q]) for a in (1, -1) for b in (1, -1)]
-                        for p, q in zip(i, j)])
-    hess = np.diag((plus - 2.0 * f + minus) / (h * h))
-    hess[i, j] = hess[j, i] = corners @ [1.0, -1.0, -1.0, 1.0] / (4.0 * h[i] * h[j])
-    penalized = not np.all(np.hstack([plus, minus, *corners]) < _PENALTY)
-    return f, (plus - minus) / (2.0 * h), None if penalized else hess
-
-
-def _newton(evaluate, complete, x0, config):
+def _newton(evaluate, x0, config):
     """Newton's method from x0.
 
-    evaluate(x) returns a tuple that starts with f at x, and complete(x,
-    evaluate(x)) the (f, g, H) there, in closed form (that tuple) or by
-    differences: a trial is decided on f, and only a point the stage moves
-    to is completed.  Each step is -H^-1 g with H's eigenvalues replaced by
+    evaluate(x) returns (f, g, H) at x, from one pass of the family's
+    closed-form kernel.  Each step is -H^-1 g with H's eigenvalues replaced by
     their absolute values (Nocedal & Wright, Numerical Optimization, 2006,
     sec. 3.4), so a step from an indefinite start still descends, each
     floored at |g_i|/_MAX_STEP, g_i the gradient along its eigenvector, so
@@ -538,7 +517,7 @@ def _newton(evaluate, complete, x0, config):
     or max_iter steps.  Returns (x, f, g, steps), g the gradient at x.
     """
     x = x0
-    f, g, hess = complete(x, evaluate(x))
+    f, g, hess = evaluate(x)
     for steps in range(config.max_iter + 1):
         if (hess is None or steps == config.max_iter or np.abs(g).max() <= _GTOL
                 or not np.isfinite(hess).all()):
@@ -559,7 +538,7 @@ def _newton(evaluate, complete, x0, config):
         else:
             break
         x = x + step
-        f, g, hess = complete(x, trial)
+        f, g, hess = trial
     return x, f, g, steps
 
 
@@ -575,10 +554,10 @@ def _fit_transformed(model, sample, config):
     penalties = Counter()
     evaluations = 0
 
-    def evaluate(vec, derivatives=False):
-        """The negative mean log-likelihood at vec, f, or with its gradient
-        and Hessian, (f, g, H); a penalty value, with g = 0 and H = None,
-        where the log-likelihood or its gradient cannot be had."""
+    def evaluate(vec):
+        """The negative mean log-likelihood at vec with its gradient and
+        Hessian, (f, g, H), from one kernel call; a penalty value, with g = 0
+        and H = None, where the log-likelihood or its gradient cannot be had."""
         nonlocal evaluations
         evaluations += 1
         cause = None
@@ -586,29 +565,18 @@ def _fit_transformed(model, sample, config):
             cause = "out-of-range"
         else:
             try:
-                params = family.decode(vec)
-                if derivatives:
-                    ll, grad, hess = family.hessian(values, weights, params)
-                else:
-                    terms = family.logpdf(values, params)
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        ll = float((weights * terms).sum())
+                ll, grad, hess = family.hessian(values, weights, family.decode(vec))
             except (DomainError, MomentDivergenceError, OverflowError) as exc:
                 cause = type(exc).__name__
             else:
-                if not (math.isfinite(ll) and (not derivatives or np.isfinite(grad).all())):
+                if not (math.isfinite(ll) and np.isfinite(grad).all()):
                     cause = "non-finite"
         if cause is not None:
             penalties[cause] += 1
-            return (_PENALTY, np.zeros_like(vec), None) if derivatives else _PENALTY
-        return (-ll / total_w, -grad / total_w, -hess / total_w) if derivatives else -ll / total_w
+            return _PENALTY, np.zeros_like(vec), None
+        return -ll / total_w, -grad / total_w, -hess / total_w
 
     x0 = family.encode(family.start(*_initial_kgen(sample)))
-    if family.hessian is not None:  # one kernel pass gives a trial point's (f, g, H)
-        trial, complete = (lambda vec: evaluate(vec, True)), (lambda vec, point: point)
-    else:  # a trial is decided on its centre, and differenced only where it is taken
-        trial = lambda vec: (evaluate(vec),)
-        complete = lambda vec, point: _central_differences(evaluate, vec, point[0])
     best = None
     iterations = 0
     starts = []
@@ -616,7 +584,7 @@ def _fit_transformed(model, sample, config):
         start = x0 if replicate == 0 else x0 + np.random.default_rng(
             [config.seed, replicate]).normal(0.0, 0.35, size=x0.size)
         before = evaluations
-        x_opt, f_opt, g_opt, nit = _newton(trial, complete, start, config)
+        x_opt, f_opt, g_opt, nit = _newton(evaluate, start, config)
         iterations += nit
         starts.append(StartTrace(model, -f_opt * total_w, evaluations - before))
         if best is None or f_opt < best[1]:

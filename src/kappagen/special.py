@@ -46,6 +46,14 @@ def digamma(z):
     return _restore(sc.digamma(arr), scalar)
 
 
+def trigamma(z):
+    """Trigamma psi'(z), the derivative of digamma, for z > 0."""
+    arr, scalar = _asarray(z)
+    if np.any(~(arr > 0.0)):
+        raise DomainError("trigamma requires z > 0")
+    return _restore(sc.polygamma(1, arr), scalar)
+
+
 def _check_shapes(name, a, b):
     a = float(a)
     b = float(b)

@@ -18,6 +18,7 @@ from kappagen import (
     MomentDivergenceError,
     NetWealthMixtureParams,
     WeibullParams,
+    WeightedSample,
     ekg1_cdf,
     ekg1_density_at_u,
     ekg1_pdf,
@@ -42,6 +43,7 @@ from kappagen import (
     kgen_sample,
     kgen_theil,
     kgen_variance,
+    loglik,
     mixture_cdf,
     mixture_mean,
     mixture_moment,
@@ -50,7 +52,7 @@ from kappagen import (
     quantile_gini,
 )
 from kappagen import special
-from kappagen.distributions import _ekg1_log_bracket, _ekg1_t_from_x, ekg1_logpdf
+from kappagen.distributions import _ekg1_log_bracket, _ekg1_log_t, ekg1_logpdf, ekg2_logpdf
 
 U_GRID = np.array([0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999])
 
@@ -496,7 +498,7 @@ def _x_at_t(t, p):
 
 
 class TestEkg1Inversion:
-    """_ekg1_t_from_x, the quantile inverse behind the EKG1 CDF, survival
+    """_ekg1_log_t, the quantile inverse behind the EKG1 CDF, survival
     function and density."""
 
     @pytest.mark.parametrize("params", [(2.0, 1.0, 1.5, 0.2), (0.8, 3.0, 0.4, -2.0),
@@ -505,7 +507,7 @@ class TestEkg1Inversion:
         p = EKG1Params(*params)
         x = ekg1_sample(20_000, p, seed=17)
         x = x[x > 0.0]
-        t = _ekg1_t_from_x(x, p)
+        t = np.exp(_ekg1_log_t(x, p))
         want = _bisect_t_from_x(x, p)
         np.testing.assert_allclose(t, want, rtol=1e-13)
         target = p.a * np.log(x / p.b)
@@ -519,7 +521,7 @@ class TestEkg1Inversion:
         p = EKG1Params(2.0, 1.0, q, 0.3 / (2.0 * q))
         x = _x_at_t(t, p)
         want, target = _mp_ekg1_t(x, p, t)
-        got = _ekg1_t_from_x(np.array([x]), p)[0]
+        got = math.exp(_ekg1_log_t(np.array([x]), p)[0])
         # the double target carries eps |target| of rounding into ln t
         assert abs(got - want) / want <= 4e-16 * max(1.0, abs(float(target)))
 
@@ -529,7 +531,7 @@ class TestEkg1Inversion:
         p = EKG1Params(2.0, 1.0, q, (1.0 - 1e-12) / (2.0 * q))
         x = _x_at_t(t, p)
         want, target = _mp_ekg1_t(x, p, t)
-        got = _ekg1_t_from_x(np.array([x]), p)[0]
+        got = math.exp(_ekg1_log_t(np.array([x]), p)[0])
         with mp.workdps(50):
             backward = abs(_mp_log_bracket(mp.mpf(got), p) - target)
         # L'(t) is ~1e-12 here, so t is ill-conditioned; L at the double t
@@ -554,7 +556,7 @@ class TestEkg1Inversion:
 
     def test_x_at_infinity(self):
         p = EKG1Params(2.0, 1.0, 1.5, 0.2)
-        t = _ekg1_t_from_x(np.array([np.inf, 1.0, np.inf]), p)
+        t = np.exp(_ekg1_log_t(np.array([np.inf, 1.0, np.inf]), p))
         assert t[0] == np.inf and t[2] == np.inf and np.isfinite(t[1])
         assert ekg1_cdf(np.inf, p) == 1.0 and ekg1_pdf(np.inf, p) == 0.0
 
@@ -582,7 +584,7 @@ class TestEkg1Inversion:
         # instead would return t near e^-360
         p = EKG1Params(2.0, 1.0, 1.5, 0.2)
         x = np.exp(np.linspace(-150.0, -25.0, 2001))
-        t = _ekg1_t_from_x(x, p)
+        t = np.exp(_ekg1_log_t(x, p))
         np.testing.assert_allclose(t, x ** p.a, rtol=1e-13)
 
 
@@ -654,6 +656,43 @@ class TestEkg2:
         assert math.isfinite(got)
         assert got == pytest.approx(want, rel=1e-10)
         assert quantile_gini(lambda t: ekg2_quantile(t, p)) == pytest.approx(0.2872, abs=2e-4)
+
+    @pytest.mark.parametrize("params", [(2.0, 1.0, 0.3, 1.0), (2.0, 1.0, 1.0, 1.0)])
+    @pytest.mark.parametrize("x", [1e-3, 1e-100, 1e-160, 1e-170, 1e-200, 1e-300])
+    def test_logpdf_deep_in_the_lower_tail(self, params, x):
+        # ln z is eta - A with eta = a ln(x/b), exact where y = (x/b)^a is
+        # subnormal (x = 1e-160) or underflows to 0 (x < 1e-162)
+        p = EKG2Params(*params)
+        with mp.workdps(40):
+            y = (mp.mpf(x) / p.b) ** p.a
+            ln_d = mp.log((y + mp.sqrt(y * y + 4)) / 2)
+            want = float(mp.log(p.a / p.b) - mp.log(mp.beta(p.p, p.q))
+                         + (p.p - 1 / mp.mpf(p.a)) * (mp.log(y) - ln_d)
+                         - (2 * p.q + 1 / mp.mpf(p.a)) * ln_d - mp.log(1 - y / mp.exp(ln_d) / 2))
+        got = ekg2_logpdf(x, p)
+        assert abs(got - want) <= 1e-14 * abs(want)
+        density = ekg2_pdf(x, p)
+        assert math.isfinite(density) and density > 0.0
+        records = np.array([x, 1.0, 2.0])
+        assert loglik(WeightedSample(records), "ekg2", p) == pytest.approx(
+            want + float(np.sum(ekg2_logpdf(records[1:], p))), rel=1e-15)
+
+    @pytest.mark.parametrize("params", [(2.0, 1.0, 0.3, 1.0), (2.0, 1.0, 1.5, 0.7)])
+    def test_cdf_below_the_normal_range_of_z(self, params):
+        # at a = 2, z ~ y = x^2 is subnormal below x = 1.5e-154 and 0 below
+        # 1e-162, and at p = 1.5 the CDF is subnormal below x = 1e-103; the
+        # CDF there is the leading terms of its series, where betainc lost
+        # digits or returned 0
+        p = EKG2Params(*params)
+        x = np.logspace(-300.0, -100.0, 81)
+        got = ekg2_cdf(x, p)
+        for xi, gi in zip(x, got):
+            with mp.workdps(50):
+                y = (mp.mpf(xi) / p.b) ** p.a
+                want = float(mp.betainc(p.p, p.q, 0, 2 * y / (y + mp.sqrt(y * y + 4)),
+                                        regularized=True))
+            assert abs(gi - want) <= 1e-13 * want + 5e-324, (xi, gi, want)
+        assert got[-1] > 0.0
 
     def test_sampling_determinism(self):
         a = ekg2_sample(500, self.P, seed=5)

@@ -39,9 +39,14 @@ from kappagen import (
     mixture_sample,
 )
 import kappagen.fitting as kfit
+from kappagen.distributions import _ekg1_log_t, _ekg1_slope
 from kappagen.fitting import FAMILIES
 
 FAST = FitConfig(model="kappagen", multistart=2, seed=0)
+# the kernel behind each fitted family's Family.hessian
+KERNELS = {"kappagen": "_kgen_loglik_hessian", "weibull": "_kgen_loglik_hessian",
+           "kappagen_normalized": "_kgen_loglik_hessian", "ekg1": "_ekg1_loglik_hessian",
+           "ekg2": "_ekg2_loglik_hessian"}
 
 
 def kgen_data(n, alpha=2.0, beta=1.0, kappa=0.5, seed=42):
@@ -209,10 +214,9 @@ class TestFitMle:
         assert res.converged is False
 
     def test_support_violation_raises(self, monkeypatch):
-        # the objective's kernels: the closed-form pass, and the log-density
-        # that central differences sum
+        # the objective's kernels, one closed-form pass per evaluation
         calls = []
-        for name in ("_kgen_loglik_hessian", "ekg2_logpdf"):
+        for name in ("_kgen_loglik_hessian", "_ekg2_loglik_hessian"):
             inner = getattr(kfit, name)
             monkeypatch.setattr(kfit, name, lambda *a, inner=inner: calls.append(a) or inner(*a))
         s = WeightedSample(np.array([1.0, 0.0, 2.0]))
@@ -234,7 +238,8 @@ class TestFitMle:
         assert d.evaluations == sum(start.evaluations for start in d.starts)
         assert d.penalties == ()
 
-    @pytest.mark.parametrize("model", ["kappagen", "weibull", "kappagen_normalized"])
+    @pytest.mark.parametrize("model", ["kappagen", "weibull", "kappagen_normalized", "ekg1",
+                                       "ekg2"])
     def test_score_norm_is_the_gradient_the_newton_stage_ended_on(self, model):
         s = kgen_data(3000, seed=19)
         res = fit_mle(s, FitConfig(model=model, multistart=2, seed=0))
@@ -246,13 +251,16 @@ class TestFitMle:
         grad = kfit.loglik_hessian(s, model, res.params)[1]
         assert res.score_norm == np.max(np.abs(grad)) / s.total_weight
 
-    @pytest.mark.parametrize("model", ["kappagen", "weibull", "kappagen_normalized"])
+    @pytest.mark.parametrize("model", ["kappagen", "weibull", "kappagen_normalized", "ekg1",
+                                       "ekg2"])
     def test_a_newton_point_is_one_kernel_pass(self, model, monkeypatch):
         # the entry point checks the support once, before the first start;
-        # every evaluation is one pass of the kernel on the fit's arrays,
-        # past the public wrappers; the goodness of fit's loglik checks again
+        # every evaluation is one pass of the family's kernel on the fit's
+        # arrays, past the public wrappers; the goodness of fit's loglik
+        # checks again
+        kernel = KERNELS[model]
         calls = []
-        for name in ("_kgen_loglik_hessian", "_check_support", "loglik", "loglik_hessian"):
+        for name in (kernel, "_check_support", "loglik", "loglik_hessian"):
             inner = getattr(kfit, name)
             monkeypatch.setattr(kfit, name, lambda *a, name=name, inner=inner:
                                 calls.append(name) or inner(*a))
@@ -261,10 +269,11 @@ class TestFitMle:
         res = fit_mle(s, FitConfig(model=model, multistart=3, seed=0))
         d = res.diagnostics
         assert res.converged and d.penalties == ()
-        assert calls == (["_check_support"] + ["_kgen_loglik_hessian"] * d.evaluations
+        assert calls == (["_check_support"] + [kernel] * d.evaluations
                          + ["loglik", "_check_support"])
 
-    @pytest.mark.parametrize("model", ["kappagen", "weibull", "kappagen_normalized"])
+    @pytest.mark.parametrize("model", ["kappagen", "weibull", "kappagen_normalized", "ekg1",
+                                       "ekg2"])
     @pytest.mark.parametrize("resampled", [False, True])
     def test_a_newton_point_is_the_public_hessian_over_the_weight(self, model, resampled,
                                                                  monkeypatch):
@@ -277,32 +286,13 @@ class TestFitMle:
         s = WeightedSample(x, w if resampled else None)
         assert resampled == (not s.weights.all())
         kfit._fit_transformed(model, s, FitConfig(model=model, multistart=1, seed=0))
-        trial, complete, x0, _ = stages[0]
+        evaluate, x0, _ = stages[0]
         for vec in (x0, x0 + 0.05):
-            f, g, h = complete(vec, trial(vec))
+            f, g, h = evaluate(vec)
             ll, grad, hess = kfit.loglik_hessian(s, model, FAMILIES[model].decode(vec))
             assert f == -ll / s.total_weight
             np.testing.assert_array_equal(g, -grad / s.total_weight)
             np.testing.assert_array_equal(h, -hess / s.total_weight)
-
-    def test_ekg2_starts_are_newton_stages_on_central_differences(self, monkeypatch):
-        newton, differences = kfit._newton, kfit._central_differences
-        stages, stencils = [], []
-        monkeypatch.setattr(kfit, "_newton", lambda *a: stages.append(a) or newton(*a))
-        monkeypatch.setattr(kfit, "_central_differences",
-                            lambda *a: stencils.append(a[1]) or differences(*a))
-        x = ekg2_sample(500, EKG2Params(2.0, 1.0, 0.8, 1.2), seed=20)
-        res = fit_mle(WeightedSample(x), FitConfig(model="ekg2", multistart=2, seed=0))
-        d = res.diagnostics
-        assert len(stages) == len(d.starts) == 2
-        assert d.evaluations == sum(start.evaluations for start in d.starts)
-        assert d.penalties == ()
-        # a 4-parameter family differences 32 points around each point a start
-        # begins at or steps to, and a trial point costs its centre alone:
-        # the starts here halve some steps, whose trials take no stencil
-        assert len(stencils) == len(d.starts) + res.iterations
-        trials = d.evaluations - 32 * len(stencils) - len(d.starts)
-        assert trials > res.iterations
 
     def test_a_start_with_an_indefinite_hessian_reaches_the_optimum_by_newton(self):
         s = WeightedSample(kgen_sample(10_000, KappaGenParams(2.0, 1.0, 0.5), 1))
@@ -326,8 +316,8 @@ class TestFitMle:
         res = fit_mle(kgen_data(4000), FitConfig(model="kappagen", multistart=1, seed=3,
                                                   max_iter=1))
         assert not res.converged and res.iterations == 1
-        # a start whose first evaluation is the penalty ends there, on the
-        # closed-form Hessian and on central differences alike
+        # a start whose first evaluation is the penalty ends there, whatever
+        # the cause: a non-finite log-likelihood, or a vector out of range
         point = TestOverflowingTerms.POINT
         monkeypatch.setitem(FAMILIES, "weibull",
                             replace(FAMILIES["weibull"], start=lambda *_: point))
@@ -341,6 +331,25 @@ class TestFitMle:
                                     FitConfig(model="ekg2", multistart=1, seed=0))
         assert [st.evaluations for st in res.diagnostics.starts] == [1]
         assert res.diagnostics.penalties == (("out-of-range", 1),) and not res.converged
+
+
+def central_differences(fun, x):
+    """(f, g, H) of the scalar fun at x by central differences with steps
+    h_i = eps^(1/4) max(1, |x_i|): g_i = (f+ - f-) / (2 h_i),
+    H_ii = (f+ - 2f + f-)/h_i^2 and H_ij from the four points x +- h_i +- h_j,
+    as the package once took the Newton stage's derivatives of the families
+    without a closed-form Hessian."""
+    f = fun(x)
+    h = np.finfo(float).eps ** 0.25 * np.maximum(1.0, np.abs(x))
+    e = np.diag(h)
+    plus = np.array([fun(x + ei) for ei in e])
+    minus = np.array([fun(x - ei) for ei in e])
+    i, j = np.tril_indices(x.size, -1)
+    corners = np.array([[fun(x + a * e[p] + b * e[q]) for a in (1, -1) for b in (1, -1)]
+                        for p, q in zip(i, j)])
+    hess = np.diag((plus - 2.0 * f + minus) / (h * h))
+    hess[i, j] = hess[j, i] = corners @ [1.0, -1.0, -1.0, 1.0] / (4.0 * h[i] * h[j])
+    return f, (plus - minus) / (2.0 * h), hess
 
 
 def two_stage_reference(model, sample, config):
@@ -695,8 +704,7 @@ class TestScores:
     """The closed-form scores of the families fitted by the Newton stage."""
 
     def test_scored_families(self):
-        assert {m for m, f in FAMILIES.items() if f.hessian} == {
-            "kappagen", "weibull", "kappagen_normalized"}
+        assert {m for m, f in FAMILIES.items() if f.hessian} == set(KERNELS)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.3, 2.5, 8.0])
     @pytest.mark.parametrize("model", ["weibull", "kappagen", "kappagen_normalized"])
@@ -762,7 +770,7 @@ class TestScores:
         counts = np.random.default_rng(0).multinomial(500, np.full(500, 1 / 500))
         resample = WeightedSample(s.values, counts.astype(float))
         for sample in (s, resample):
-            for model in ("kappagen", "weibull", "kappagen_normalized"):
+            for model in KERNELS:
                 family = FAMILIES[model]
                 params = family.decode(np.array(TRANSFORM_VECTORS[model]))
                 value = loglik(sample, model, params)
@@ -834,6 +842,87 @@ def mp_hessian(model, x, p):
     return hess, scale
 
 
+def mp_ekg_logpdf(model, x, vec, s0=None):
+    """ln f(x) of ekg2, or ekg1, at the fit's vector vec in mpmath: ekg2 from
+    its density in y = (x/b)^a, ekg1 as -t + ln a - ln x - ln L'(t) at the
+    root t = e^s of its log-bracket L(t) = a ln(x/b), found from s0."""
+    a, b, third, fourth = (mp.exp(v) for v in vec)
+    if model == "ekg2":
+        p, q = third, fourth
+        y = (x / b) ** a
+        ln_d = mp.log((y + mp.sqrt(y * y + 4)) / 2)
+        return (mp.log(a / b) - mp.log(mp.beta(p, q)) + (p - 1 / a) * (mp.log(y) - ln_d)
+                - (2 * q + 1 / a) * ln_d - mp.log(1 - y / mp.exp(ln_d) / 2))
+    q, c = third, fourth  # c = 1/(2q) - r
+    target = a * mp.log(x / b)
+    s = mp.findroot(lambda s: mp.log(q) + c * mp.exp(s) + mp.log(-mp.expm1(-mp.exp(s) / q))
+                    - target, s0)
+    t = mp.exp(s)
+    return -t + mp.log(a) - mp.log(x) - mp.log(c + 1 / (q * mp.expm1(t / q)))
+
+
+def mp_ekg_derivatives(model, x, params):
+    """(ln f, gradient, Hessian) in the fit's vector at 40 digits, from
+    mpmath derivatives of mp_ekg_logpdf.  For ekg1, x is first moved to the
+    quantile at the root t that the double inversion returns, in mpmath: where
+    r lies next to 1/(2q), t is ill-conditioned in x (L'(t) ~ 1e-12), so the
+    double x pins t only to ~1e-4 at t = 1e3, and the kernel is exact for
+    the t it was given; elsewhere the move is within an ulp or so of x."""
+    with mp.workdps(40):
+        vec = [mp.log(v) for v in (params.a, params.b, params.p, params.q)] if model == "ekg2" \
+            else [mp.log(v) for v in (params.a, params.b, params.q, _ekg1_slope(params))]
+        x = mp.mpf(x)
+        s0 = None
+        if model == "ekg1":
+            s0 = mp.mpf(_ekg1_log_t(np.array([float(x)]), params)[0])
+            with mp.workdps(60):
+                t, q, c = mp.exp(s0), mp.mpf(params.q), mp.mpf(_ekg1_slope(params))
+                x = params.b * mp.exp((mp.log(q) + c * t + mp.log(-mp.expm1(-t / q)))
+                                      / params.a)
+        f = lambda *v: mp_ekg_logpdf(model, x, v, s0)
+        value = f(*vec)
+        grad = [mp.diff(f, vec, tuple(int(k == i) for k in range(4))) for i in range(4)]
+        hess = mp.matrix(4, 4)
+        for i in range(4):
+            for j in range(i, 4):
+                hess[i, j] = hess[j, i] = mp.diff(
+                    f, vec, tuple(int(k == i) + int(k == j) for k in range(4)))
+    return value, grad, hess
+
+
+def _x_at_ekg1_t(t, p):
+    """The double nearest the ekg1 quantile at t = -ln(1-u), from mpmath."""
+    with mp.workdps(50):
+        q = mp.mpf(p.q)
+        return float(p.b * mp.exp((mp.log(2 * q) - p.r * mp.mpf(t)
+                                   + mp.log(mp.sinh(mp.mpf(t) / (2 * q)))) / p.a))
+
+
+_EKG1_NEAR_BOUND = EKG1Params(2.0, 1.0, 1.5, (1.0 - 1e-12) / 3.0)
+EKG_KERNEL_CASES = [
+    pytest.param("ekg2", EKG2Params(2.0, 1.0, 0.8, 1.2), [1e-3, 0.3, 1.0, 2.5, 10.0, 1e3],
+                 id="ekg2"),
+    pytest.param("ekg2", EKG2Params(0.7, 2.0, 0.05, 0.1), [1e-3, 0.5, 2.0, 10.0],
+                 id="ekg2-small-p-q"),
+    pytest.param("ekg2", EKG2Params(3.0, 1.0, 7.0, 4.0), [0.3, 1.0, 1.5, 4.0],
+                 id="ekg2-large-p-q"),
+    # y = (x/b)^a underflows (1e-200), is subnormal (1e-160) and overflows
+    pytest.param("ekg2", EKG2Params(2.0, 1.0, 0.3, 1.0), [1e-200, 1e-160, 1e160, 1e200],
+                 id="ekg2-y-edges"),
+    pytest.param("ekg1", EKG1Params(2.0, 1.0, 1.5, 0.2), [1e-3, 0.3, 1.0, 2.5, 10.0, 100.0],
+                 id="ekg1"),
+    pytest.param("ekg1", EKG1Params(0.8, 3.0, 0.4, -2.0), [1e-3, 0.5, 2.0, 10.0],
+                 id="ekg1-negative-r"),
+    # t ~ (x/b)^a is subnormal (1e-160) and underflows (1e-200)
+    pytest.param("ekg1", EKG1Params(2.0, 1.0, 1.5, 0.2), [1e-160, 1e-200],
+                 id="ekg1-t-underflows"),
+    # r within 1e-12 of 1/(2q), up to t = 1e6
+    pytest.param("ekg1", _EKG1_NEAR_BOUND,
+                 [_x_at_ekg1_t(t, _EKG1_NEAR_BOUND) for t in (1e-3, 0.5, 5.0, 30.0, 1e3, 1e6)],
+                 id="ekg1-r-at-bound"),
+]
+
+
 def assert_hessian_close(got, want, scale, context):
     for i in range(got.shape[0]):
         for j in range(got.shape[1]):
@@ -846,8 +935,10 @@ class TestHessian:
     """The closed-form Hessians that drive the Newton stage."""
 
     def test_families_with_a_hessian(self):
+        # every family fitted on transformed coordinates; the mixture fits
+        # through its branches
         assert {m for m, f in FAMILIES.items() if f.hessian} == {
-            "kappagen", "weibull", "kappagen_normalized"}
+            m for m, f in FAMILIES.items() if f.decode} == set(FAMILIES) - {"mixture"}
 
     @pytest.mark.parametrize("alpha", [0.5, 1.3, 2.5, 8.0])
     @pytest.mark.parametrize("model", ["raw", "weibull", "kappagen"])
@@ -890,6 +981,25 @@ class TestHessian:
         assert grad[2] == pytest.approx(float(d_k), rel=1e-14)
         assert_hessian_close(hess, want, scale, u)
 
+    @pytest.mark.parametrize("model, params, xs", EKG_KERNEL_CASES)
+    def test_ekg_kernels_against_mpmath(self, model, params, xs):
+        family = FAMILIES[model]
+        for x in xs:
+            one = np.array([x]), np.array([1.0])
+            ll, grad, hess = family.hessian(*one, params)
+            assert ll == family.logpdf(one[0], params)[0]
+            assert np.array_equal(hess, hess.T)
+            want_ll, want_grad, want_hess = mp_ekg_derivatives(model, x, params)
+            # measured: within 4.6e-15 of max(1, |want|) in each entry
+            assert abs(ll - float(want_ll)) <= 1e-14 * max(1.0, abs(float(want_ll))), x
+            for i in range(4):
+                want = float(want_grad[i])
+                assert abs(grad[i] - want) <= 1e-14 * max(1.0, abs(want)), (x, i, grad[i], want)
+                for j in range(4):
+                    want = float(want_hess[i, j])
+                    assert abs(hess[i, j] - want) <= 1e-14 * max(1.0, abs(want)), (
+                        x, i, j, hess[i, j], want)
+
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(model=st.sampled_from(["kappagen", "weibull", "kappagen_normalized"]),
            alpha=st.floats(0.5, 8.0), kappa=st.floats(0.01, 0.95),
@@ -919,15 +1029,15 @@ class TestHessian:
             ok = np.abs(d1 - d2) <= 1e-6 * scale  # a well-conditioned difference
             assert np.all(np.abs(hess[i] - d2)[ok] <= (np.abs(d1 - d2) + 1e-8 * scale)[ok]), i
 
-    @pytest.mark.parametrize("model", ["kappagen", "weibull"])
+    @pytest.mark.parametrize("model", ["kappagen", "weibull", "ekg1", "ekg2"])
     def test_central_differences_match_the_closed_form(self, model):
-        # the Newton stage's derivatives for the families without a Hessian,
-        # checked where the closed form exists, off the optimum
+        # the difference oracle agrees with every kernel off the optimum, on
+        # the mean log-likelihood a fit minimizes
         family = FAMILIES[model]
         s = kgen_data(2000, seed=21)
         vec = family.encode(family.start(1.5, 1.4, 0.3))
         objective = lambda v: -loglik(s, model, family.decode(v)) / s.total_weight
-        f, grad, hess = kfit._central_differences(objective, vec, objective(vec))
+        f, grad, hess = central_differences(objective, vec)
         ll, want_grad, want_hess = kfit.loglik_hessian(s, model, family.decode(vec))
         assert f == -ll / s.total_weight
         assert np.max(np.abs(want_grad)) / s.total_weight > 0.1
@@ -936,10 +1046,14 @@ class TestHessian:
 
     def test_support_is_checked_and_families_without_one_refuse(self):
         bad = WeightedSample(np.array([1.0, -2.0, 3.0]))
-        with pytest.raises(SupportViolationError):
-            kfit.loglik_hessian(bad, "kappagen", KappaGenParams(2.0, 1.0, 0.5))
+        for model in KERNELS:
+            family = FAMILIES[model]
+            with pytest.raises(SupportViolationError):
+                kfit.loglik_hessian(bad, model, family.decode(np.array(TRANSFORM_VECTORS[model])))
+        # the mixture alone has no kernel: its fit takes the branches' kernels
         with pytest.raises(DomainError):
-            kfit.loglik_hessian(kgen_data(50, seed=3), "ekg2", EKG2Params(2.0, 1.0, 2.0, 1.2))
+            kfit.loglik_hessian(kgen_data(50, seed=3), "mixture", NetWealthMixtureParams(
+                WeibullParams(0.9, 1.0), 0.2, 0.1, 0.7, KappaGenParams(2.0, 10.0, 0.5)))
 
 
 class TestOverflowingTerms:
@@ -964,7 +1078,8 @@ class TestOverflowingTerms:
     @pytest.mark.parametrize("model, params", [
         ("weibull", WeibullParams(60.0, 1.5)), ("kappagen", KappaGenParams(60.0, 1.5, 0.5)),
         ("kappagen", KappaGenParams(2.5, 1.0, 0.6)),
-        ("kappagen_normalized", KappaGenParams(2.5, 1.0, 0.6))])
+        ("kappagen_normalized", KappaGenParams(2.5, 1.0, 0.6)),
+        ("ekg1", EKG1Params(60.0, 1.5, 1.5, 0.2)), ("ekg2", EKG2Params(60.0, 1.5, 2.0, 1.2))])
     def test_a_zero_weight_record_adds_no_term(self, model, params):
         # the record's log-density is -inf, and the rest of the sum is finite;
         # its score and curvature terms would be 0 * inf = nan

@@ -137,6 +137,19 @@ class TestDigamma:
             digamma(0.0)
 
 
+class TestTrigamma:
+    def test_against_mpmath(self):
+        rng = np.random.default_rng(26)
+        z = np.concatenate([rng.uniform(1e-3, 200.0, 300), [1e-8, 0.5, 1.0, 1e6]])
+        want = _mp_vec(lambda t: mp.psi(1, t), z)
+        np.testing.assert_allclose(special.trigamma(z), want, rtol=1e-13)
+        assert special.trigamma(1.0) == pytest.approx(math.pi ** 2 / 6.0, rel=1e-15)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            special.trigamma(np.array([1.0, 0.0]))
+
+
 class TestRegIncBeta:
     def test_uniform_case(self):
         rng = np.random.default_rng(25)
