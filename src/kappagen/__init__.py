@@ -79,12 +79,15 @@ from .fitting import (
     loglik_score,
 )
 from .inequality import (
+    DECILES,
+    EmpiricalLorenzSummary,
     InequalityReport,
     LorenzCurve,
     LorenzOrdering,
     ekg2_lorenz,
     empirical_gini,
     empirical_lorenz,
+    empirical_lorenz_summary,
     kgen_ge,
     kgen_gini,
     kgen_inequality_report,

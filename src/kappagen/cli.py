@@ -9,6 +9,7 @@ deterministic given input bytes, flags, and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .data import load_dataset
+from .deformed import _blocks
 from .distributions import KappaGenParams
 from .errors import KappagenError
 from .fitting import FAMILIES, FitConfig, FitResult, fit_mle
@@ -73,11 +75,12 @@ def _fit_config(args, model):
 
 
 def _write_text(path, text):
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    """Write text, a str or an iterable of strs written in turn, to path
+    (stdout for None or "-")."""
+    to_stdout = path is None or path == "-"
+    with (contextlib.nullcontext(sys.stdout) if to_stdout
+          else open(path, "w", encoding="utf-8")) as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 def _report_json(report):
@@ -167,10 +170,11 @@ def _cmd_inequality(args):
     if args.input is not None:
         sample = load_dataset(args.input, no_header=args.no_header)
         report["provenance"]["input"] = args.input
-        report["empirical"] = {"gini": ineq.empirical_gini(sample)}
+        lorenz = ineq.empirical_lorenz_summary(sample)  # one walk, for both Ginis
+        report["empirical"] = {"gini": lorenz.gini}
         exit_code = _EXIT_OK
         try:
-            result = fit_mle(sample, _fit_config(args, args.model))
+            result = fit_mle(sample, _fit_config(args, args.model), lorenz)
         except KappagenError as exc:
             report["fit_error"] = str(exc)
         else:
@@ -191,12 +195,14 @@ def _cmd_inequality(args):
 
 
 def _cmd_sample(args):
+    """Draw the sample and write one %.17g value a line, a block of draws
+    at a time, so the text held at once is one block's, not the sample's."""
     params = _params_from_args(args)
     if args.n < 1:
         raise UsageError(f"sample size must be at least 1, got {args.n}")
-    draws = FAMILIES[args.model].sample(args.n, params, args.seed)
-    values = np.asarray(draws).tolist()
-    _write_text(args.output, ("%.17g\n" * len(values)) % tuple(values))
+    draws = np.asarray(FAMILIES[args.model].sample(args.n, params, args.seed))
+    blocks = (draws[part].tolist() for part in _blocks(draws.size))
+    _write_text(args.output, (("%.17g\n" * len(block)) % tuple(block) for block in blocks))
     return _EXIT_OK
 
 

@@ -18,7 +18,10 @@ is one kernel call.  loglik, loglik_hessian and a fit all sum over
 sample.nonzero, the records of nonzero weight.  Once a fit has checked the
 support, before its first start, the objective calls the kernel on those
 records, not through loglik and loglik_hessian, so a tracer of the public
-fitting functions sees no call per point.  Its steps take the Hessian's
+fitting functions sees no call per point.  Every pass over the records
+(kernel, value, initializer) takes one deformed._BLOCK of them at a time
+and adds the blocks' sums in index order (_block_sums), so its temporaries
+are a block's, not the sample's.  The stage's steps take the Hessian's
 eigenvalues in absolute value, so a start where the Hessian is indefinite,
 as perturbed starts can be, still descends, and move at most _MAX_STEP
 along any eigen-direction, so a step along near-zero curvature neither
@@ -37,6 +40,7 @@ _with_gof, which attaches the goodness of fit and takes loglik from it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -45,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .data import WeightedSample
-from .deformed import _asarray, _restore
+from .deformed import _BLOCK, _asarray, _blocks, _restore
 from .distributions import (
     EKG1Params,
     EKG2Params,
@@ -238,11 +242,24 @@ def _dkappa_dlogit(kappa):
     return kappa * (1.0 - kappa) if kappa < _KAPPA_MAX else 0.0
 
 
+def _block_sums(kernel, values, weights, *args):
+    """The tuple of sums kernel(values, weights, *args) returns (for a
+    kernel: sum(w ln f), gradient, Hessian), taken over one _BLOCK of records
+    at a time and added entry by entry in index order: one call where the
+    records fit in one block, so a pass holds one block's temporaries."""
+    sums = kernel(values[:_BLOCK], weights[:_BLOCK], *args)
+    for k in range(_BLOCK, values.size, _BLOCK):
+        block = kernel(values[k:k + _BLOCK], weights[k:k + _BLOCK], *args)
+        sums = tuple(a + b for a, b in zip(sums, block))
+    return sums
+
+
 def _kgen_hessian(values, weights, p: KappaGenParams):
-    """Chain rule through logit(kappa): with k' = dkappa/dlogit = kappa (1 - kappa)
-    and k'' = k' (1 - 2 kappa), d2/dlogit2 = l_kk k'^2 + l_k k''; every
-    logit entry is 0 where the decode caps kappa."""
-    ll, grad, hess = _kgen_loglik_hessian(values, weights, p)
+    """Chain rule through logit(kappa), on the base model's blocked sums:
+    with k' = dkappa/dlogit = kappa (1 - kappa) and k'' = k' (1 - 2 kappa),
+    d2/dlogit2 = l_kk k'^2 + l_k k''; every logit entry is 0 where the
+    decode caps kappa."""
+    ll, grad, hess = _block_sums(_kgen_loglik_hessian, values, weights, p)
     d1 = _dkappa_dlogit(p.kappa)
     hess[2, 2] = hess[2, 2] * d1 * d1 + grad[2] * d1 * (1.0 - 2.0 * p.kappa)
     hess[:2, 2] *= d1
@@ -252,7 +269,7 @@ def _kgen_hessian(values, weights, p: KappaGenParams):
 
 
 def _weibull_hessian(values, weights, p: WeibullParams):
-    ll, grad, hess = _kgen_loglik_hessian(values, weights, p)
+    ll, grad, hess = _block_sums(_kgen_loglik_hessian, values, weights, p)
     return ll, grad[:2], hess[:2, :2]
 
 
@@ -355,7 +372,7 @@ FAMILIES = {
                                    math.log(max(1.0 / (2.0 * p.q) - p.r, 1e-12))]),
         start=lambda alpha0, beta0, kappa0: EKG1Params(alpha0, beta0,
                                                        1.0 / (2.0 * kappa0), 0.0),
-        hessian=lambda values, weights, p: _ekg1_loglik_hessian(values, weights, p),
+        hessian=lambda values, weights, p: _block_sums(_ekg1_loglik_hessian, values, weights, p),
     ),
     "ekg2": Family(
         params=EKG2Params, flags=("a", "b", "p", "q"), from_flags=EKG2Params,
@@ -371,7 +388,7 @@ FAMILIES = {
         # the base model is ekg2 at p = 1, q = 1/(2 kappa), b = beta (2 kappa)^(-1/alpha)
         start=lambda alpha0, beta0, kappa0: EKG2Params(
             alpha0, beta0 * (2.0 * kappa0) ** (-1.0 / alpha0), 1.0, 1.0 / (2.0 * kappa0)),
-        hessian=lambda values, weights, p: _ekg2_loglik_hessian(values, weights, p),
+        hessian=lambda values, weights, p: _block_sums(_ekg2_loglik_hessian, values, weights, p),
     ),
     "mixture": Family(
         params=NetWealthMixtureParams,
@@ -402,9 +419,8 @@ FAMILIES = {
 
 
 def _check_support(values, model):
-    bad = ~(values > 0.0)
-    if np.any(bad):
-        idx = int(np.argmax(bad))
+    if not np.all(values > 0.0):
+        idx = int(np.argmin(values > 0.0))
         raise SupportViolationError(
             f"observation {idx} (value {values[idx]}) outside the positive support "
             f"of model {model!r}", index=idx, value=float(values[idx]))
@@ -420,11 +436,17 @@ def _records(sample: WeightedSample, model):
 
 def loglik(sample: WeightedSample, model, params):
     """Weighted log-likelihood sum(w_i * ln f(x_i)) over sample.nonzero, in
-    log space: loglik_hessian's value bit for bit, where it has one."""
+    log space, summed over the blocks of records that loglik_hessian sums
+    over: its value bit for bit, where it has one."""
     records = _records(sample, model)
-    terms = _family(model).logpdf(records.values, params)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float((records.weights * terms).sum())
+    logpdf = _family(model).logpdf
+
+    def block(values, weights):
+        terms = logpdf(values, params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (float((weights * terms).sum()),)
+
+    return _block_sums(block, records.values, records.weights)[0]
 
 
 def loglik_score(sample: WeightedSample, model, params):
@@ -450,46 +472,104 @@ def loglik_hessian(sample: WeightedSample, model, params):
 # initial values
 
 
-def _weighted_lstsq(x, y, w):
+def _line_sums(x, y, w):
+    """(sum w, the weighted means of x and y, sum w dx^2, sum w dx dy), with
+    dx and dy the deviations from those means: a weighted least-squares
+    line's sums over the points (x, y) of one block."""
     sw = w.sum()
     mx = (w * x).sum() / sw
     my = (w * y).sum() / sw
-    sxx = (w * (x - mx) ** 2).sum()
+    dx = x - mx
+    return sw, mx, my, (w * dx ** 2).sum(), (w * dx * (y - my)).sum()
+
+
+def _pooled(a, b):
+    """The _line_sums of two sets of points together from each set's own
+    (Chan, Golub & LeVeque 1979, the pairwise update): b where a is None."""
+    if a is None:
+        return b
+    sa, xa, ya, sxx, sxy = a
+    sb, xb, yb, sxx_b, sxy_b = b
+    sw = sa + sb
+    share = sb / sw
+    dx, dy = xb - xa, yb - ya
+    return (sw, xa + dx * share, ya + dy * share, sxx + sxx_b + dx * dx * sa * share,
+            sxy + sxy_b + dx * dy * sa * share)
+
+
+def _weighted_lstsq(sums):
+    """(slope, intercept) of a weighted least-squares line from its
+    _line_sums; nan where x does not vary."""
+    _, mx, my, sxx, sxy = sums
     if sxx <= 0.0:
         return math.nan, math.nan
-    slope = (w * (x - mx) * (y - my)).sum() / sxx
+    slope = sxy / sxx
     return slope, my - slope * mx
 
 
-def _initial_shape_scale(sample: WeightedSample):
-    """Shape and scale from a weighted least-squares line on the double-log
-    survival plot of a sample of positive values, restricted to its bulk."""
-    v = sample.values[sample.order]
-    w = sample.weights[sample.order]
-    cw = np.cumsum(w)
-    total = cw[-1]
-    cdf_mid = (cw - 0.5 * w) / total
-    bulk = (cdf_mid > 0.01) & (cdf_mid < 0.9)
-    if bulk.sum() >= 5:
-        x = np.log(v[bulk])
-        y = np.log(-np.log1p(-cdf_mid[bulk]))
-        slope, intercept = _weighted_lstsq(x, y, w[bulk])
-        if math.isfinite(slope) and slope > 0.0:
-            alpha0 = min(max(slope, 0.05), 50.0)
-            beta0 = math.exp(-intercept / slope)
-            if math.isfinite(beta0) and beta0 > 0.0:
-                return alpha0, beta0, (v, w, cdf_mid)
-    return 1.0, max(sample.weighted_mean(), 1e-12), (v, w, cdf_mid)
+def _survival_lines(sample: WeightedSample):
+    """The double-log survival plot's two least-squares lines of a sample
+    of positive values, as (count, _line_sums or None) pairs: ln(-ln S) on
+    ln x over the bulk, 0.01 < F < 0.9, and ln S on ln x over the upper
+    decile, 0.9 <= F < 1, where F is the midpoint CDF (cw - w/2) / sum w
+    and S = 1 - F.
+
+    Two walks of sample.order, one _BLOCK of records at a time: the first
+    takes the total weight, the second each block's points, taking the
+    first walk's last block as it is.  Each block's cumulative weights cw
+    are one np.cumsum with the running total added to its first weight, the
+    same sequential fold as a cumsum of all of them, so a sample of one
+    block gives the single-array sums bit for bit.
+    """
+    order = sample.order
+
+    def cumulative(parts):  # each block's indices, weights and cumulative weights
+        carry = 0.0
+        for part in parts:
+            idx = order[part]
+            w = sample.weights[idx]
+            cw = w.copy()
+            cw[0] += carry
+            np.cumsum(cw, out=cw)
+            carry = cw[-1]
+            yield idx, w, cw
+
+    parts = list(_blocks(order.size))
+    for last in cumulative(parts):
+        pass
+    total = last[2][-1]
+    lines = [[0, None], [0, None]]
+    for idx, w, cw in itertools.chain(cumulative(parts[:-1]), (last,)):
+        v = sample.values[idx]
+        cdf_mid = (cw - 0.5 * w) / total
+        bulk = (cdf_mid > 0.01) & (cdf_mid < 0.9)
+        tail = (cdf_mid >= 0.9) & (cdf_mid < 1.0)
+        points = ((bulk, np.log(-np.log1p(-cdf_mid[bulk]))), (tail, np.log1p(-cdf_mid[tail])))
+        for line, (mask, y) in zip(lines, points):
+            if y.size:
+                line[0] += y.size
+                line[1] = _pooled(line[1], _line_sums(np.log(v[mask]), y, w[mask]))
+    return lines
 
 
 def _initial_kgen(sample: WeightedSample):
-    """(alpha0, beta0, kappa0): bulk regression pins the shape and scale,
-    the upper-decile survival slope pins the tail deformation."""
-    alpha0, beta0, (v, w, cdf_mid) = _initial_shape_scale(sample)
+    """(alpha0, beta0, kappa0) from _survival_lines: the bulk line pins the
+    shape and scale (with its slope and intercept, where it has at least 5
+    points and a positive slope, else 1 and the weighted mean), the upper
+    decile's slope, with at least 10 points, the tail deformation."""
+    (n_bulk, bulk), (n_tail, tail) = _survival_lines(sample)
+    alpha0 = None
+    if n_bulk >= 5:
+        slope, intercept = _weighted_lstsq(bulk)
+        if math.isfinite(slope) and slope > 0.0:
+            beta0 = math.exp(-intercept / slope)
+            if math.isfinite(beta0) and beta0 > 0.0:
+                alpha0 = min(max(slope, 0.05), 50.0)
+    if alpha0 is None:
+        alpha0, beta0 = 1.0, max(sample.weighted_mean(), 1e-12)
     kappa0 = 0.25
-    tail = (cdf_mid >= 0.9) & (cdf_mid < 1.0)
-    if tail.sum() >= 10:
-        slope, _ = _weighted_lstsq(np.log(v[tail]), np.log1p(-cdf_mid[tail]), w[tail])
+    if n_tail >= 10:
+        slope, _ = _weighted_lstsq(tail)
         if math.isfinite(slope) and slope < 0.0:
             kappa0 = alpha0 / (-slope)
     return alpha0, beta0, min(max(kappa0, 0.01), 0.9)
@@ -601,19 +681,22 @@ def _fit_transformed(model, sample, config):
 # public fitting entry points
 
 
-def fit_mle(sample: WeightedSample, config: FitConfig):
-    """Maximize the weighted log-likelihood for the configured family."""
+def fit_mle(sample: WeightedSample, config: FitConfig, lorenz=None):
+    """Maximize the weighted log-likelihood for the configured family.
+    lorenz, the sample's inequality.empirical_lorenz_summary if the caller
+    already has it, spares the goodness of fit its own walk of the sample;
+    the mixture and the unit-mean model take their own."""
     if config.model == "mixture":
         return fit_mixture(sample, config)
     if config.model == "kappagen_normalized":
         return fit_normalized(sample, config)
     records = _records(sample, config.model)
-    return _with_gof(sample, _fit_transformed(config.model, records, config))
+    return _with_gof(sample, _fit_transformed(config.model, records, config), lorenz)
 
 
-def _with_gof(sample, fit: FitResult, **changes):
+def _with_gof(sample, fit: FitResult, lorenz=None, **changes):
     """fit with its goodness of fit on sample, loglik taken from that."""
-    gof = goodness_of_fit(sample, fit.model, fit.params)
+    gof = goodness_of_fit(sample, fit.model, fit.params, lorenz)
     return replace(fit, loglik=gof.loglik, gof=gof, **changes)
 
 
@@ -693,19 +776,22 @@ def fit_mixture(sample: WeightedSample, config: FitConfig):
 # goodness of fit
 
 
-def goodness_of_fit(sample: WeightedSample, model, params):
+def goodness_of_fit(sample: WeightedSample, model, params, lorenz=None):
     """Log-likelihood plus Lorenz-curve and Gini discrepancy measures.
 
     LRSSE is the root of the summed squared gaps between the observed and
     model Lorenz curves on the interior decile grid; AEG is the absolute
-    gap between the observed and model Gini.
+    gap between the observed and model Gini.  The observed side is lorenz,
+    the sample's inequality.empirical_lorenz_summary (ten floats), taken
+    here by one blocked walk of the sample unless the caller hands it in;
+    the log-likelihood is loglik's blocked value pass, so no step holds
+    more than a block of per-record temporaries.
     """
     family = _family(model)
     ll = loglik(sample, model, params)
-    deciles = np.arange(1, 10) / 10.0
-    curve = ineq.empirical_lorenz(sample)
-    l_emp = curve.interpolate(deciles)
-    l_mod = np.asarray(family.lorenz(deciles, params), dtype=float)
-    lrsse = float(np.sqrt(np.sum((l_emp - l_mod) ** 2)))
-    aeg = abs(ineq._trapezoid_gini(curve) - family.gini(params))
+    if lorenz is None:
+        lorenz = ineq.empirical_lorenz_summary(sample)
+    l_mod = np.asarray(family.lorenz(ineq.DECILES, params), dtype=float)
+    lrsse = float(np.sqrt(np.sum((lorenz.ordinates - l_mod) ** 2)))
+    aeg = abs(lorenz.gini - family.gini(params))
     return GoodnessOfFit(loglik=ll, lrsse=lrsse, aeg=aeg)

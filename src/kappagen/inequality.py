@@ -7,11 +7,12 @@ quantile-defined four-parameter extension; each integral calls the quantile
 once (quantile_lorenz takes arrays, 1024 points a call), and stops at
 u = 1 - 1e-16 (base-model mean off by -5.8e-6 relative at alpha/kappa = 1.5,
 -1.7e-12 at 4).  Empirical counterparts operate on weighted unit-record
-samples.
+samples, one block of sorted records at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .data import WeightedSample
-from .deformed import _asarray, _restore
+from .deformed import _asarray, _blocks, _restore
 from .distributions import (
     EKG2Params,
     KappaGenParams,
@@ -397,40 +398,113 @@ def ekg2_lorenz(u, p: EKG2Params):
 # empirical counterparts
 
 
+# the population shares at which the goodness of fit compares Lorenz curves
+DECILES = np.arange(1, 10) / 10.0
+
+
+@dataclass(frozen=True)
+class EmpiricalLorenzSummary:
+    """What the goodness of fit and the empirical Gini read of an empirical
+    Lorenz curve: its ordinates at DECILES and its trapezoid-rule Gini."""
+
+    ordinates: np.ndarray
+    gini: float
+
+
+def _runs(sample: WeightedSample):
+    """(weights, weighted values) summed over each run of equal values of
+    sample.nonzero in ascending order, one _BLOCK of records at a time, with
+    whether the block is the last; sample.order is the only sort.  A
+    block's last run is held back as one record in front of the next
+    block, so a run that a block boundary cuts is still one run."""
+    sample = sample.nonzero
+    order = sample.order
+    held = None  # the value, weight and weighted value of the run held back
+    for part in _blocks(order.size):
+        idx = order[part]
+        values, weights = sample.values[idx], sample.weights[idx]
+        weighted = values * weights
+        if held is not None:
+            values, weights, weighted = (np.concatenate(((h,), a)) for h, a in
+                                         zip(held, (values, weights, weighted)))
+        changes = values[1:] != values[:-1]
+        if not changes.all():  # a tie: sum each run of equal values
+            start = np.flatnonzero(np.concatenate(([True], changes)))
+            values = values[start]
+            weights = np.add.reduceat(weights, start)
+            weighted = np.add.reduceat(weighted, start)
+        last = part.stop >= order.size
+        if not last:
+            held = values[-1], weights[-1], weighted[-1]
+            weights, weighted = weights[:-1], weighted[:-1]
+        if weights.size:
+            yield weights, weighted, last
+
+
+def _lorenz_blocks(sample: WeightedSample):
+    """The points (u, L) of the empirical Lorenz curve of sample.nonzero,
+    one block of _runs at a time, as (k + 1, 2) arrays that start at the
+    point before the block ((0, 0) for the first) and end, in the last
+    block, at exactly (1, 1).  A first walk takes the total weight and
+    weighted value, a second the cumulative shares, taking the first walk's
+    last block as it is (a sample of one block is walked once): each
+    block's cumulative sums are one np.cumsum with the running sums added
+    to its first run, the same sequential fold as a cumsum of all runs, so
+    a sample of one block gives the single-array curve bit for bit."""
+    total_w = total_xw = 0.0
+    walked = 0
+    for runs in _runs(sample):
+        total_w += runs[0].sum()
+        total_xw += runs[1].sum()
+        walked += 1
+    if total_xw == 0.0:
+        raise DegenerateNormalizationError("sample mean is zero; Lorenz undefined")
+    before, carry = np.zeros(2), np.zeros(2)  # the point before a block, and its sums
+    for weights, weighted, last in itertools.chain(
+            itertools.islice(_runs(sample), walked - 1), (runs,)):
+        points = np.empty((weights.size + 1, 2))
+        points[0] = before
+        points[1:, 0] = weights
+        points[1:, 1] = weighted
+        points[1] += carry
+        np.cumsum(points[1:], axis=0, out=points[1:])
+        carry = points[-1].copy()
+        points[1:] /= (total_w, total_xw)
+        if last:
+            points[-1] = 1.0
+        before = points[-1]
+        yield points
+
+
 def empirical_lorenz(sample: WeightedSample):
     """Weight-sorted cumulative-share Lorenz curve of sample.nonzero, the
     records of nonzero weight, whose cached order is the only sort (a fit of
     the same sample shares it).  Equal values are grouped before
-    cumulating; weights are normalized to sum to one."""
-    sample = sample.nonzero
-    values = sample.values[sample.order]
-    weights = sample.weights[sample.order]
-    weighted = values * weights
-    changes = values[1:] != values[:-1]
-    if not changes.all():  # a tie: sum each group of equal values
-        start = np.flatnonzero(np.concatenate(([True], changes)))
-        weights = np.add.reduceat(weights, start)
-        weighted = np.add.reduceat(weighted, start)
-    total_w = weights.sum()
-    total_xw = weighted.sum()
-    if total_xw == 0.0:
-        raise DegenerateNormalizationError("sample mean is zero; Lorenz undefined")
-    points = np.empty((weights.size + 1, 2))
-    points[0] = 0.0
-    np.cumsum(weights, out=points[1:, 0])
-    np.cumsum(weighted, out=points[1:, 1])
-    points[1:] /= (total_w, total_xw)
-    points[-1] = 1.0
-    return LorenzCurve(points=points, source="empirical")
+    cumulating; weights are normalized to sum to one.  The whole curve, for
+    plotting; the goodness of fit and the Gini read empirical_lorenz_summary."""
+    blocks = [points[i > 0:] for i, points in enumerate(_lorenz_blocks(sample))]
+    return LorenzCurve(points=np.concatenate(blocks), source="empirical")
 
 
-def _trapezoid_gini(curve: LorenzCurve):
-    """One minus twice the trapezoid-rule area under a Lorenz curve."""
-    u = curve.points[:, 0]
-    ell = curve.points[:, 1]
-    return 1.0 - float(np.sum(np.diff(u) * (ell[1:] + ell[:-1])))
+def empirical_lorenz_summary(sample: WeightedSample):
+    """The empirical Lorenz curve's ordinates at DECILES (linear
+    interpolation, as LorenzCurve.interpolate) and its trapezoid-rule Gini,
+    one minus twice the area under it, from one blocked walk that holds a
+    block of the curve at a time, never the whole (n + 1) x 2 curve.  Each
+    block starts at the point before it, so every decile is interpolated
+    between the same two points as on the whole curve, and the trapezoids
+    are summed block by block in order."""
+    ordinates = np.empty(DECILES.size)
+    area = 0.0
+    for points in _lorenz_blocks(sample):
+        u, ell = points[:, 0], points[:, 1]
+        area += np.sum(np.diff(u) * (ell[1:] + ell[:-1]))
+        here = (DECILES > u[0]) & (DECILES <= u[-1])
+        ordinates[here] = np.interp(DECILES[here], u, ell)
+    return EmpiricalLorenzSummary(ordinates, 1.0 - float(area))
 
 
 def empirical_gini(sample: WeightedSample):
-    """Trapezoid-rule Gini of the empirical Lorenz curve."""
-    return _trapezoid_gini(empirical_lorenz(sample))
+    """Trapezoid-rule Gini of the empirical Lorenz curve, from
+    empirical_lorenz_summary's blocked walk."""
+    return empirical_lorenz_summary(sample).gini

@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy import special as sc
 
-from .deformed import _asarray, _restore
+from .deformed import _asarray, _blocks, _restore
 from .errors import DomainError
 
 
@@ -154,7 +154,6 @@ _LN_HALF = math.log(0.5)
 # table would need more than 1400 nodes.
 _TABLE_FLOOR = 2.0 ** -64
 _NODE_STEP = 1.0 / 32.0  # table spacing in ln u
-_CHUNK = 1 << 14  # entries polished at a time, to bound the temporaries
 # A Halley step cannot beat the error of the betainc values that anchor its
 # residual at the nodes, which reaches ~2000 ulp for some shapes, e.g.
 # (43.5, 8); the table is kept only where betainc reproduces every node to
@@ -317,8 +316,7 @@ def _tabulated_inverse(u, a, b):
     table[:, 0::2] = y[:-1], h_slope[:-1], c2, c3, zn[:-1], i_nodes[:-1], corr[:-1], rate
     table[:, 1::2] = y[1:], h_slope[1:], c2 + 3.0 * c3, c3, zn[1:], i_nodes[1:], corr[1:], rate
     out = np.empty_like(u)
-    for k in range(0, u.size, _CHUNK):
-        part = slice(k, k + _CHUNK)
+    for part in _blocks(u.size):  # entries polished at a time, to bound the temporaries
         up = u[part]
         pos = (ln_u[part] - lo) / step
         column = np.minimum((2.0 * pos).astype(np.intp), 2 * n - 1)

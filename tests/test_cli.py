@@ -32,6 +32,7 @@ from kappagen import (
     mixture_pdf,
 )
 from kappagen.cli import main
+from kappagen.deformed import _BLOCK
 from kappagen.fitting import FAMILIES
 
 
@@ -74,11 +75,14 @@ class TestSample:
     def test_writes_each_draw_with_17_significant_digits(self, tmp_path, model, flags):
         out = tmp_path / "s.txt"
         argv = [t for name, v in flags.items() for t in ("--" + name, repr(v))]
-        assert run_cli("sample", "--model", model, *argv, "--n", "700", "--seed", "4",
-                       "-o", str(out)) == 0
         family = FAMILIES[model]
-        draws = family.sample(700, family.from_flags(*flags.values()), 4)
-        assert out.read_bytes() == "".join(f"{v:.17g}\n" for v in draws).encode()
+        # the writer formats a block of draws at a time: past one block the
+        # file is still the one-shot string of every draw
+        for n in (700, 3 * _BLOCK + 5):
+            assert run_cli("sample", "--model", model, *argv, "--n", str(n), "--seed", "4",
+                           "-o", str(out)) == 0
+            draws = family.sample(n, family.from_flags(*flags.values()), 4)
+            assert out.read_bytes() == (("%.17g\n" * n) % tuple(draws.tolist())).encode()
 
     def test_rejects_zero_n(self, capsys):
         code = run_cli("sample", "--model", "kappagen", "--alpha", "2", "--beta", "1",
@@ -528,6 +532,7 @@ class TestProcessLevel:
         script = f"""
 import sys
 from kappagen.cli import main
+from kappagen.deformed import _BLOCK
 path = {path!r}
 assert main(["sample", "--model", "kappagen", "--alpha", "2", "--beta", "1",
              "--kappa", "0.5", "--n", "2000", "--seed", "1", "-o", path]) == 0

@@ -52,7 +52,13 @@ from kappagen import (
     quantile_gini,
 )
 from kappagen import special
-from kappagen.distributions import _ekg1_log_bracket, _ekg1_log_t, ekg1_logpdf, ekg2_logpdf
+from kappagen.distributions import (
+    _ekg1_log_bracket,
+    _ekg1_log_t,
+    _ekg2_log_beta,
+    ekg1_logpdf,
+    ekg2_logpdf,
+)
 
 U_GRID = np.array([0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999])
 
@@ -693,6 +699,19 @@ class TestEkg2:
                                         regularized=True))
             assert abs(gi - want) <= 1e-13 * want + 5e-324, (xi, gi, want)
         assert got[-1] > 0.0
+
+    @pytest.mark.parametrize("p, q", [
+        (2.0, 1.2), (9.9, 9.9), (math.nextafter(10.0, 0.0), 3.0),  # the three-term form
+        (10.0, 3.0), (10.0, 1e-8), (10.0, 10.0), (12.0, 0.3), (30.0, 1.0), (50.0, 50.0),
+        (1e3, 1e-3), (3.3e5, 2.45), (2.45, 3.3e5), (5.1e6, 2.45), (1e8, 7.5), (1e12, 0.5)])
+    def test_log_beta_against_mpmath(self, p, q):
+        # from max(p, q) = 10 on, ln Gamma(max) - ln Gamma(max + min) is a
+        # Stirling difference: ln Gamma(p) + ln Gamma(q) - ln Gamma(p + q)
+        # cancels for p >> q, 2.2e-10 off at (3.3e5, 2.45) and 1e-3 at 1e12
+        with mp.workdps(40):
+            want = mp.log(mp.beta(mp.mpf(p), mp.mpf(q)))
+            got = _ekg2_log_beta(EKG2Params(1.0, 1.0, p, q))
+            assert abs(got - want) <= 4.0 * np.finfo(float).eps * max(abs(want), 1.0)
 
     def test_sampling_determinism(self):
         a = ekg2_sample(500, self.P, seed=5)

@@ -38,11 +38,14 @@ from kappagen import (
     loglik,
     mixture_sample,
 )
+import kappagen.distributions as kdist
 import kappagen.fitting as kfit
+from kappagen.deformed import _BLOCK
 from kappagen.distributions import _ekg1_log_t, _ekg1_slope
 from kappagen.fitting import FAMILIES
 
 FAST = FitConfig(model="kappagen", multistart=2, seed=0)
+BLOCKED_N = 3 * _BLOCK + 5  # three blocks of records and a few more
 # the kernel behind each fitted family's Family.hessian
 KERNELS = {"kappagen": "_kgen_loglik_hessian", "weibull": "_kgen_loglik_hessian",
            "kappagen_normalized": "_kgen_loglik_hessian", "ekg1": "_ekg1_loglik_hessian",
@@ -589,11 +592,12 @@ def _per_call_sort_start(values, weights):
     cw = np.cumsum(w)
     cdf_mid = (cw - 0.5 * w) / cw[-1]
     bulk = (cdf_mid > 0.01) & (cdf_mid < 0.9) & (v > 0.0)
-    slope, intercept = kfit._weighted_lstsq(np.log(v[bulk]), np.log(-np.log1p(-cdf_mid[bulk])),
-                                            w[bulk])
+    slope, intercept = kfit._weighted_lstsq(kfit._line_sums(
+        np.log(v[bulk]), np.log(-np.log1p(-cdf_mid[bulk])), w[bulk]))
     alpha0 = min(max(slope, 0.05), 50.0)
     tail = (cdf_mid >= 0.9) & (cdf_mid < 1.0) & (v > 0.0)
-    tail_slope, _ = kfit._weighted_lstsq(np.log(v[tail]), np.log1p(-cdf_mid[tail]), w[tail])
+    tail_slope, _ = kfit._weighted_lstsq(kfit._line_sums(
+        np.log(v[tail]), np.log1p(-cdf_mid[tail]), w[tail]))
     return alpha0, math.exp(-intercept / slope), min(max(alpha0 / -tail_slope, 0.01), 0.9)
 
 
@@ -607,6 +611,15 @@ class TestSortOnce:
     def test_initial_kgen_same_bits_as_a_per_call_sort(self):
         s = self.tied_sample()
         assert kfit._initial_kgen(s) == _per_call_sort_start(s.values, s.weights)
+
+    def test_initial_kgen_on_blocks_is_the_single_array_start_up_to_rounding(self):
+        # the walks carry the cumulative weight from block to block and pool
+        # the blocks' least-squares sums, so only rounding moves the start
+        rng = np.random.default_rng(9)
+        values = np.round(kgen_sample(BLOCKED_N, KappaGenParams(2.0, 1.0, 0.5), seed=9), 2)
+        s = WeightedSample(values + 0.005, rng.integers(0, 4, values.size) * 0.3)
+        np.testing.assert_allclose(kfit._initial_kgen(s),
+                                   _per_call_sort_start(s.values, s.weights), rtol=4e-15)
 
     def test_goodness_of_fit_gini_is_the_empirical_gini(self):
         s = self.tied_sample()
@@ -769,7 +782,8 @@ class TestScores:
         # 0, which every one of the three sums leaves out
         counts = np.random.default_rng(0).multinomial(500, np.full(500, 1 / 500))
         resample = WeightedSample(s.values, counts.astype(float))
-        for sample in (s, resample):
+        # and on more records than one block, both sum block by block
+        for sample in (s, resample, kgen_data(BLOCKED_N, seed=19)):
             for model in KERNELS:
                 family = FAMILIES[model]
                 params = family.decode(np.array(TRANSFORM_VECTORS[model]))
@@ -1028,6 +1042,30 @@ class TestHessian:
             d2 = (score(vec + step / 2) - score(vec - step / 2)) / 1e-4
             ok = np.abs(d1 - d2) <= 1e-6 * scale  # a well-conditioned difference
             assert np.all(np.abs(hess[i] - d2)[ok] <= (np.abs(d1 - d2) + 1e-8 * scale)[ok]), i
+
+    @pytest.mark.parametrize("kernel", sorted(set(KERNELS.values())))
+    def test_blocked_sums_are_one_call_on_all_records_up_to_rounding(self, kernel):
+        # a pass sums each block's kernel call in index order: on one block
+        # it is the single call bit for bit, on more it moves every entry by
+        # the rounding of its sums, up to 1.5e-15 of the largest entry of its
+        # array at four seeds; relative to itself an entry that is a
+        # difference of larger sums moves more (an ekg2 shape score by 1.3e-14)
+        kernel = getattr(kdist, kernel)
+        model = {"_kgen_loglik_hessian": "kappagen", "_ekg1_loglik_hessian": "ekg1",
+                 "_ekg2_loglik_hessian": "ekg2"}[kernel.__name__]
+        params = FAMILIES[model].decode(np.array(TRANSFORM_VECTORS[model]))
+        x = kgen_sample(BLOCKED_N, KappaGenParams(2.0, 1.0, 0.5), 42)
+        w = np.random.default_rng(1).integers(1, 4, x.size).astype(float)
+        for block in (slice(0, 2000), slice(None)):
+            blocked = kfit._block_sums(kernel, x[block], w[block], params)
+            whole = kernel(x[block], w[block], params)
+            for got, want in zip(blocked, whole):
+                got, want = np.asarray(got), np.asarray(want)
+                if block.stop is not None:
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    np.testing.assert_allclose(got, want, rtol=0.0,
+                                               atol=4e-15 * np.abs(want).max())
 
     @pytest.mark.parametrize("model", ["kappagen", "weibull", "ekg1", "ekg2"])
     def test_central_differences_match_the_closed_form(self, model):

@@ -43,7 +43,8 @@ from kappagen import (
     quantile_lorenz,
     quantile_mean,
 )
-from kappagen.inequality import _LORENZ_BLOCK
+from kappagen.deformed import _BLOCK
+from kappagen.inequality import _LORENZ_BLOCK, DECILES, empirical_lorenz_summary
 
 EULER_GAMMA = np.euler_gamma
 
@@ -460,7 +461,44 @@ EMPIRICAL_CASES = {
 }
 
 
+# Three blocks and five records: the walk's block boundaries fall inside runs
+# of tied values when the draws are rounded to 2 decimals.
+_BLOCKED_N = 3 * _BLOCK + 5
+BLOCKED_CASES = {
+    "tied": lambda: (np.round(kgen_sample(_BLOCKED_N, KappaGenParams(2.0, 1.0, 0.5), 8), 2),
+                     None),
+    "tied, zero weights": lambda: (
+        np.round(kgen_sample(_BLOCKED_N, KappaGenParams(2.0, 1.0, 0.5), 8), 2),
+        _integer_weights(_BLOCKED_N)),
+    "tie-free, weighted": lambda: (kgen_sample(_BLOCKED_N, KappaGenParams(2.0, 1.0, 0.5), 8),
+                                   _integer_weights(_BLOCKED_N, low=1)),
+}
+
+
 class TestEmpirical:
+    @pytest.mark.parametrize("case", sorted(BLOCKED_CASES))
+    def test_blocked_walk_matches_the_single_array_curve(self, case):
+        # the walk holds one block of records at a time; on more than one it
+        # moves the curve, its decile ordinates and its Gini by rounding only,
+        # and a run of equal values that a block boundary cuts is still one point
+        values, weights = BLOCKED_CASES[case]()
+        s = WeightedSample(values, weights)
+        if case.startswith("tied"):
+            ascending = s.nonzero.values[s.nonzero.order]
+            assert ascending[_BLOCK - 1] == ascending[_BLOCK]  # a run straddles a boundary
+        want = unique_reduceat_lorenz(values, weights)
+        curve = empirical_lorenz(s)
+        assert curve.points.shape == want.shape
+        np.testing.assert_allclose(curve.points, want, rtol=1e-15, atol=0.0)
+        summary = empirical_lorenz_summary(s)
+        u, ell = want[:, 0], want[:, 1]
+        np.testing.assert_allclose(summary.ordinates, np.interp(DECILES, u, ell),
+                                   rtol=1e-15, atol=0.0)
+        np.testing.assert_array_equal(summary.ordinates, curve.interpolate(DECILES))
+        gini = 1.0 - float(np.sum(np.diff(u) * (ell[1:] + ell[:-1])))
+        assert summary.gini == pytest.approx(gini, rel=1e-15, abs=0.0)
+        assert empirical_gini(s) == summary.gini
+
     def test_perfect_equality(self):
         s = WeightedSample(np.full(50, 3.0))
         assert empirical_gini(s) == pytest.approx(0.0, abs=1e-12)
