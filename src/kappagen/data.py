@@ -10,6 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .deformed import _BLOCK
 from .errors import DataFormatError, DegenerateDataError
 
 
@@ -62,13 +63,16 @@ class WeightedSample:
         times faster than its stable sort, and where no two values are equal
         it gives the one stable permutation.  Where values tie (-0.0 and 0.0
         included), a default sort of the integer keys run * n + index puts
-        each run of equal values back in index order.
+        each run of equal values back in index order.  The tie test walks the
+        sort one _BLOCK at a time, each block overlapping the last by one
+        record, so the sorted values are held whole only where a tie is found.
         """
         order = np.argsort(self.values)
+        blocks = (self.values[order[k:k + _BLOCK + 1]] for k in range(0, order.size, _BLOCK))
+        if not any((block[1:] == block[:-1]).any() for block in blocks):
+            return order
         ascending = self.values[order]
         tie = ascending[1:] == ascending[:-1]
-        if not tie.any():
-            return order
         n = order.size
         if n * n > 2**63:  # the keys would leave int64
             return np.argsort(self.values, kind="stable")
@@ -182,33 +186,62 @@ def _parse_lines(lines, no_header, path):
     return WeightedSample(np.array(values), np.array(weights))
 
 
-def _parse_bulk(path, text, no_header):
-    """The same file through numpy's C parser, or None where that parser
-    could disagree with _parse_lines or would raise.
+# Characters per read of the bulk parse's scan: a fixed size, so that what
+# the scan holds does not grow with the file.
+_SCAN_CHARS = 1 << 16
 
-    The delimiter is a comma if the file holds one anywhere, else
-    whitespace.  A result is used only if it has 1 or 2 columns, at least
-    one row, finite fields and no negative weight, so every malformed file
-    reaches the line parser, whose errors name the offending line.
+
+def _scan(path, no_header):
+    """(skip, delimiter) for np.loadtxt from one read of the file in
+    _SCAN_CHARS pieces, or None where the file is not UTF-8 or has no data
+    row.
+
+    Text mode with universal newlines gives the characters and lines that
+    read() and split("\n") give, so the answers are those of the whole
+    text: skip counts the lines up to and including a header (the first
+    non-blank line), and the delimiter is a comma if the file holds one
+    anywhere, else whitespace.
     """
-    skip = 0  # lines up to and including a header
-    body = 0  # where the data may start
-    line_number = 0
-    while not no_header and body < len(text):  # find the first non-blank line
-        end = text.find("\n", body)
-        end = len(text) if end < 0 else end + 1
-        line_number += 1
-        line = text[body:end].strip()
-        if line:
-            if _is_header(line):
-                skip, body = line_number, end
-            break
-        body = end
-    if _NON_SPACE.search(text, body) is None:
-        return None  # no data rows: loadtxt would warn
+    skip = 0
+    has_data = False
+    comma = False
     try:
-        table = np.loadtxt(path, delimiter="," if "," in text else None, skiprows=skip,
-                           comments=None, ndmin=2, encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            if not no_header:
+                for line_number, raw in enumerate(fh, start=1):
+                    line = raw.strip()
+                    if line:
+                        comma = "," in line
+                        if _is_header(line):
+                            skip = line_number
+                        else:
+                            has_data = True
+                        break
+            for chunk in iter(lambda: fh.read(_SCAN_CHARS), ""):
+                comma = comma or "," in chunk
+                has_data = has_data or _NON_SPACE.search(chunk) is not None
+    except UnicodeDecodeError:
+        return None  # the whole-text read names the line
+    if not has_data:
+        return None  # no data rows: loadtxt would warn
+    return skip, "," if comma else None
+
+
+def _parse_bulk(path, no_header):
+    """The file through numpy's C parser, or None where that parser could
+    disagree with _parse_lines or would raise.
+
+    A result is used only if it has 1 or 2 columns, at least one row,
+    finite fields and no negative weight, so every malformed file reaches
+    the line parser, whose errors name the offending line.
+    """
+    scan = _scan(path, no_header)
+    if scan is None:
+        return None
+    skip, delimiter = scan
+    try:
+        table = np.loadtxt(path, delimiter=delimiter, skiprows=skip, comments=None, ndmin=2,
+                           encoding="utf-8")
     except ValueError:
         return None
     if not 1 <= table.shape[1] <= 2 or not np.all(np.isfinite(table)):
@@ -231,10 +264,16 @@ def load_dataset(path, no_header=False):
     to be data.  Any other file, one that is not UTF-8 included, raises a
     DataFormatError naming its line.
 
-    A regular file is parsed in bulk by numpy; every file the bulk parse
-    does not accept as it stands goes through the line parser, which gives
-    the same values bit for bit and is the one source of errors.
+    A regular file is parsed in bulk by numpy, and read twice: once in
+    pieces by a scan that settles the header, the delimiter and whether
+    there is a data row, and once by np.loadtxt, so no step holds the
+    file's text.  Every file the bulk parse does not accept as it stands
+    is read whole into the line parser, which gives the same values bit
+    for bit and is the one source of errors.
     """
+    sample = _parse_bulk(path, no_header) if os.path.isfile(path) else None
+    if sample is not None:
+        return sample
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -245,8 +284,5 @@ def load_dataset(path, no_header=False):
         raise DataFormatError(
             f"line {line_number}: not UTF-8 text ({exc.reason} at byte {exc.start})",
             line_number=line_number) from None
-    sample = _parse_bulk(path, text, no_header) if os.path.isfile(path) else None
-    if sample is None:
-        # file iteration's lines: universal newlines are already "\n"
-        sample = _parse_lines(text.split("\n"), no_header, path)
-    return sample
+    # file iteration's lines: universal newlines are already "\n"
+    return _parse_lines(text.split("\n"), no_header, path)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformed import _asarray, _restore, _scaled, kappa_exp, log_kappa_exp
+from .deformed import _asarray, _blocks, _restore, _scaled, kappa_exp, log_kappa_exp
 from .errors import DomainError, MomentDivergenceError
 from .special import digamma, inv_reg_inc_beta, log_gamma, reg_inc_beta, trigamma
 
@@ -308,14 +308,28 @@ def kgen_ccdf(x, p: KappaGenParams):
     return _restore(out, scalar)
 
 
+def _blockwise(f, arr):
+    """The elementwise f over arr, taken one _BLOCK of entries at a time:
+    its one-call values bit for bit, with one block of temporaries."""
+    flat = arr.reshape(-1)
+    out = np.empty(flat.size)
+    for part in _blocks(flat.size):
+        out[part] = f(flat[part])
+    return out.reshape(arr.shape)
+
+
+def _check_unit_interval(arr, name):
+    if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < 1.0):
+        raise DomainError(f"{name} requires 0 <= u < 1")
+
+
 def kgen_quantile(u, p: KappaGenParams):
     """Closed-form quantile beta * [ln_k(1/(1-u))]^(1/alpha) for u in [0, 1);
     ln_k(e^t) = sinh(kappa t)/kappa, which is t at kappa = 0."""
     arr, scalar = _asarray(u)
-    if np.any(~((arr >= 0.0) & (arr < 1.0))):
-        raise DomainError("kgen_quantile requires 0 <= u < 1")
-    core = _scaled(np.sinh, -np.log1p(-arr), p.kappa)
-    out = p.beta * core ** (1.0 / p.alpha)
+    _check_unit_interval(arr, "kgen_quantile")
+    out = _blockwise(
+        lambda v: p.beta * _scaled(np.sinh, -np.log1p(-v), p.kappa) ** (1.0 / p.alpha), arr)
     return _restore(out, scalar)
 
 
@@ -502,15 +516,18 @@ def _ekg1_log_bracket(t, p: EKG1Params):
 def ekg1_quantile(u, p: EKG1Params):
     """Closed-form quantile of the quantile-defined extension, u in [0, 1)."""
     arr, scalar = _asarray(u)
-    if np.any(~((arr >= 0.0) & (arr < 1.0))):
-        raise DomainError("ekg1_quantile requires 0 <= u < 1")
-    t = -np.log1p(-arr)
-    out = np.zeros_like(arr)
-    pos = t > 0.0
-    if np.any(pos):
-        with np.errstate(over="ignore"):
-            out[pos] = p.b * np.exp(_ekg1_log_bracket(t[pos], p) / p.a)
-    return _restore(out, scalar)
+    _check_unit_interval(arr, "ekg1_quantile")
+
+    def block(v):
+        t = -np.log1p(-v)
+        out = np.zeros_like(v)
+        pos = t > 0.0
+        if np.any(pos):
+            with np.errstate(over="ignore"):
+                out[pos] = p.b * np.exp(_ekg1_log_bracket(t[pos], p) / p.a)
+        return out
+
+    return _restore(_blockwise(block, arr), scalar)
 
 
 def _ekg1_log_t(x, p: EKG1Params):
@@ -787,10 +804,13 @@ def ekg2_quantile(u, p: EKG2Params):
     Above the median, w = 1 - z is inverted directly from
     I_w(q, p) = 1 - u, so the upper tail keeps its relative precision
     where z itself would round to 1.
+
+    Unlike the other quantiles it is not taken in blocks: inv_reg_inc_beta
+    answers from a table or from betaincinv depending on how many entries
+    share the call, so blocks could change the bits.
     """
     arr, scalar = _asarray(u)
-    if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < 1.0):
-        raise DomainError("ekg2_quantile requires 0 <= u < 1")
+    _check_unit_interval(arr, "ekg2_quantile")
     out = np.zeros_like(arr)
     upper = arr > 0.5
     lower = (arr > 0.0) & ~upper
@@ -974,17 +994,19 @@ def mixture_sample(n, p: NetWealthMixtureParams, seed):
     Weibull inversion with sign flip below theta1, exact zeros on
     [theta1, rho), base-model inversion above.
     """
-    u = _uniforms(n, seed)
-    out = np.zeros(u.size)
     rho = p.rho
-    neg = u < p.theta1
-    pos = u >= rho
-    if np.any(neg):
-        # written out: kgen_quantile(1 - u/theta1) would round off tail bits
-        s, lam = p.negative_branch.shape, p.negative_branch.scale
-        un = np.maximum(u[neg], 1e-300)
-        out[neg] = -lam * np.log(p.theta1 / un) ** (1.0 / s)
-    if np.any(pos):
-        v = (u[pos] - rho) / (1.0 - rho)
-        out[pos] = kgen_quantile(v, p.positive_branch)
-    return out
+    s, lam = p.negative_branch.shape, p.negative_branch.scale
+
+    def block(u):
+        out = np.zeros(u.size)
+        neg = u < p.theta1
+        pos = u >= rho
+        if np.any(neg):
+            # written out: kgen_quantile(1 - u/theta1) would round off tail bits
+            un = np.maximum(u[neg], 1e-300)
+            out[neg] = -lam * np.log(p.theta1 / un) ** (1.0 / s)
+        if np.any(pos):
+            out[pos] = kgen_quantile((u[pos] - rho) / (1.0 - rho), p.positive_branch)
+        return out
+
+    return _blockwise(block, _uniforms(n, seed))

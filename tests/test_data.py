@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kappagen.data as kdata
 from kappagen import (DataFormatError, DegenerateDataError, FitConfig, KappaGenParams,
                       NetWealthMixtureParams, WeibullParams, WeightedSample, empirical_gini,
                       fit_mle, kgen_sample, load_dataset, mixture_sample)
@@ -112,7 +113,7 @@ class TestBulkMatchesLineReader:
         path = tmp_path / "data.txt"
         seen = {"bulk": 0, "lines": 0, "error": 0}
 
-        @settings(max_examples=400, deadline=None, derandomize=True)
+        @settings(max_examples=600, deadline=None, derandomize=True)
         @given(text=dataset_text(), no_header=st.booleans())
         def check(text, no_header):
             path.write_bytes(text.encode("utf-8"))
@@ -121,9 +122,7 @@ class TestBulkMatchesLineReader:
             if want[0] == "error":
                 seen["error"] += 1
             else:
-                with open(path, encoding="utf-8") as fh:
-                    bulk = _parse_bulk(path, fh.read(), no_header)
-                seen["bulk" if bulk is not None else "lines"] += 1
+                seen["bulk" if _parse_bulk(path, no_header) is not None else "lines"] += 1
 
         check()
         # the examples reach the bulk parse, the line parser's fallback and its errors
@@ -144,8 +143,7 @@ class TestBulkMatchesLineReader:
     def test_well_formed_files_take_the_bulk_parse(self, tmp_path, text):
         path = tmp_path / "data.txt"
         path.write_bytes(text.encode("utf-8"))
-        with open(path, encoding="utf-8") as fh:
-            assert _parse_bulk(path, fh.read(), False) is not None
+        assert _parse_bulk(path, False) is not None
 
     def test_vertical_whitespace_splits_fields_not_lines(self, tmp_path):
         # str.splitlines would make "1\x0c2" two records; a file iterates it as one
@@ -160,6 +158,47 @@ class TestBulkMatchesLineReader:
         with pytest.raises(DataFormatError, match="line 5: negative weight") as info:
             load_dataset(path)
         assert info.value.line_number == 5
+
+
+class TestScanAtChunkBoundaries:
+    """The bulk parse's scan reads a few characters at a time here, so that
+    every case below straddles piece boundaries at each alignment."""
+
+    CASES = {
+        "header after blank lines": (b"\n" * 20 + b"  \t\n \n" + b"value,weight\n1,2\n3,4\n",
+                                     True),
+        "crlf": (b"income\r\n1.5\r\n2.5\r\n\r\n3.5\r\n", True),
+        "lone cr": (b"x\r1 2\r3 4\r", True),
+        "multibyte header": ("v\u00e4l\u20acue weight\n1 2\n3 4\n".encode("utf-8"), True),
+        "multibyte data": ("1 2\n3 \u00e4\n".encode("utf-8"), False),
+        "comma in the last piece only": (b"1 2\n3 4\n5 6\n7,8\n", False),
+        "header only": (b"\n\n  value,weight \r\n\n", False),
+        "no final newline": (b"\n\n1.5", True),
+    }
+
+    @pytest.mark.parametrize("chars", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("no_header", [False, True])
+    def test_gives_the_line_readers_sample_or_error(self, tmp_path, monkeypatch, case, chars,
+                                                    no_header):
+        raw, bulk = self.CASES[case]
+        path = tmp_path / "data.txt"
+        path.write_bytes(raw)
+        monkeypatch.setattr(kdata, "_SCAN_CHARS", chars)
+        want = outcome(reference_load, path, no_header)
+        assert outcome(load_dataset, path, no_header) == want
+        if not no_header:  # the well-formed cases are read in bulk
+            assert (_parse_bulk(path, no_header) is not None) == bulk
+
+    @pytest.mark.parametrize("chars", [1, 2, 3, 5, 8])
+    def test_a_bad_byte_in_a_later_piece_names_its_line(self, tmp_path, monkeypatch, chars):
+        path = tmp_path / "data.txt"
+        path.write_bytes(b"1.5,2\n" * 10 + b"2.5\x80,1\n")
+        monkeypatch.setattr(kdata, "_SCAN_CHARS", chars)
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(path)
+        assert str(info.value) == "line 11: not UTF-8 text (invalid start byte at byte 63)"
+        assert info.value.line_number == 11
 
 
 class TestNotUtf8:

@@ -52,6 +52,7 @@ from kappagen import (
     quantile_gini,
 )
 from kappagen import special
+from kappagen.deformed import _BLOCK, _scaled
 from kappagen.distributions import (
     _ekg1_log_bracket,
     _ekg1_log_t,
@@ -293,6 +294,22 @@ class TestKgenSampling:
         x = np.sort(kgen_sample(20000, p, seed=11))
         d = ks_statistic(x, kgen_cdf(x, p))
         assert d < 1.628 / math.sqrt(20000)
+
+    @pytest.mark.parametrize("shape", [(3 * _BLOCK + 5,), (5, _BLOCK + 3)])
+    def test_blocked_quantiles_give_the_one_call_bits(self, shape):
+        # the elementwise formulas on the whole array, as they were taken in one call
+        u = np.random.default_rng(3).random(shape)
+        u.flat[:3] = 0.0, 5e-324, 1.0 - 2.0 ** -53
+        for kappa in (0.0, 0.6):
+            p = KappaGenParams(2.5, 1.2, kappa)
+            want = p.beta * _scaled(np.sinh, -np.log1p(-u), kappa) ** (1.0 / p.alpha)
+            assert kgen_quantile(u, p).tobytes() == want.tobytes()
+        q = EKG1Params(2.0, 1.0, 1.5, 0.2)
+        t = -np.log1p(-u)
+        want = np.zeros(shape)
+        with np.errstate(divide="ignore"):
+            want[t > 0.0] = q.b * np.exp(_ekg1_log_bracket(t[t > 0.0], q) / q.a)
+        assert ekg1_quantile(u, q).tobytes() == want.tobytes()
 
 
 class TestKgenNormalized:

@@ -5,7 +5,9 @@ the bytes a step allocates beyond what it started with, whatever the
 machine.  Every step works one block of records at a time: its peak stays
 under a fixed multiple of one block's bytes, below a single record-length
 array, with the sample, its cached order and the step's inputs allocated
-beforehand.
+beforehand.  A step that makes record-length arrays (the parse, the sort,
+the samplers) holds those plus a few blocks, and no copy of the records
+beside them.
 """
 
 import tracemalloc
@@ -14,13 +16,15 @@ from dataclasses import replace
 import pytest
 
 import kappagen.fitting as kfit
-from kappagen import KappaGenParams, WeightedSample, kgen_sample
+from kappagen import (EKG1Params, KappaGenParams, NetWealthMixtureParams, WeibullParams,
+                      WeightedSample, ekg1_sample, kgen_sample, load_dataset, mixture_sample)
 from kappagen.cli import main
 from kappagen.deformed import _BLOCK
 
 N = 1 << 18
 BLOCK_BYTES = 8 * _BLOCK
 LIMIT = 16 * BLOCK_BYTES  # one record-length float array at N records
+ARRAY_BYTES = 8 * N
 PARAMS = KappaGenParams(2.4, 1.1, 0.55)
 
 
@@ -65,3 +69,30 @@ def test_the_sample_writer_holds_one_block_of_text(sample, tmp_path, monkeypatch
             "-o", str(out)]
     assert peak_bytes(lambda: main(argv)) < LIMIT
     assert out.read_bytes() == (("%.17g\n" * N) % tuple(draws.tolist())).encode()
+
+
+def test_the_bulk_parse_holds_the_sample_and_no_text(sample, tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_text(("%.17g\n" * N) % tuple(sample.values.tolist()))
+    # values and weights, beside a few blocks of loadtxt's and the scan's buffers
+    assert peak_bytes(lambda: load_dataset(path)) < 2 * ARRAY_BYTES + 8 * BLOCK_BYTES
+    assert load_dataset(path).values.tobytes() == sample.values.tobytes()
+
+
+def test_the_first_read_of_order_holds_the_order_and_no_sorted_copy(sample):
+    fresh = WeightedSample(sample.values)
+    assert peak_bytes(lambda: fresh.order) < ARRAY_BYTES + 4 * BLOCK_BYTES
+    assert fresh.order.tobytes() == sample.order.tobytes()
+
+
+SAMPLERS = {
+    "kgen_sample": lambda: kgen_sample(N, PARAMS, 2),
+    "ekg1_sample": lambda: ekg1_sample(N, EKG1Params(2.0, 1.0, 1.5, 0.2), 2),
+    "mixture_sample": lambda: mixture_sample(N, NetWealthMixtureParams(
+        WeibullParams(0.7, 1.0), 0.2, 0.1, 0.7, KappaGenParams(2.0, 10.0, 0.75)), 2),
+}
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+def test_a_sampler_holds_its_uniforms_and_draws(sampler):
+    assert peak_bytes(SAMPLERS[sampler]) < 2 * ARRAY_BYTES + 8 * BLOCK_BYTES
