@@ -246,11 +246,11 @@ def _parse_bulk(path, no_header):
         return None
     if not 1 <= table.shape[1] <= 2 or not np.all(np.isfinite(table)):
         return None
-    values = np.ascontiguousarray(table[:, 0])
-    weights = np.ascontiguousarray(table[:, 1]) if table.shape[1] == 2 else np.ones_like(values)
-    if np.any(weights < 0.0):
+    # the columns stay views of the table: copying them out would double the peak
+    weights = table[:, 1] if table.shape[1] == 2 else None
+    if weights is not None and np.any(weights < 0.0):
         return None
-    return WeightedSample(values, weights)
+    return WeightedSample(table[:, 0], weights)
 
 
 def load_dataset(path, no_header=False):

@@ -227,7 +227,8 @@ def _kgen_loglik_hessian(values, weights, p: KappaGenParams):
             t = k * q
         one_minus_h = np.subtract(1.0, q, out=out)
         if k != 0.0:
-            one_minus_h -= t * t
+            t2 = t * t
+            one_minus_h -= t2
         w_dh = np.multiply(weights, one_minus_h, out=one_minus_h)
         w_dh_ln, w_dh_sum = float(np.dot(w_dh, ln_rel)), float(w_dh.sum())
         del out, one_minus_h, w_dh
@@ -242,15 +243,14 @@ def _kgen_loglik_hessian(values, weights, p: KappaGenParams):
                 y3s[small] = ys3 * rest
             score_k -= t * q
             grad[2] = float(np.dot(weights, score_k))
-            del score_k
+            del score_k, t
         if k == 0.0:
             w_g = weights * q
             hess[2, 2] = float(np.dot(weights, y ** 3 / 3.0 - np.square(y)))
         else:
-            t2 = np.square(t, out=t)
-            m = 2.0 * t2  # q + 2 t^2
+            m = np.multiply(2.0, t2, out=t2)  # q + 2 t^2
             m += q
-            del t, t2
+            del t2
             w_g = weights * m
             w_g /= s
             w_g /= s

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -31,8 +32,8 @@ from kappagen import (
     mixture_cdf,
     mixture_pdf,
 )
-from kappagen.cli import main
-from kappagen.deformed import _BLOCK
+from kappagen.cli import _FIXED_HIGH, _FIXED_LOW, _format_draws, main
+from kappagen.deformed import _BLOCK, _blocks
 from kappagen.fitting import FAMILIES
 
 
@@ -84,6 +85,14 @@ class TestSample:
             draws = family.sample(n, family.from_flags(*flags.values()), 4)
             assert out.read_bytes() == (("%.17g\n" * n) % tuple(draws.tolist())).encode()
 
+    @pytest.mark.parametrize("flag", [[], ["-o", "-"]])
+    def test_stdout_gets_the_same_bytes(self, capsys, flag):
+        argv = ["--alpha", "2.5", "--beta", "1", "--kappa", "0.6"]
+        n = _BLOCK + 3
+        assert run_cli("sample", *argv, "--n", str(n), "--seed", "5", *flag) == 0
+        draws = kgen_sample(n, KappaGenParams(2.5, 1.0, 0.6), 5)
+        assert capsys.readouterr().out == ("%.17g\n" * n) % tuple(draws.tolist())
+
     def test_rejects_zero_n(self, capsys):
         code = run_cli("sample", "--model", "kappagen", "--alpha", "2", "--beta", "1",
                        "--kappa", "0.5", "--n", "0", "--seed", "1")
@@ -98,6 +107,113 @@ class TestSample:
         assert code == 0
         draws = np.array([float(t) for t in out.read_text().split()])
         assert (draws < 0).any() and (draws == 0).any() and (draws > 0).any()
+
+
+def g17_text(x):
+    """The sample writer's text for the draws x, a block at a time."""
+    x = np.asarray(x, dtype=float)
+    return "".join(_format_draws(x[part]) for part in _blocks(x.size))
+
+
+def fast(x):
+    """x, checked to lie where the writer computes the digits itself."""
+    x = np.asarray(x, dtype=float)
+    assert x.min() >= _FIXED_LOW and x.max() < _FIXED_HIGH
+    return x
+
+
+class TestSampleText:
+    """The writer's "%.17g" text against % formatting itself, byte for byte."""
+
+    def assert_g17(self, x):
+        got, want = g17_text(x), ("%.17g\n" * len(x)) % tuple(np.asarray(x).tolist())
+        if got != want:  # name the first draw that differs
+            first = next(i for i, (a, b) in enumerate(zip(got.split(), want.split())) if a != b)
+            assert got.split()[first] == want.split()[first], x[first]
+        assert got == want
+
+    def test_log_uniform_draws(self):
+        rng = np.random.default_rng(17)
+        self.assert_g17(fast(10.0 ** rng.uniform(-4.0, 17.0, 1_000_000).clip(1e-4)))
+
+    def test_bit_patterns_across_the_range(self):
+        # every significand and exponent of the range equally likely
+        lo, hi = np.array([_FIXED_LOW, _FIXED_HIGH]).view(np.int64)
+        bits = np.random.default_rng(18).integers(lo, hi, 200_000)
+        self.assert_g17(fast(bits.view(float)))
+
+    def test_bit_patterns_of_all_finite_doubles(self):
+        # mostly outside the range: those blocks take % formatting
+        bits = np.random.default_rng(19).integers(-2**63, 2**63, 100_000, dtype=np.int64)
+        x = bits.view(float)
+        self.assert_g17(x[np.isfinite(x)])
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{e}") for e in range(-4, 17)])
+        below = np.nextafter(powers, 0.0)
+        self.assert_g17(fast(np.concatenate([
+            powers, below[1:], np.nextafter(below[1:], 0.0), np.nextafter(powers, np.inf),
+            10.0 ** np.arange(-3, 17)])))
+        self.assert_g17(below[:1])  # just below 1e-4: exponent notation
+
+    def test_range_edges(self):
+        self.assert_g17(fast([_FIXED_LOW, np.nextafter(_FIXED_LOW, 1.0),
+                              np.nextafter(_FIXED_HIGH, 0.0),
+                              np.nextafter(np.nextafter(_FIXED_HIGH, 0.0), 0.0)]))
+        for outside in (np.nextafter(_FIXED_LOW, 0.0), _FIXED_HIGH,
+                        np.nextafter(_FIXED_HIGH, np.inf)):
+            self.assert_g17([outside, 1.0])
+
+    def test_ties_at_the_eighteenth_digit_round_to_even(self):
+        assert g17_text(fast([1000000000000000.25, 1000000000000000.75])) == \
+            "1000000000000000.2\n1000000000000000.8\n"
+        # x = a / 2^(k + 1) with a odd: x 10^k ends in .5 exactly, at every scale
+        rng = np.random.default_rng(20)
+        ties = []
+        for k in range(1, 21):
+            low, high = math.ceil(10.0 ** (16 - k) * 2 ** (k + 1)), 10 ** (17 - k) * 2 ** (k + 1)
+            a = rng.integers(low // 2, min(high, 2 ** 53) // 2, 500) * 2 + 1
+            ties.append(np.ldexp(a.astype(float), -(k + 1)))
+        self.assert_g17(fast(np.concatenate(ties)))
+
+    def test_carry_to_the_next_power_of_ten(self):
+        assert g17_text(fast([0.99999999999999999, 9.9999999999999999e-4])) == "1\n0.001\n"
+
+    def test_no_draw_in_the_range_rounds_up_to_a_power_of_ten(self):
+        # the largest double below each 10^j lies more than half a unit of
+        # the 17th digit below it, so 17 digits never carry to 10^j
+        for j in range(-3, 18):
+            power = Fraction(10) ** j
+            below = float(power)
+            if Fraction(below) >= power:
+                below = float(np.nextafter(below, 0.0))
+            assert (power - Fraction(below)) / power > Fraction(1, 2 * 10 ** 17), j
+
+    def test_integers_around_two_to_the_53_and_ten_to_the_16(self):
+        for centre in (2 ** 53, 10 ** 16):
+            self.assert_g17(fast(np.arange(centre - 3000, centre + 3000).astype(float)))
+        self.assert_g17(fast(np.arange(1.0, 20_000.0)))
+
+    def test_signed_zeros_subnormals_negatives_and_the_largest_double(self):
+        for x in ([-0.0], [0.0], [5e-324, 2.2250738585072009e-308], [-1.5, -1e-5, -1e300],
+                  [sys.float_info.max], [1.5, -0.0, 2.5], [float("nan"), 1.0]):
+            self.assert_g17(x)
+
+    def test_each_block_takes_its_own_path(self):
+        # a mixture-like sample: negatives and zeros in some blocks only
+        x = 10.0 ** np.random.default_rng(21).uniform(-4.0, 17.0, 3 * _BLOCK).clip(1e-4)
+        x[_BLOCK + 7] = -3.0
+        x[_BLOCK + 9] = 0.0
+        self.assert_g17(x)
+
+    def test_the_shift_keeps_the_digits_in_two_limbs(self):
+        # x 10^k = m 5^k / 2^s with s = 60 - exp - k in [1, 63] for every
+        # binade of the range and every scale log10 can first give it
+        for exp in range(-13, 58):
+            x_low, x_high = max(2.0 ** (exp - 1), _FIXED_LOW), min(2.0 ** exp, _FIXED_HIGH)
+            for x10 in range(math.floor(math.log10(x_low)) - 1, math.floor(math.log10(x_high)) + 2):
+                k = 16 - min(max(x10, -4), 16)
+                assert 1 <= 60 - exp - k <= 63, (exp, k)
 
 
 class TestFit:
@@ -531,8 +647,8 @@ class TestProcessLevel:
         path = str(tmp_path / "s.txt")
         script = f"""
 import sys
-from kappagen.cli import main
-from kappagen.deformed import _BLOCK
+from kappagen.cli import _FIXED_HIGH, _FIXED_LOW, _format_draws, main
+from kappagen.deformed import _BLOCK, _blocks
 path = {path!r}
 assert main(["sample", "--model", "kappagen", "--alpha", "2", "--beta", "1",
              "--kappa", "0.5", "--n", "2000", "--seed", "1", "-o", path]) == 0

@@ -65,47 +65,91 @@ weight_token = st.one_of(
     st.integers(0, 10**4).map(str),
     st.sampled_from(["0", "-0", "0.25", "1"]),
 )
-# numbers that the line parser rejects by value, then ones it cannot read
-out_of_range = st.sampled_from(["nan", "inf", "-inf", "1e999", "-1", "-1e-300"])
-bad_token = out_of_range | st.sampled_from(["1_000", "oops", "0x10", "", "1.5.2"])
-blank_line = st.sampled_from(["", "  ", "\t", "\x0c", " \x0b ", "\x1c", " "])
+blank_line = st.sampled_from(["", "  ", "\t", "\x0c", " \x0b ", "\x1c", "\u2028"])
 header_line = st.sampled_from(["value,weight", "income weight", "x", "#v", "value, 1"])
 newline = st.sampled_from(["\n", "\r\n", "\r"])
 
 
-@st.composite
-def dataset_text(draw):
-    """A whole file: clean (one delimiter and column count throughout) or
-    messy (each line on its own), with blank lines, an optional header
-    and any mix of line endings."""
-    clean = draw(st.integers(0, 2)) > 0
-    delim = draw(st.sampled_from([",", ", ", " , ", " ", "\t", "  ", "\x0c", " "]))
-    ncols = draw(st.sampled_from([1, 1, 2, 2, 2, 3]))
-    eol = draw(newline)
-    lines = [draw(header_line)] if draw(st.booleans()) else []
-    for _ in range(draw(st.integers(0, 12))):
+def join_lines(draw, lines, eol):
+    """The lines as one text, each ended by eol, the last one optionally not."""
+    text = "".join(line + eol for line in lines)
+    return text.rstrip("\r\n") if text and draw(st.booleans()) else text
+
+
+def bulk_file(draw, no_header, eol):
+    """Rows of one delimiter and column count, with blank lines that
+    np.loadtxt skips: the bulk parse reads the file."""
+    delim = draw(st.sampled_from([",", ", ", " , ", " ", "\t", "  ", "\x0c", "\u2028"]))
+    ncols = draw(st.integers(1, 2))
+    header = [] if no_header or not draw(st.booleans()) else [draw(header_line)]
+    if ncols == 2 and "," not in delim:  # a comma anywhere would be the delimiter
+        header = [line for line in header if "," not in line]
+    comma = any("," in line for line in header) or (ncols == 2 and "," in delim)
+    blank = st.just("") if comma else blank_line
+    weight = weight_token.filter(lambda w: float(w) > 0.0)  # a positive total
+    lines = header
+    for _ in range(draw(st.integers(1, 12))):
         if draw(st.integers(0, 5)) == 0:
-            lines.append(draw(blank_line))
-            continue
-        if not clean:
-            delim = draw(st.sampled_from([",", " ", "\t", ", ", "\x0b"]))
-            ncols = draw(st.sampled_from([1, 2, 2, 3]))
-        tokens = [draw(value_token)] + [draw(weight_token) for _ in range(ncols - 1)]
-        if draw(st.integers(0, 3 if not clean else 40)) == 0:
-            tokens[draw(st.integers(0, ncols - 1))] = draw(bad_token if not clean else out_of_range)
-        line = delim.join(tokens)
-        if not clean and draw(st.integers(0, 5)) == 0:
-            line += ","  # a trailing comma
-        if draw(st.integers(0, 4)) == 0:
-            line = " " + line + " "
-        lines.append(line)
-        if not clean:
-            eol = draw(newline)
-        lines[-1] += eol
-    text = "".join(line if line.endswith(("\n", "\r")) else line + eol for line in lines)
-    if text and draw(st.booleans()):
-        text = text.rstrip("\r\n")  # no final newline
-    return text
+            lines.append(draw(blank))
+        row = delim.join([draw(value_token)] + [draw(weight)] * (ncols - 1))
+        lines.append(" " + row + " " if draw(st.integers(0, 4)) == 0 else row)
+        weight = weight_token
+    return join_lines(draw, lines, eol)
+
+
+def messy_rows(draw, n):
+    """n valid rows, each with its own delimiter, column count and line end."""
+    rows = []
+    for _ in range(n):
+        if draw(st.integers(0, 5)) == 0:
+            rows.append(draw(blank_line) + draw(newline))
+        ncols = draw(st.integers(1, 2))
+        delim = draw(st.sampled_from([",", " ", "\t", ", ", "\x0b", "\x0c", "\u2028"]))
+        value = draw(value_token | st.just("1_000"))  # float() reads it, loadtxt does not
+        row = delim.join([value] + [draw(weight_token)] * (ncols - 1))
+        if (ncols == 1 or "," in delim) and draw(st.integers(0, 5)) == 0:
+            row += ","  # a trailing comma
+        rows.append(row + draw(newline))
+    return rows
+
+
+def lines_file(draw, no_header):
+    """Valid rows of one and of two columns, which np.loadtxt cannot take
+    in one table: only the line parser reads the file."""
+    rows = messy_rows(draw, draw(st.integers(0, 10)))
+    one, two = draw(value_token), draw(value_token) + " " + draw(weight_token)
+    for row in (one, two):
+        rows.insert(draw(st.integers(0, len(rows))), row + draw(newline))
+    header = [] if no_header or not draw(st.booleans()) else [draw(header_line) + "\n"]
+    return "".join(header + rows)
+
+
+def error_file(draw, no_header):
+    """A data row followed by rows one of which the line parser rejects,
+    or a header with no data rows."""
+    if not no_header and draw(st.integers(0, 9)) == 0:
+        return draw(header_line) + "\n" + draw(blank_line)
+    bad_row = st.one_of(
+        st.tuples(value_token, weight_token, weight_token).map(" ".join),  # 3 columns
+        st.sampled_from(["nan", "inf", "-inf", "1e999", "oops", "0x10", "1.5.2", "1,2,3"]),
+        st.sampled_from(["nan", "inf", "1e999", "-1", "-1e-300", "oops"]).map("1,".__add__),
+    )
+    rows = messy_rows(draw, draw(st.integers(0, 8)))
+    rows.insert(draw(st.integers(0, len(rows))), draw(bad_row) + draw(newline))
+    return draw(value_token) + draw(newline) + "".join(rows)
+
+
+@st.composite
+def dataset_file(draw):
+    """(text, no_header) of a whole file, drawn for one outcome: the bulk
+    parse reads it, only the line parser reads it, or the line parser
+    rejects it.  The outcome is drawn first, so each one's share of the
+    examples does not depend on which examples hypothesis draws."""
+    kind = draw(st.sampled_from(["bulk", "lines", "error"]))
+    no_header = draw(st.booleans())
+    if kind == "bulk":
+        return bulk_file(draw, no_header, draw(newline)), no_header
+    return (lines_file if kind == "lines" else error_file)(draw, no_header), no_header
 
 
 class TestBulkMatchesLineReader:
@@ -114,8 +158,9 @@ class TestBulkMatchesLineReader:
         seen = {"bulk": 0, "lines": 0, "error": 0}
 
         @settings(max_examples=600, deadline=None, derandomize=True)
-        @given(text=dataset_text(), no_header=st.booleans())
-        def check(text, no_header):
+        @given(file=dataset_file())
+        def check(file):
+            text, no_header = file
             path.write_bytes(text.encode("utf-8"))
             want = outcome(reference_load, path, no_header)
             assert outcome(load_dataset, path, no_header) == want

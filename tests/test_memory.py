@@ -19,6 +19,7 @@ import kappagen.fitting as kfit
 from kappagen import (EKG1Params, KappaGenParams, NetWealthMixtureParams, WeibullParams,
                       WeightedSample, ekg1_sample, kgen_sample, load_dataset, mixture_sample)
 from kappagen.cli import main
+from kappagen.data import _parse_lines
 from kappagen.deformed import _BLOCK
 
 N = 1 << 18
@@ -77,6 +78,19 @@ def test_the_bulk_parse_holds_the_sample_and_no_text(sample, tmp_path):
     # values and weights, beside a few blocks of loadtxt's and the scan's buffers
     assert peak_bytes(lambda: load_dataset(path)) < 2 * ARRAY_BYTES + 8 * BLOCK_BYTES
     assert load_dataset(path).values.tobytes() == sample.values.tobytes()
+
+
+def test_the_two_column_bulk_parse_holds_the_table_and_no_copy(sample, tmp_path):
+    path = tmp_path / "sw.csv"
+    rows = zip(sample.values.tolist(), sample.values[::-1].tolist())
+    path.write_bytes(("value,weight\r\n" + "".join("%.17g,%.17g\r\n" % row for row in rows))
+                     .encode())
+    # the (n, 2) table whose columns are the values and weights
+    assert peak_bytes(lambda: load_dataset(path)) < 2 * ARRAY_BYTES + 8 * BLOCK_BYTES
+    bulk = load_dataset(path)
+    lines = _parse_lines(path.read_text().split("\n"), False, path)
+    assert bulk.values.tobytes() == lines.values.tobytes() == sample.values.tobytes()
+    assert bulk.weights.tobytes() == lines.weights.tobytes() == sample.values[::-1].tobytes()
 
 
 def test_the_first_read_of_order_holds_the_order_and_no_sorted_copy(sample):
