@@ -246,11 +246,32 @@ def _parse_bulk(path, no_header):
         return None
     if not 1 <= table.shape[1] <= 2 or not np.all(np.isfinite(table)):
         return None
-    # the columns stay views of the table: copying them out would double the peak
-    weights = table[:, 1] if table.shape[1] == 2 else None
-    if weights is not None and np.any(weights < 0.0):
+    if table.shape[1] == 1:
+        return WeightedSample(table[:, 0])
+    weights = table[:, 1].copy()
+    if np.any(weights < 0.0):
         return None
-    return WeightedSample(table[:, 0], weights)
+    return WeightedSample(_first_column(table), weights)
+
+
+def _first_column(table):
+    """The first column of a C-ordered (n, 2) table that owns its data, in
+    the first half of the table's buffer, which is then cut to n entries.
+
+    The fit kernels hand the arrays to np.dot, which sums a strided column
+    in another order than a contiguous one, so a column left as a view
+    could fit to other bits than the line parser's arrays.  Moving the
+    column one _BLOCK at a time, each block's source at or after its
+    destination, holds no second record-length copy.
+    """
+    n = table.shape[0]
+    flat = table.reshape(-1)
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        flat[start:stop] = flat[2 * start:2 * stop:2]
+    del flat
+    table.resize(n, refcheck=False)  # no view of the buffer is left
+    return table
 
 
 def load_dataset(path, no_header=False):

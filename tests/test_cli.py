@@ -647,8 +647,8 @@ class TestProcessLevel:
         path = str(tmp_path / "s.txt")
         script = f"""
 import sys
-from kappagen.cli import _FIXED_HIGH, _FIXED_LOW, _format_draws, main
-from kappagen.deformed import _BLOCK, _blocks
+from kappagen.cli import main
+from kappagen.deformed import _BLOCK
 path = {path!r}
 assert main(["sample", "--model", "kappagen", "--alpha", "2", "--beta", "1",
              "--kappa", "0.5", "--n", "2000", "--seed", "1", "-o", path]) == 0
