@@ -21,6 +21,7 @@ from .deformed import _blocks
 from .distributions import KappaGenParams
 from .errors import KappagenError
 from .fitting import FAMILIES, FitConfig, FitResult, fit_mle
+from .text import _format_draws
 from . import inequality as ineq
 
 _EXIT_OK = 0
@@ -85,138 +86,6 @@ def _write_text(path, text):
 
 def _report_json(report):
     return json.dumps(report, indent=2) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# sample text: "%.17g" of each draw from exact integer arithmetic
-
-# "%.17g" writes x in fixed notation with 16 - X decimals, then strips trailing
-# zeros (and the point when none are left), where X is the decimal exponent of
-# x rounded to 17 digits.  Over [1e-4, 1e17), X is in [-4, 16], so the 17
-# digits D = round(x 10^k), k = 16 - X, take a scale k >= 0.
-_FIXED_LOW, _FIXED_HIGH = 1e-4, 1e17
-_POW5 = np.array([5 ** k for k in range(21)], dtype=np.uint64)
-_POW5_FLOAT = _POW5.astype(float)  # exact: 5^20 < 2^53
-_HALF = np.uint64(1 << 63)
-# "0000" to "9999", one uint32 of four ASCII digits each
-_DIGITS4 = np.frombuffer("".join(f"{i:04d}" for i in range(10_000)).encode("ascii"),
-                         dtype=np.uint32)
-# A draw's source row is six such uint32, 24 bytes: "000" and the 17 digits
-# of D (bytes 3 to 19), then ".", "\n" and two fill bytes, which are dropped
-# from the text along with stripped zeros and points.
-_FILL = b" "
-_ROW_END = np.frombuffer(b".\n" + _FILL * 2, dtype=np.uint32)[0]
-
-
-def _layout(k):
-    """Source-row bytes that spell a draw of scale k, padded with fill to 22
-    bytes before its newline."""
-    exponent = 16 - k
-    digits = list(range(3, 20))
-    if exponent < 0:
-        text = [0, 20] + [0] * (-exponent - 1) + digits  # "0." and leading zeros
-    elif exponent < 16:
-        text = digits[:exponent + 1] + [20] + digits[exponent + 1:]
-    else:
-        text = digits  # no decimals, no point
-    return np.array(text + [22] * (22 - len(text)) + [21], dtype=np.intp)
-
-
-_LAYOUTS = [_layout(k) for k in range(len(_POW5))]
-
-
-def _scaled_digits(frac, exp, k):
-    """floor(x 10^k) for each x = frac 2^exp, as uint64, and whether rounding
-    x 10^k half to even adds one.
-
-    With the integer m = frac 2^60 < 2^60, x 10^k = m 5^k / 2^s where
-    s = 60 - exp - k lies in [1, 63] for every draw and scale the writer
-    passes.  The product m 5^k < 2^107 is held in two limbs: the low one
-    exactly, as uint64 multiplication wraps modulo 2^64, and the high one as
-    the float (m 5^k - low) / 2^64 rounded to an integer, whose error is
-    below 2^-8.  The bits shifted out decide the rounding.
-    """
-    m = frac * 2.0 ** 60
-    low = m.astype(np.uint64)
-    low *= _POW5[k]
-    m *= _POW5_FLOAT[k]
-    m -= low
-    m *= 2.0 ** -64
-    high = np.rint(m, out=m).astype(np.uint64)
-    del m
-    shift = ((60 - exp) - k).astype(np.uint64)
-    digits = low >> shift
-    np.subtract(np.uint64(64), shift, out=shift)
-    high <<= shift
-    digits |= high
-    low <<= shift  # the bits shifted out, at the top
-    up = low > _HALF
-    up |= (low == _HALF) & (digits & 1 == 1)
-    return digits, up
-
-
-def _split(a, unit):
-    """a // unit, leaving a % unit in a."""
-    q = a // unit
-    a -= q * unit
-    return q
-
-
-def _format_draws(x):
-    """The text ("%.17g\\n" * x.size) % tuple(x), byte for byte.
-
-    A block wholly in [1e-4, 1e17) takes its digits from _scaled_digits;
-    any other block (negatives, zeros, nan, tiny or huge draws) goes through
-    the % formatting itself.
-    """
-    if not (x.min() >= _FIXED_LOW and x.max() < _FIXED_HIGH):
-        return ("%.17g\n" * x.size) % tuple(x.tolist())
-    frac, exp = np.frexp(x)
-    k = np.log10(x)
-    np.floor(k, out=k)
-    np.clip(k, -4, 16, out=k)
-    k = (16 - k).astype(np.int8)
-    digits, up = _scaled_digits(frac, exp, k)
-    # next to a power of ten log10 can be one off, and floor(x 10^k) then
-    # has 16 or 18 digits; in this range rounding never carries D to 10^17
-    # (tested)
-    while (off := np.flatnonzero((digits < 10 ** 16) | (digits >= 10 ** 17))).size:
-        k[off] += np.where(digits[off] < 10 ** 16, 1, -1).astype(np.int8)
-        digits[off], up[off] = _scaled_digits(frac[off], exp[off], k[off])
-    del frac, exp
-    digits += up
-    del up
-
-    rows = np.empty((x.size, 6), dtype=np.uint32)
-    low = digits.view(np.int64)  # below 10^17
-    high = _split(low, 10 ** 8)
-    rows[:, 0] = _DIGITS4[_split(high, 10 ** 8)]
-    rows[:, 1] = _DIGITS4[_split(high, 10 ** 4)]
-    rows[:, 2] = _DIGITS4[high]
-    rows[:, 3] = _DIGITS4[_split(low, 10 ** 4)]
-    rows[:, 4] = _DIGITS4[low]
-    rows[:, 5] = _ROW_END
-    del digits, low, high
-    text = rows.view(np.uint8)
-
-    # the fraction's k digits lose their trailing zeros, the point goes with
-    # the last of them; D's first digit is not 0, so only draws whose last
-    # digit is 0 have any
-    zero = np.flatnonzero(text[:, 19] == ord("0"))
-    if zero.size:
-        tail, kz = text[zero], k[zero]
-        run = np.argmax(tail[:, 19:2:-1] != ord("0"), axis=1)
-        cut = np.minimum(run, kz)
-        tail[:, 3:20][np.arange(17) >= 17 - cut[:, None]] = ord(_FILL)
-        tail[run >= kz, 20] = ord(_FILL)
-        text[zero] = tail
-
-    out = np.empty((x.size, 23), dtype=np.uint8)
-    for scale in np.flatnonzero(np.bincount(k, minlength=len(_LAYOUTS))):
-        sel = np.flatnonzero(k == scale)
-        out[sel] = text[sel][:, _LAYOUTS[scale]]
-    del rows, text
-    return out.tobytes().translate(None, _FILL).decode("ascii")
 
 
 def _float_list(raw):
@@ -330,10 +199,10 @@ def _cmd_sample(args):
     """Draw the sample and write one %.17g value a line, a block of draws
     at a time, so the text held at once is one block's, not the sample's.
 
-    The bytes are those of "%.17g" % value.  A block whose draws all lie in
-    [1e-4, 1e17) gets its 17 digits from exact integer arithmetic on the
-    draws' binary significands and exponents; any other block is formatted
-    by "%" itself.
+    The bytes are those of "%.17g" % value.  A draw whose magnitude lies
+    in [1e-4, 1e17) gets its 17 digits from exact integer arithmetic on its
+    binary significand and exponent (text._format_draws); any other draw
+    is formatted by "%" itself.
     """
     params = _params_from_args(args)
     if args.n < 1:

@@ -12,6 +12,7 @@ import numpy as np
 
 from .deformed import _BLOCK
 from .errors import DataFormatError, DegenerateDataError
+from .text import _read_decimals
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,22 @@ class WeightedSample:
     @cached_property
     def _nonzero_subset(self):  # None, not self: a sample cached on itself is a cycle
         return None if self.weights.all() else self.subset(self.weights > 0.0)
+
+    def rescaled(self, scale):
+        """The records of nonzero weight with each value divided by scale
+        > 0, in nonzero's order, shared rather than sorted again: dividing
+        by a positive number keeps the values in order.  Where it makes two
+        values equal, their records keep the order of the values they came
+        from rather than of their indices."""
+        kept = self.nonzero
+        values = kept.values / scale
+        if not np.all(np.isfinite(values)):
+            raise DegenerateDataError("sample values must be finite")
+        sample = object.__new__(WeightedSample)
+        object.__setattr__(sample, "values", values)
+        object.__setattr__(sample, "weights", kept.weights)
+        sample.__dict__["order"] = kept.order
+        return sample
 
     @property
     def total_weight(self):
@@ -228,13 +245,17 @@ def _scan(path, no_header):
 
 
 def _parse_bulk(path, no_header):
-    """The file through numpy's C parser, or None where that parser could
-    disagree with _parse_lines or would raise.
+    """The file through text._read_decimals, else through numpy's C
+    parser, or None where that parser could disagree with _parse_lines or
+    would raise.
 
-    A result is used only if it has 1 or 2 columns, at least one row,
-    finite fields and no negative weight, so every malformed file reaches
-    the line parser, whose errors name the offending line.
+    A result of numpy's parser is used only if it has 1 or 2 columns, at
+    least one row, finite fields and no negative weight, so every malformed
+    file reaches the line parser, whose errors name the offending line.
     """
+    values = _read_decimals(path, None if no_header else _is_header)
+    if values is not None:
+        return WeightedSample(values)
     scan = _scan(path, no_header)
     if scan is None:
         return None
@@ -285,12 +306,22 @@ def load_dataset(path, no_header=False):
     to be data.  Any other file, one that is not UTF-8 included, raises a
     DataFormatError naming its line.
 
-    A regular file is parsed in bulk by numpy, and read twice: once in
-    pieces by a scan that settles the header, the delimiter and whether
-    there is a data row, and once by np.loadtxt, so no step holds the
-    file's text.  Every file the bulk parse does not accept as it stands
-    is read whole into the line parser, which gives the same values bit
-    for bit and is the one source of errors.
+    A file goes to the first of three readers that takes it, each giving
+    the same values bit for bit, and none holds the file's text:
+
+    1. text._read_decimals, for a regular file of one plain decimal a
+       line: 1 to 24 bytes of digits with at most one point and at most 17
+       digits from the first nonzero one, no sign or exponent, "\n" line
+       ends and at most a header line before them.  It reads the file in
+       fixed pieces and converts each piece's lines at once in integer
+       arithmetic and long double division, where the platform's long
+       double is an x87 80-bit or IEEE 128-bit one (text._EXACT_QUOTIENT).
+    2. np.loadtxt, for any other regular file that a scan in pieces finds
+       to be UTF-8 with a data row; the scan settles the header and the
+       delimiter, and the table must have 1 or 2 columns of finite fields
+       and no negative weight.
+    3. The line parser, which reads the file whole, for every file the
+       others decline; it is the one source of errors.
     """
     sample = _parse_bulk(path, no_header) if os.path.isfile(path) else None
     if sample is not None:

@@ -706,7 +706,7 @@ def fit_normalized(sample: WeightedSample, config: FitConfig):
     factor used."""
     _check_support(sample.values, "kappagen_normalized")
     scale = sample.weighted_mean()
-    scaled = WeightedSample(sample.values / scale, sample.weights)
+    scaled = sample.rescaled(scale)
     return _with_gof(scaled, _fit_transformed("kappagen_normalized", scaled, config),
                      scale=scale)
 

@@ -32,9 +32,10 @@ from kappagen import (
     mixture_cdf,
     mixture_pdf,
 )
-from kappagen.cli import _FIXED_HIGH, _FIXED_LOW, _format_draws, main
+from kappagen.cli import main
 from kappagen.deformed import _BLOCK, _blocks
 from kappagen.fitting import FAMILIES
+from kappagen.text import _FIXED_HIGH, _FIXED_LOW, _format_draws
 
 
 def run_cli(*argv):

@@ -1,5 +1,6 @@
 """load_dataset: the bulk parse against the line-by-line reader it replaces."""
 
+import builtins
 import dataclasses
 import warnings
 
@@ -9,10 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kappagen.data as kdata
+import kappagen.text as ktext
 from kappagen import (DataFormatError, DegenerateDataError, FitConfig, KappaGenParams,
                       NetWealthMixtureParams, WeibullParams, WeightedSample, empirical_gini,
                       fit_mle, kgen_sample, load_dataset, mixture_sample)
 from kappagen.data import _parse_bulk, _parse_line
+from kappagen.deformed import _blocks
+from kappagen.text import _FIXED_HIGH, _FIXED_LOW, _format_draws, _read_decimals
 
 
 def reference_load(path, no_header=False):
@@ -297,6 +301,135 @@ class TestScanAtChunkBoundaries:
         assert info.value.line_number == 11
 
 
+@st.composite
+def plain_decimal(draw):
+    """A line of the decimal reader's grammar: digits with at most one
+    point, at most 17 digits from the first nonzero one, 1 to 24 bytes."""
+    text = "0" * draw(st.integers(0, 6)) + draw(st.text("0123456789", min_size=1, max_size=17))
+    point = draw(st.none() | st.integers(0, len(text)))
+    return text if point is None else text[:point] + "." + text[point:]
+
+
+class TestDecimalReader:
+    """text._read_decimals, load_dataset's first tier, against float() of
+    each line and against the tiers after it."""
+
+    def test_reads_the_writers_text_back_bit_for_bit(self, tmp_path):
+        # TestSampleText's draws: log-uniform and uniform in bit pattern over
+        # the writer's integer range, and the powers of ten with neighbours
+        rng = np.random.default_rng(17)
+        lo, hi = np.array([_FIXED_LOW, _FIXED_HIGH]).view(np.int64)
+        powers = np.array([float(f"1e{e}") for e in range(-4, 17)])
+        x = np.concatenate([10.0 ** rng.uniform(-4.0, 17.0, 200_000).clip(1e-4),
+                            rng.integers(lo, hi, 200_000).view(float), powers,
+                            np.nextafter(powers[1:], 0.0), np.nextafter(powers, np.inf)])
+        path = tmp_path / "s.txt"
+        path.write_text("".join(_format_draws(x[part]) for part in _blocks(x.size)))
+        assert _read_decimals(path, None).tobytes() == x.tobytes()
+
+    def test_each_line_reads_as_float_of_it(self, tmp_path):
+        path = tmp_path / "d.txt"
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(lines=st.lists(plain_decimal(), min_size=1, max_size=40),
+               newline_at_end=st.booleans(), piece=st.sampled_from([1, 5, 24, 100, 1 << 18]))
+        def check(lines, newline_at_end, piece):
+            path.write_text("\n".join(lines) + "\n" * newline_at_end)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ktext, "_PIECE_BYTES", piece)
+                got = _read_decimals(path, None)
+            assert got is not None
+            assert got.tobytes() == np.array([float(line) for line in lines]).tobytes()
+
+        check()
+
+    def test_random_decimals_in_bulk(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(23)
+        lines = []
+        for digits, zeros, point in zip(rng.integers(1, 18, 100_000), rng.integers(0, 5, 100_000),
+                                        rng.random(100_000)):
+            text = "0" * zeros + "".join(map(str, rng.integers(0, 10, digits)))
+            cut = int(point * (len(text) + 1))
+            lines.append(text[:cut] + "." + text[cut:])
+        path = tmp_path / "d.txt"
+        path.write_text("\n".join(lines) + "\n")
+        calls = []
+        monkeypatch.setattr(ktext, "float", lambda text: calls.append(text) or builtins.float(text),
+                            raising=False)
+        assert _read_decimals(path, None).tobytes() == np.array(
+            [float(line) for line in lines]).tobytes()
+        assert 0 < len(calls) < 200  # the lines whose quotient is halfway between doubles
+
+    # 17-digit decimals whose 64-bit quotient M / 10^k rounds onto the
+    # midpoint of two doubles, from just above or below it: rounded again
+    # to double, half to even, it would take the wrong one of the two
+    HALFWAY = ["6307359.1497245715", "21065827066.698946", "0.089700292076091169",
+               "463.83511102717884", "9715500.1098601548"]
+
+    def test_a_quotient_halfway_between_two_doubles_reads_as_float(self, tmp_path, monkeypatch):
+        for line in self.HALFWAY:
+            m, k = int(line.replace(".", "")), len(line) - 1 - line.index(".")
+            assert float(np.longdouble(m) / np.longdouble(10 ** k)) != float(line)
+        lines = self.HALFWAY + ["9007199254740993"]  # 2^53 + 1, a midpoint itself
+        path = tmp_path / "h.txt"
+        path.write_text("\n".join(lines) + "\n")
+        calls = []
+        monkeypatch.setattr(ktext, "float", lambda text: calls.append(text) or builtins.float(text),
+                            raising=False)
+        assert _read_decimals(path, None).tobytes() == np.array(
+            [float(line) for line in lines]).tobytes()
+        assert [text.decode() for text in calls] == lines
+
+    @pytest.mark.parametrize("piece", [1, 7, 24, 25, 64, 1000])
+    @pytest.mark.parametrize("bad", ["1e5", "-1.5", "+2", "1.5\r", "", " 1", "1,2", "2 1", "nan",
+                                     "1..2", ".", "1.2.3", "0" * 25, "123456789012345678",
+                                     "1234567890.12345678", "\u00e9", "0x10", "1_000"])
+    def test_a_line_off_the_grammar_in_a_late_piece(self, tmp_path, monkeypatch, piece, bad):
+        lines = ["%.17g" % v for v in kgen_sample(60, KappaGenParams(2.5, 1.0, 0.6), 3)]
+        lines.insert(-2, bad)
+        path = tmp_path / "d.txt"
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        monkeypatch.setattr(ktext, "_PIECE_BYTES", piece)
+        assert _read_decimals(path, kdata._is_header) is None
+        assert outcome(load_dataset, path, False) == outcome(reference_load, path, False)
+
+    @pytest.mark.parametrize("text, fast", [
+        ("value\n1.5\n2\n", True),
+        ("income weight\n1.5\n.5\n5.\n", True),
+        ("v\u00e4l,w\n1.5\n2", True),
+        ("\ufeff1.5\n2\n", True),  # the first token, with its BOM, is no number
+        ("value\r\n1.5\n", False),
+        ("x\r1.5\n2\n", False),  # a lone CR ends the header line
+        ("\nvalue\n1.5\n", False),
+        ("  \n1.5\n", False),
+        ("1e3\n2\n", False),
+        ("value\n", False),  # no data row
+        ("value\n\n", False),
+        ("", False),
+    ])
+    @pytest.mark.parametrize("no_header", [False, True])
+    def test_the_first_line(self, tmp_path, monkeypatch, text, fast, no_header):
+        path = tmp_path / "d.txt"
+        path.write_bytes(text.encode("utf-8"))
+        for piece in (3, 1 << 18):
+            monkeypatch.setattr(ktext, "_PIECE_BYTES", piece)
+            got = _read_decimals(path, None if no_header else kdata._is_header)
+            assert (got is not None) == (fast and not no_header)
+            assert outcome(load_dataset, path, no_header) == outcome(reference_load, path, no_header)
+
+    def test_without_exact_long_doubles_numpy_reads_the_same_sample(self, tmp_path, monkeypatch):
+        x = kgen_sample(3 * (1 << 14) + 5, KappaGenParams(2.5, 1.0, 0.6), 9)
+        path = tmp_path / "s.txt"
+        path.write_text("income\n" + "".join(_format_draws(x[part]) for part in _blocks(x.size)))
+        fast = load_dataset(path)
+        assert _read_decimals(path, kdata._is_header) is not None
+        monkeypatch.setattr(ktext, "_EXACT_QUOTIENT", False)
+        assert _read_decimals(path, kdata._is_header) is None
+        slow = load_dataset(path)
+        assert slow.values.tobytes() == fast.values.tobytes() == x.tobytes()
+        assert slow.weights.tobytes() == fast.weights.tobytes()
+
+
 class TestNotUtf8:
     @pytest.mark.parametrize("raw, line, offset", [
         (b"1.0\n\xff\xfe2\n", 2, 4),
@@ -381,6 +514,29 @@ class TestSubset:
             sample.subset(np.zeros(2, dtype=bool))
         with pytest.raises(DegenerateDataError, match="total weight"):
             sample.subset(np.array([False, True]))
+
+
+class TestRescaled:
+    def test_divides_the_nonzero_records_and_shares_their_order(self):
+        rng = np.random.default_rng(37)
+        values = rng.lognormal(size=400)
+        weights = rng.integers(0, 3, 400).astype(float)
+        sample = WeightedSample(values, weights)
+        got, kept = sample.rescaled(2.5), sample.nonzero
+        assert got.values.tobytes() == (kept.values / 2.5).tobytes()
+        assert got.weights is kept.weights
+        assert got.order is kept.order
+        assert np.array_equal(got.order, np.argsort(got.values, kind="stable"))
+        assert got.nonzero is got
+
+    def test_a_unit_mean_fit_sorts_the_sample_once(self):
+        sample = WeightedSample(kgen_sample(2000, KappaGenParams(2.0, 1.0, 0.5), 8))
+        fit_mle(sample, FitConfig(model="kappagen_normalized", multistart=1))
+        assert "order" in vars(sample)
+
+    def test_a_value_that_overflows_raises(self):
+        with np.errstate(over="ignore"), pytest.raises(DegenerateDataError, match="finite"):
+            WeightedSample([1e300, 1.0]).rescaled(1e-10)
 
 
 class TestNonzero:

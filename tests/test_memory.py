@@ -13,6 +13,7 @@ beside them.
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import kappagen.fitting as kfit
@@ -21,6 +22,7 @@ from kappagen import (EKG1Params, KappaGenParams, NetWealthMixtureParams, Weibul
 from kappagen.cli import main
 from kappagen.data import _parse_lines
 from kappagen.deformed import _BLOCK
+from kappagen.text import _read_decimals
 
 N = 1 << 18
 BLOCK_BYTES = 8 * _BLOCK
@@ -75,9 +77,20 @@ def test_the_sample_writer_holds_one_block_of_text(sample, tmp_path, monkeypatch
 def test_the_bulk_parse_holds_the_sample_and_no_text(sample, tmp_path):
     path = tmp_path / "s.txt"
     path.write_text(("%.17g\n" * N) % tuple(sample.values.tolist()))
-    # values and weights, beside a few blocks of loadtxt's and the scan's buffers
+    # values and weights, beside a few blocks of the decimal reader's buffers
+    assert _read_decimals(path, None) is not None
     assert peak_bytes(lambda: load_dataset(path)) < 2 * ARRAY_BYTES + 8 * BLOCK_BYTES
     assert load_dataset(path).values.tobytes() == sample.values.tobytes()
+
+
+def test_a_file_the_decimal_reader_declines_late_holds_no_partial_sample(sample, tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_text(("%.17g\n" * N) % tuple(sample.values.tolist()) + "1e-05\n")
+    # the decimal reader parses all but the last piece, then declines the
+    # exponent; what it read is freed before np.loadtxt reads the file
+    assert _read_decimals(path, None) is None
+    assert peak_bytes(lambda: load_dataset(path)) < 2 * ARRAY_BYTES + 8 * BLOCK_BYTES
+    assert load_dataset(path).values.tobytes() == np.append(sample.values, 1e-5).tobytes()
 
 
 def test_the_two_column_bulk_parse_holds_the_table_and_one_column(sample, tmp_path):
