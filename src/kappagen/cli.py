@@ -265,9 +265,7 @@ def _cmd_plotdata(args):
             curve = ineq.empirical_lorenz(sample)
             pairs = curve.points
         elif args.kind == "ccdf-loglog":
-            sample = sample.nonzero
-            v = sample.values[sample.order]
-            w = sample.weights[sample.order]
+            v, w = sample.nonzero.ascending
             ccdf = 1.0 - (np.cumsum(w) - 0.5 * w) / w.sum()
             keep = (v > 0.0) & (ccdf > 0.0)
             pairs = np.column_stack([np.log10(v[keep]), np.log10(ccdf[keep])])

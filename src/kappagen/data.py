@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .deformed import _BLOCK
+from .deformed import _BLOCK, _blocks
 from .errors import DataFormatError, DegenerateDataError
 from .text import _read_decimals
 
@@ -22,10 +22,12 @@ class WeightedSample:
     Weights default to 1 for every observation.  Values may be negative or
     zero (net-wealth data); income-family fits reject those at fit time.
 
-    The arrays are treated as immutable once ``order`` or ``nonzero`` has been
-    read: both are cached, so changing the arrays in place afterwards (through
-    this sample or an array it aliases) leaves them stale.  They are not
-    made read-only, since they may be the caller's own arrays.
+    The arrays are treated as immutable once ``ascending`` or ``nonzero``
+    has been read: both are cached, so changing the arrays in place
+    afterwards (through this sample or an array it aliases) leaves them
+    stale.  They are not made read-only, since they may be the caller's own
+    arrays.  ``ascending`` is the only sort of a sample: a fit's initializer
+    and goodness of fit and the empirical Lorenz curve all read it.
     """
 
     values: np.ndarray
@@ -57,40 +59,40 @@ class WeightedSample:
         return self.values.size
 
     @cached_property
-    def order(self):
-        """Stable ascending sort order of the values, computed once.
+    def ascending(self):
+        """(values, weights) in stable ascending order of the values, sorted
+        once: bit for bit values[o] and weights[o], o the stable argsort.
 
-        numpy's default sort (a SIMD sort where the CPU has one) is several
-        times faster than its stable sort, and where no two values are equal
-        it gives the one stable permutation.  Where values tie (-0.0 and 0.0
-        included), a default sort of the integer keys run * n + index puts
-        each run of equal values back in index order.  The tie test walks the
-        sort one _BLOCK at a time, each block overlapping the last by one
-        record, so the sorted values are held whole only where a tie is found.
+        Where every weight is equal, the values go through numpy's default
+        sort (a SIMD sort where the CPU has one), several times faster than
+        an argsort, and the weights are this sample's own array: any
+        permutation of equal weights is that array.  Otherwise both arrays
+        are gathered through _sorted_with_order's stable order, the weights
+        into the order's own buffer, so no more than two record-length
+        arrays are held at once, and the order is dropped.  Sorted values
+        that compare equal have the same bits, except -0.0 and 0.0, so the
+        run of zeros is then rewritten with them in index order.
         """
-        order = np.argsort(self.values)
-        blocks = (self.values[order[k:k + _BLOCK + 1]] for k in range(0, order.size, _BLOCK))
-        if not any((block[1:] == block[:-1]).any() for block in blocks):
-            return order
-        ascending = self.values[order]
-        tie = ascending[1:] == ascending[:-1]
-        n = order.size
-        if n * n > 2**63:  # the keys would leave int64
-            return np.argsort(self.values, kind="stable")
-        run_base = np.zeros(n, dtype=np.int64)
-        np.cumsum(~tie, out=run_base[1:])
-        run_base *= n
-        keys = order + run_base
-        keys.sort()
-        keys -= run_base
-        return keys
+        values, weights = self.values, self.weights
+        if weights.min() == weights.max():
+            ascending = np.sort(values)
+        else:
+            ascending, order = _sorted_with_order(values)
+            gathered = order.view(np.float64)
+            for part in _blocks(order.size):
+                gathered[part] = weights[order[part]]
+            weights = gathered
+        zeros = slice(ascending.searchsorted(0.0, "left"), ascending.searchsorted(0.0, "right"))
+        if zeros.stop - zeros.start > 1:
+            ascending[zeros] = values[values == 0.0]
+        return ascending, weights
 
     @property
     def nonzero(self):
         """The records of nonzero weight, which every likelihood sum and
         empirical curve covers: this sample itself where no weight is zero,
-        else subset(weights > 0), built once.  Its order is this sample's
-        stable order with the zero-weight records left out."""
+        else subset(weights > 0), built once.  Its ascending is this
+        sample's with the zero-weight records left out."""
         kept = self._nonzero_subset
         return self if kept is None else kept
 
@@ -100,10 +102,12 @@ class WeightedSample:
 
     def rescaled(self, scale):
         """The records of nonzero weight with each value divided by scale
-        > 0, in nonzero's order, shared rather than sorted again: dividing
-        by a positive number keeps the values in order.  Where it makes two
-        values equal, their records keep the order of the values they came
-        from rather than of their indices."""
+        > 0, sharing nonzero's sort rather than sorting again: dividing by a
+        positive number keeps the values in order, so the rescaled sample's
+        ascending is nonzero's values divided by scale, the bits of the
+        divided values in that order, beside nonzero's sorted weights.
+        Where the division makes two values equal, their records keep the
+        order of the values they came from rather than of their indices."""
         kept = self.nonzero
         values = kept.values / scale
         if not np.all(np.isfinite(values)):
@@ -111,7 +115,8 @@ class WeightedSample:
         sample = object.__new__(WeightedSample)
         object.__setattr__(sample, "values", values)
         object.__setattr__(sample, "weights", kept.weights)
-        sample.__dict__["order"] = kept.order
+        ascending, weights = kept.ascending
+        sample.__dict__["ascending"] = ascending / scale, weights
         return sample
 
     @property
@@ -142,6 +147,34 @@ class WeightedSample:
         object.__setattr__(sample, "values", values)
         object.__setattr__(sample, "weights", weights)
         return sample
+
+
+def _sorted_with_order(values):
+    """(values[o], o) for the stable ascending order o of values, except
+    that values[o]'s run of zeros may hold -0.0 and 0.0 out of index order.
+
+    numpy's default argsort is several times faster than its stable sort,
+    and where no two values are equal it gives the one stable permutation.
+    Where values tie, a default sort of the integer keys run * n + index
+    puts each run of equal values back in index order.  The tie test walks
+    the sorted values one _BLOCK at a time, each block overlapping the last
+    by one record, so it holds a block of comparisons, not the sample's.
+    """
+    order = np.argsort(values).astype(np.int64, copy=False)  # room for float64 weights
+    ascending = values[order]
+    n = order.size
+    blocks = (ascending[k:k + _BLOCK + 1] for k in range(0, n, _BLOCK))
+    if not any((block[1:] == block[:-1]).any() for block in blocks):
+        return ascending, order
+    if n * n > 2**63:  # the keys would leave int64
+        return ascending, np.argsort(values, kind="stable")
+    run_base = np.zeros(n, dtype=np.int64)
+    np.cumsum(ascending[1:] != ascending[:-1], out=run_base[1:])
+    run_base *= n
+    order += run_base
+    order.sort()
+    order -= run_base
+    return ascending, order
 
 
 def _parse_line(line, line_number):
@@ -312,10 +345,11 @@ def load_dataset(path, no_header=False):
     1. text._read_decimals, for a regular file of one plain decimal a
        line: 1 to 24 bytes of digits with at most one point and at most 17
        digits from the first nonzero one, no sign or exponent, "\n" line
-       ends and at most a header line before them.  It reads the file in
-       fixed pieces and converts each piece's lines at once in integer
-       arithmetic and long double division, where the platform's long
-       double is an x87 80-bit or IEEE 128-bit one (text._EXACT_QUOTIENT).
+       ends, at most a header line before them and any empty lines after
+       the first.  It reads the file in fixed pieces and converts each
+       piece's lines at once in integer arithmetic and long double
+       division, where the platform's long double is an x87 80-bit or IEEE
+       128-bit one (text._EXACT_QUOTIENT).
     2. np.loadtxt, for any other regular file that a scan in pieces finds
        to be UTF-8 with a data row; the scan settles the header and the
        delimiter, and the table must have 1 or 2 columns of finite fields

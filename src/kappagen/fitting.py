@@ -514,33 +514,32 @@ def _survival_lines(sample: WeightedSample):
     decile, 0.9 <= F < 1, where F is the midpoint CDF (cw - w/2) / sum w
     and S = 1 - F.
 
-    Two walks of sample.order, one _BLOCK of records at a time: the first
-    takes the total weight, the second each block's points, taking the
-    first walk's last block as it is.  Each block's cumulative weights cw
-    are one np.cumsum with the running total added to its first weight, the
-    same sequential fold as a cumsum of all of them, so a sample of one
+    Two walks of sample.ascending, one _BLOCK of records at a time: the
+    first takes the total weight, the second each block's points, taking
+    the first walk's last block as it is.  Each block's cumulative weights
+    cw are one np.cumsum with the running total added to its first weight,
+    the same sequential fold as a cumsum of all of them, so a sample of one
     block gives the single-array sums bit for bit.
     """
-    order = sample.order
+    values, weights = sample.ascending
 
-    def cumulative(parts):  # each block's indices, weights and cumulative weights
+    def cumulative(parts):  # each block's slice, weights and cumulative weights
         carry = 0.0
         for part in parts:
-            idx = order[part]
-            w = sample.weights[idx]
+            w = weights[part]
             cw = w.copy()
             cw[0] += carry
             np.cumsum(cw, out=cw)
             carry = cw[-1]
-            yield idx, w, cw
+            yield part, w, cw
 
-    parts = list(_blocks(order.size))
+    parts = list(_blocks(values.size))
     for last in cumulative(parts):
         pass
     total = last[2][-1]
     lines = [[0, None], [0, None]]
-    for idx, w, cw in itertools.chain(cumulative(parts[:-1]), (last,)):
-        v = sample.values[idx]
+    for part, w, cw in itertools.chain(cumulative(parts[:-1]), (last,)):
+        v = values[part]
         cdf_mid = (cw - 0.5 * w) / total
         bulk = (cdf_mid > 0.01) & (cdf_mid < 0.9)
         tail = (cdf_mid >= 0.9) & (cdf_mid < 1.0)

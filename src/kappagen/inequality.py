@@ -414,15 +414,14 @@ class EmpiricalLorenzSummary:
 def _runs(sample: WeightedSample):
     """(weights, weighted values) summed over each run of equal values of
     sample.nonzero in ascending order, one _BLOCK of records at a time, with
-    whether the block is the last; sample.order is the only sort.  A
-    block's last run is held back as one record in front of the next
-    block, so a run that a block boundary cuts is still one run."""
-    sample = sample.nonzero
-    order = sample.order
+    whether the block is the last; sample.nonzero.ascending is the only
+    sort, and each block a slice of it.  A block's last run is held back
+    as one record in front of the next block, so a run that a block
+    boundary cuts is still one run."""
+    ascending, ascending_weights = sample.nonzero.ascending
     held = None  # the value, weight and weighted value of the run held back
-    for part in _blocks(order.size):
-        idx = order[part]
-        values, weights = sample.values[idx], sample.weights[idx]
+    for part in _blocks(ascending.size):
+        values, weights = ascending[part], ascending_weights[part]
         weighted = values * weights
         if held is not None:
             values, weights, weighted = (np.concatenate(((h,), a)) for h, a in
@@ -433,7 +432,7 @@ def _runs(sample: WeightedSample):
             values = values[start]
             weights = np.add.reduceat(weights, start)
             weighted = np.add.reduceat(weighted, start)
-        last = part.stop >= order.size
+        last = part.stop >= ascending.size
         if not last:
             held = values[-1], weights[-1], weighted[-1]
             weights, weighted = weights[:-1], weighted[:-1]
@@ -443,9 +442,10 @@ def _runs(sample: WeightedSample):
 
 def _lorenz_blocks(sample: WeightedSample):
     """The points (u, L) of the empirical Lorenz curve of sample.nonzero,
-    one block of _runs at a time, as (k + 1, 2) arrays that start at the
-    point before the block ((0, 0) for the first) and end, in the last
-    block, at exactly (1, 1).  A first walk takes the total weight and
+    one block of _runs (slices of sample.nonzero.ascending, the only sort)
+    at a time, as (k + 1, 2) arrays that start at the point before the
+    block ((0, 0) for the first) and end, in the last block, at exactly
+    (1, 1).  A first walk takes the total weight and
     weighted value, a second the cumulative shares, taking the first walk's
     last block as it is (a sample of one block is walked once): each
     block's cumulative sums are one np.cumsum with the running sums added
@@ -478,8 +478,8 @@ def _lorenz_blocks(sample: WeightedSample):
 
 def empirical_lorenz(sample: WeightedSample):
     """Weight-sorted cumulative-share Lorenz curve of sample.nonzero, the
-    records of nonzero weight, whose cached order is the only sort (a fit of
-    the same sample shares it).  Equal values are grouped before
+    records of nonzero weight, whose cached ascending copy is the only sort
+    (a fit of the same sample shares it).  Equal values are grouped before
     cumulating; weights are normalized to sum to one.  The whole curve, for
     plotting; the goodness of fit and the Gini read empirical_lorenz_summary."""
     blocks = [points[i > 0:] for i, points in enumerate(_lorenz_blocks(sample))]

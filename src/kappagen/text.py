@@ -290,11 +290,12 @@ def _read_decimals(path, header):
 
     The file is read in _PIECE_BYTES pieces, and each piece's whole lines
     go through _decimal_lines at once.  Lines end at "\\n" only (the last
-    one may end at the end of the file), and every line is data except the
-    first where header(line) is true for its text; that line must be UTF-8
-    with no "\\r", and stripped nonblank.  Any other file, and every file
-    where long doubles cannot hold M / 10^k exactly, gives None, after
-    freeing what the reader holds.
+    one may end at the end of the file), and every line is data except
+    empty ones, which are skipped as np.loadtxt skips them, and the first
+    where header(line) is true for its text.  Where header is given, the
+    first line must be UTF-8 with no "\\r", and stripped nonblank.  Any
+    other file, and every file where long doubles cannot hold M / 10^k
+    exactly, gives None, after freeing what the reader holds.
     """
     if not _EXACT_QUOTIENT:
         return None
@@ -333,16 +334,20 @@ def _read_decimals(path, header):
                 starts = np.empty_like(ends)
                 starts[0] = start
                 starts[1:] = ends[:-1] + 1
-                piece = _decimal_lines(buf, rows, starts, ends)
+                after = int(ends[-1]) + 1
+                filled = ends > starts
+                if not filled.all():  # empty lines hold no record
+                    starts, ends = starts[filled], ends[filled]
+                piece = _decimal_lines(buf, rows, starts, ends) if ends.size else np.empty(0)
                 if piece is None:
                     return None
                 if count + piece.size > values.size:
                     # as many more lines as the bytes left hold at this piece's rate
-                    rest = max(size - fh.tell(), 0) * piece.size // (int(ends[-1]) + 1 - start)
+                    rest = max(size - fh.tell(), 0) * piece.size // (after - start)
                     values.resize(count + piece.size + rest + rest // 16 + 16, refcheck=False)
                 values[count:count + piece.size] = piece
                 count += piece.size
-                start = int(ends[-1]) + 1
+                start = after
             carry = end - start
             if carry > _WIDTH:
                 return None

@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kappagen.data as kdata
+import kappagen.fitting as kfit
 import kappagen.text as ktext
 from kappagen import (DataFormatError, DegenerateDataError, FitConfig, KappaGenParams,
                       NetWealthMixtureParams, WeibullParams, WeightedSample, empirical_gini,
-                      fit_mle, kgen_sample, load_dataset, mixture_sample)
+                      empirical_lorenz_summary, fit_mle, kgen_sample, load_dataset,
+                      mixture_sample)
 from kappagen.data import _parse_bulk, _parse_line
-from kappagen.deformed import _blocks
+from kappagen.deformed import _BLOCK, _blocks
 from kappagen.text import _FIXED_HIGH, _FIXED_LOW, _format_draws, _read_decimals
 
 
@@ -381,7 +383,7 @@ class TestDecimalReader:
         assert [text.decode() for text in calls] == lines
 
     @pytest.mark.parametrize("piece", [1, 7, 24, 25, 64, 1000])
-    @pytest.mark.parametrize("bad", ["1e5", "-1.5", "+2", "1.5\r", "", " 1", "1,2", "2 1", "nan",
+    @pytest.mark.parametrize("bad", ["1e5", "-1.5", "+2", "1.5\r", " ", " 1", "1,2", "2 1", "nan",
                                      "1..2", ".", "1.2.3", "0" * 25, "123456789012345678",
                                      "1234567890.12345678", "\u00e9", "0x10", "1_000"])
     def test_a_line_off_the_grammar_in_a_late_piece(self, tmp_path, monkeypatch, piece, bad):
@@ -393,8 +395,45 @@ class TestDecimalReader:
         assert _read_decimals(path, kdata._is_header) is None
         assert outcome(load_dataset, path, False) == outcome(reference_load, path, False)
 
+    @pytest.mark.parametrize("piece", [1, 24, 1 << 18])
+    @pytest.mark.parametrize("where", ["end", "middle", "piece boundary"])
+    def test_empty_lines_are_skipped(self, tmp_path, monkeypatch, piece, where):
+        # as np.loadtxt and the line parser skip them, so the file stays on
+        # this reader; 2 * 10^4 lines make more than one piece of 2^18 bytes
+        n = 20_000 if piece == 1 << 18 else 500
+        lines = ["%.17g" % v for v in kgen_sample(n, KappaGenParams(2.5, 1.0, 0.6), 4)]
+        text = "".join(line + "\n" for line in lines)
+        if where == "end":
+            text += "\n\n"
+        elif where == "middle":
+            cut = text.index("\n", len(text) // 2) + 1
+            text = text[:cut] + "\n" + text[cut:]
+        else:
+            # each read takes the next piece of the file: put empty lines on
+            # both sides of the file offset where a read ends
+            boundary = piece * -(-1000 // piece)
+            cut = text.rindex("\n", 0, boundary) + 1
+            text = text[:cut] + "\n" * (boundary - cut + 2) + text[cut:]
+            assert text[boundary - 1:boundary + 2] == "\n\n\n"
+        path = tmp_path / "d.txt"
+        path.write_text(text)
+        monkeypatch.setattr(ktext, "_PIECE_BYTES", piece)
+        got = _read_decimals(path, kdata._is_header)
+        assert got is not None
+        assert got.tobytes() == np.loadtxt(path).tobytes()
+        assert load_dataset(path).values.tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("no_header", [False, True])
+    def test_a_short_file_with_empty_lines(self, tmp_path, no_header):
+        path = tmp_path / "d.txt"
+        path.write_bytes(b"1.5\n2.25\n\n3\n\n\n")
+        got = _read_decimals(path, None if no_header else kdata._is_header)
+        assert got.tobytes() == np.array([1.5, 2.25, 3.0]).tobytes()
+        assert outcome(load_dataset, path, no_header) == outcome(reference_load, path, no_header)
+
     @pytest.mark.parametrize("text, fast", [
         ("value\n1.5\n2\n", True),
+        ("value\n\n1.5\n\n2\n\n", True),  # empty lines after the first are skipped
         ("income weight\n1.5\n.5\n5.\n", True),
         ("v\u00e4l,w\n1.5\n2", True),
         ("\ufeff1.5\n2\n", True),  # the first token, with its BOM, is no number
@@ -453,39 +492,112 @@ class TestNotUtf8:
         assert info.value.line_number == 200_001
 
 
-class TestSortOrder:
-    def test_order_is_the_stable_argsort_computed_once(self):
-        s = WeightedSample(np.array([3.0, 1.0, 3.0, 2.0, 1.0]))
-        assert s.order.tolist() == [1, 4, 3, 0, 2]
-        assert s.order is s.order
+def stable_gather(values, weights):
+    """values and weights gathered through the stable argsort of values."""
+    order = np.argsort(values, kind="stable")
+    return values[order], weights[order]
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want) == 2
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+class TestAscending:
+    def test_ascending_is_the_stable_argsort_gather_computed_once(self):
+        s = WeightedSample(np.array([3.0, 1.0, 3.0, 2.0, 1.0]), np.arange(1.0, 6.0))
+        assert s.ascending[0].tolist() == [1.0, 1.0, 2.0, 3.0, 3.0]
+        assert s.ascending[1].tolist() == [2.0, 5.0, 4.0, 1.0, 3.0]
+        assert s.ascending is s.ascending
+
+    def test_equal_weights_are_the_samples_own_array(self):
+        s = WeightedSample(np.array([3.0, -0.0, 1.0, 0.0]), np.full(4, 2.5))
+        assert s.ascending[1] is s.weights
+        assert_same_bits(s.ascending, stable_gather(s.values, s.weights))
+
+    @pytest.mark.parametrize("weights", [None, np.array([0.5])])
+    @pytest.mark.parametrize("value", [2.5, -0.0, 0.0])
+    def test_a_one_record_sample(self, value, weights):
+        s = WeightedSample(np.array([value]), weights)
+        assert_same_bits(s.ascending, (s.values, s.weights))
+        assert_same_bits(s.rescaled(2.0).ascending, (s.values / 2.0, s.weights))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(values=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]),
                                      st.floats(allow_nan=False, allow_infinity=False)),
-                           min_size=1, max_size=80))
-    def test_order_is_the_stable_argsort(self, values):
+                           min_size=1, max_size=80),
+           weighted=st.booleans())
+    def test_ascending_of_short_samples(self, values, weighted):
         values = np.array(values)
-        assert np.array_equal(WeightedSample(values).order, np.argsort(values, kind="stable"))
+        weights = np.arange(1.0, values.size + 1.0) if weighted else None
+        s = WeightedSample(values, weights)
+        assert_same_bits(s.ascending, stable_gather(s.values, s.weights))
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(n=st.integers(1, 20_000), distinct=st.integers(1, 10**9),
-           zero_share=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**32 - 1))
-    def test_order_of_large_and_heavily_tied_samples(self, n, distinct, zero_share, seed):
-        # sizes past the small-array paths of the sorts; distinct = 1 ties
-        # every record, and zero_share puts an atom of -0.0 and 0.0
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(n=st.one_of(st.integers(1, 60), st.integers(_BLOCK - 2, 3 * _BLOCK + 5)),
+           distinct=st.sampled_from([1, 2, 5, 40, 10**9]),
+           signed_zeros=st.booleans(),
+           weights=st.sampled_from(["none", "equal", "integer", "zero"]),
+           scale=st.sampled_from([0.37, 1.0, 8.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_ascending_is_the_stable_argsort_gather(self, n, distinct, signed_zeros, weights,
+                                                    scale, seed):
+        # few distinct values make runs of ties that span _BLOCK boundaries;
+        # signed_zeros mixes -0.0 and 0.0 in the run of zeros; zero weights
+        # leave records out of nonzero, and rescaled shares nonzero's sort
         rng = np.random.default_rng(seed)
         values = (rng.integers(0, distinct, n) - distinct // 2) * 0.37
-        zeros = rng.random(n) < zero_share
-        values[zeros] = np.where(rng.random(n) < 0.5, 0.0, -0.0)[zeros]
-        assert np.array_equal(WeightedSample(values).order, np.argsort(values, kind="stable"))
+        if signed_zeros:
+            zeros = values == 0.0
+            values[zeros] = np.where(rng.random(n) < 0.5, 0.0, -0.0)[zeros]
+        w = {"none": None, "equal": np.full(n, 2.5),
+             "integer": rng.integers(1, 4, n).astype(float),
+             "zero": rng.integers(0, 3, n).astype(float)}[weights]
+        if weights == "zero":
+            w[rng.integers(n)] = 1.0
+        s = WeightedSample(values, w)
+        assert_same_bits(s.ascending, stable_gather(s.values, s.weights))
+        kept = s.nonzero
+        positive = s.weights > 0.0
+        assert_same_bits(kept.ascending, stable_gather(values[positive], s.weights[positive]))
+        got = s.rescaled(scale)
+        order = np.argsort(kept.values, kind="stable")
+        assert_same_bits(got.ascending, ((kept.values / scale)[order], kept.weights[order]))
+        # no two of these values merge under the division
+        assert_same_bits(got.ascending, stable_gather(got.values, got.weights))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_order_of_net_wealth_draws_with_their_zero_atom(self, seed):
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_ascending_of_net_wealth_draws_with_their_zero_atom(self, seed, weighted):
         p = NetWealthMixtureParams(WeibullParams(0.7, 1.0), 0.2, 0.1, 0.7,
                                    KappaGenParams(2.0, 10.0, 0.75))
         values = mixture_sample(5000, p, seed)
+        weights = np.random.default_rng(seed).integers(1, 4, values.size) if weighted else None
         assert np.count_nonzero(values == 0.0) > 1
-        assert np.array_equal(WeightedSample(values).order, np.argsort(values, kind="stable"))
+        s = WeightedSample(values, weights)
+        assert_same_bits(s.ascending, stable_gather(s.values, s.weights))
+
+    def test_the_walks_read_the_stable_argsort_gather(self):
+        # three blocks of tied, weighted records: the initializer's survival
+        # lines and the Lorenz summary equal those of a sample whose
+        # ascending is set to the gather, with no sort of its own
+        n = 3 * _BLOCK + 5
+        values = np.round(kgen_sample(n, KappaGenParams(2.0, 1.0, 0.5), 12), 2)
+        weights = np.random.default_rng(12).integers(0, 4, n) * 0.3
+        sample = WeightedSample(values, weights)
+        reference = WeightedSample(values, weights)
+        reference.__dict__["ascending"] = stable_gather(values, weights)
+        ascending = sample.ascending[0]
+        assert ascending[_BLOCK - 1] == ascending[_BLOCK]  # a run straddles a boundary
+        assert kfit._survival_lines(sample) == kfit._survival_lines(reference)
+        positive = weights > 0.0
+        reference = WeightedSample(values[positive], weights[positive])
+        reference.__dict__["ascending"] = stable_gather(values[positive], weights[positive])
+        got, want = empirical_lorenz_summary(sample), empirical_lorenz_summary(reference)
+        assert got.ordinates.tobytes() == want.ordinates.tobytes()
+        assert got.gini == want.gini
 
 
 class TestSubset:
@@ -499,7 +611,7 @@ class TestSubset:
             for field in dataclasses.fields(WeightedSample):
                 a, b = getattr(got, field.name), getattr(want, field.name)
                 assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
-            assert np.array_equal(got.order, want.order)
+            assert_same_bits(got.ascending, want.ascending)
             assert got.total_weight == want.total_weight
 
     def test_skips_the_validation_of_checked_arrays(self, monkeypatch):
@@ -517,7 +629,7 @@ class TestSubset:
 
 
 class TestRescaled:
-    def test_divides_the_nonzero_records_and_shares_their_order(self):
+    def test_divides_the_nonzero_records_and_shares_their_sort(self):
         rng = np.random.default_rng(37)
         values = rng.lognormal(size=400)
         weights = rng.integers(0, 3, 400).astype(float)
@@ -525,14 +637,16 @@ class TestRescaled:
         got, kept = sample.rescaled(2.5), sample.nonzero
         assert got.values.tobytes() == (kept.values / 2.5).tobytes()
         assert got.weights is kept.weights
-        assert got.order is kept.order
-        assert np.array_equal(got.order, np.argsort(got.values, kind="stable"))
+        assert "ascending" in vars(got) and "ascending" in vars(kept)
+        assert got.ascending[1] is kept.ascending[1]
+        assert got.ascending[0].tobytes() == (kept.ascending[0] / 2.5).tobytes()
+        assert_same_bits(got.ascending, stable_gather(got.values, got.weights))
         assert got.nonzero is got
 
     def test_a_unit_mean_fit_sorts_the_sample_once(self):
         sample = WeightedSample(kgen_sample(2000, KappaGenParams(2.0, 1.0, 0.5), 8))
         fit_mle(sample, FitConfig(model="kappagen_normalized", multistart=1))
-        assert "order" in vars(sample)
+        assert "ascending" in vars(sample)
 
     def test_a_value_that_overflows_raises(self):
         with np.errstate(over="ignore"), pytest.raises(DegenerateDataError, match="finite"):
@@ -562,12 +676,12 @@ class TestNonzero:
                                              st.floats(allow_nan=False, allow_infinity=False)),
                                    st.sampled_from([0.0, -0.0, 1.0, 2.0])),
                          min_size=1, max_size=80).filter(lambda rows: any(w for _, w in rows)))
-    def test_order_is_the_original_order_without_the_zero_weights(self, rows):
+    def test_ascending_is_the_samples_without_the_zero_weights(self, rows):
         values, weights = (np.array(column) for column in zip(*rows))
         sample = WeightedSample(values, weights)
-        kept = sample.order[weights[sample.order] > 0.0]
-        # nonzero's order indexes the kept records, which sit at these indices
-        assert np.array_equal(np.flatnonzero(weights > 0.0)[sample.nonzero.order], kept)
+        ascending, sorted_weights = sample.ascending
+        kept = sorted_weights > 0.0
+        assert_same_bits(sample.nonzero.ascending, (ascending[kept], sorted_weights[kept]))
 
     def test_a_resample_fit_and_its_gini_never_sort_the_full_resample(self):
         # the fit, its goodness of fit and the empirical Gini share one sort,
@@ -578,5 +692,5 @@ class TestNonzero:
         assert sample.nonzero is not sample
         fit_mle(sample, FitConfig(model="kappagen", multistart=1))
         empirical_gini(sample)
-        assert "order" in vars(sample.nonzero)
-        assert "order" not in vars(sample)
+        assert "ascending" in vars(sample.nonzero)
+        assert "ascending" not in vars(sample)

@@ -484,7 +484,7 @@ class TestEmpirical:
         values, weights = BLOCKED_CASES[case]()
         s = WeightedSample(values, weights)
         if case.startswith("tied"):
-            ascending = s.nonzero.values[s.nonzero.order]
+            ascending = s.nonzero.ascending[0]
             assert ascending[_BLOCK - 1] == ascending[_BLOCK]  # a run straddles a boundary
         want = unique_reduceat_lorenz(values, weights)
         curve = empirical_lorenz(s)

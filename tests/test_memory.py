@@ -4,8 +4,8 @@ tracemalloc sees numpy's buffers as well as Python objects, so a peak is
 the bytes a step allocates beyond what it started with, whatever the
 machine.  Every step works one block of records at a time: its peak stays
 under a fixed multiple of one block's bytes, below a single record-length
-array, with the sample, its cached order and the step's inputs allocated
-beforehand.  A step that makes record-length arrays (the parse, the sort,
+array, with the sample, its cached sorted copy and the step's inputs
+allocated beforehand.  A step that makes record-length arrays (the parse, the sort,
 the samplers) holds those plus a few blocks, and no copy of the records
 beside them.
 """
@@ -45,7 +45,7 @@ def peak_bytes(step):
 @pytest.fixture(scope="module")
 def sample():
     s = WeightedSample(kgen_sample(N, KappaGenParams(2.5, 1.0, 0.6), 1))
-    s.order, s.nonzero  # cached, as a fit and the Lorenz walk share them
+    s.ascending, s.nonzero  # cached, as a fit and the Lorenz walk share them
     return s
 
 
@@ -112,10 +112,21 @@ def test_the_two_column_bulk_parse_holds_the_table_and_one_column(sample, tmp_pa
     assert bulk.weights.tobytes() == lines.weights.tobytes() == sample.values[::-1].tobytes()
 
 
-def test_the_first_read_of_order_holds_the_order_and_no_sorted_copy(sample):
+def test_the_first_read_of_ascending_holds_the_sorted_values_and_no_order(sample):
     fresh = WeightedSample(sample.values)
-    assert peak_bytes(lambda: fresh.order) < ARRAY_BYTES + 4 * BLOCK_BYTES
-    assert fresh.order.tobytes() == sample.order.tobytes()
+    assert peak_bytes(lambda: fresh.ascending) < ARRAY_BYTES + 4 * BLOCK_BYTES
+    assert fresh.ascending[0].tobytes() == sample.ascending[0].tobytes()
+    assert fresh.ascending[1] is fresh.weights
+
+
+def test_the_first_read_of_weighted_ascending_holds_the_two_sorted_arrays(sample):
+    weights = np.random.default_rng(3).integers(1, 6, N).astype(float)
+    fresh = WeightedSample(sample.values, weights)
+    # the order is a local, and the sorted weights are gathered into its buffer
+    assert peak_bytes(lambda: fresh.ascending) < 2 * ARRAY_BYTES + 4 * BLOCK_BYTES
+    order = np.argsort(sample.values, kind="stable")
+    assert fresh.ascending[0].tobytes() == sample.values[order].tobytes()
+    assert fresh.ascending[1].tobytes() == weights[order].tobytes()
 
 
 SAMPLERS = {
