@@ -5,9 +5,9 @@ the bytes a step allocates beyond what it started with, whatever the
 machine.  Every step works one block of records at a time: its peak stays
 under a fixed multiple of one block's bytes, below a single record-length
 array, with the sample, its cached sorted copy and the step's inputs
-allocated beforehand.  A step that makes record-length arrays (the parse, the sort,
-the samplers) holds those plus a few blocks, and no copy of the records
-beside them.
+allocated beforehand.  A step that makes record-length arrays (the parse,
+the sort, the samplers) holds those plus a few blocks, and no copy of the
+records beside them.
 """
 
 import tracemalloc
