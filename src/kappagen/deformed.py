@@ -41,7 +41,8 @@ def _restore(arr, scalar):
 
 # Records per block of every pass over a sample's records (the kernel and
 # value passes, the initializer, the empirical Lorenz walk, the sample
-# writer and the tabulated incomplete-beta inverse): a fixed size, so that
+# writer and the samplers' quantiles, whose tabulated incomplete-beta
+# inverse polishes a quarter block at a time): a fixed size, so that
 # results do not depend on the machine.  Of 2^12, 2^14, 2^16 and the whole
 # array, a base-model kernel pass over 10^6 records was fastest at 2^14.
 # A sample of at most one block takes one call.

@@ -23,7 +23,8 @@ import numpy as np
 
 from .deformed import _asarray, _blocks, _restore, _scaled, kappa_exp, log_kappa_exp
 from .errors import DomainError, MomentDivergenceError
-from .special import digamma, inv_reg_inc_beta, log_gamma, reg_inc_beta, trigamma
+from .special import (_binet, _log_beta, _STIRLING, digamma, inv_reg_inc_beta, log_gamma,
+                      reg_inc_beta, trigamma)
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +346,6 @@ def _check_moment_order(r, p: KappaGenParams):
     if p.kappa > 0.0 and not (r < p.alpha / p.kappa and 0.5 / p.kappa > 0.5 * (r / p.alpha)):
         raise MomentDivergenceError(
             f"moment of order {r} diverges: requires r < alpha/kappa = {p.alpha / p.kappa}")
-
-
-# Stirling's series: Binet's remainder ln Gamma(z) - (z - 1/2) ln z + z - ln(2 pi)/2
-# is w sum_j B_2j w^(2j - 2) / (2j (2j - 1)) at w = 1/z, within 3e-17 for z >= 10.
-_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
-
-
-def _binet(w):
-    return w * sum(coef * w ** (2 * j) for j, coef in enumerate(_STIRLING))
 
 
 def _log_gamma_ratio(kappa, m):
@@ -743,22 +735,6 @@ def _ekg2_transform(x, p: EKG2Params):
         return ln_rel, ln_d, np.exp(-2.0 * ln_d)
 
 
-def _ekg2_log_beta(p: EKG2Params):
-    """ln B(p, q).  Below max(p, q) = 10 it is ln Gamma(p) + ln Gamma(q) -
-    ln Gamma(p + q), within an ulp or two of each term there.  From 10 on,
-    with a = min(p, q) and b = max(p, q), ln Gamma(b) - ln Gamma(b + a) is
-    the difference of their Stirling expansions,
-    a - (b - 1/2) log1p(a/b) - a ln(b + a) + B(1/b) - B(1/(b + a)), B
-    Binet's remainder (within 3e-17 from 10 on): nothing of the size of
-    ln Gamma(b) cancels, so for b >> a the error stays near eps a ln(b + a)
-    where the three-term form's grows as eps b ln b."""
-    a, b = min(p.p, p.q), max(p.p, p.q)
-    if b < 10.0:
-        return log_gamma(p.p) + log_gamma(p.q) - log_gamma(p.p + p.q)
-    return (log_gamma(a) + (a - (b - 0.5) * math.log1p(a / b)) - a * math.log(b + a)
-            + (_binet(1.0 / b) - _binet(1.0 / (b + a))))
-
-
 def _ekg2_tail(x, p: EKG2Params):
     """(v, lower): v is the CDF I_z(p, q) where lower (z <= 1/2), else the
     survival function I_(1-z)(q, p), each side one minus the other: betainc
@@ -768,19 +744,20 @@ def _ekg2_tail(x, p: EKG2Params):
     expansion z^p / (p B(p, q)) (1 + p (1 - q) z / (p + 1)) that
     inv_reg_inc_beta inverts at tiny roots, from ln z = eta - A below the
     normal range of z."""
-    arr = np.maximum(np.atleast_1d(np.asarray(x, dtype=float)), 0.0)
+    arr = np.maximum(np.asarray(x, dtype=float).reshape(-1), 0.0)
     ln_rel, ln_d, w = _ekg2_transform(arr, p)
     z = -np.expm1(-2.0 * ln_d)
     lower = z <= 0.5
+    below, above = np.flatnonzero(lower), np.flatnonzero(~lower)
     out = np.empty_like(z)
-    out[lower] = reg_inc_beta(z[lower], p.p, p.q)
-    out[~lower] = reg_inc_beta(w[~lower], p.q, p.p)
-    deep = lower & ((z < _TINY) | (out < _TINY))
-    if deep.any():
-        zd = z[deep]
+    out[below] = reg_inc_beta(z.take(below), p.p, p.q)
+    out[above] = reg_inc_beta(w.take(above), p.q, p.p)
+    deep = np.flatnonzero(lower & ((z < _TINY) | (out < _TINY)))
+    if deep.size:
+        zd = z.take(deep)
         with np.errstate(divide="ignore"):  # -inf at x = 0
-            lnz = np.where(zd < _TINY, p.a * ln_rel[deep] - ln_d[deep], np.log(zd))
-        lead = np.exp(p.p * lnz - math.log(p.p) - _ekg2_log_beta(p))
+            lnz = np.where(zd < _TINY, p.a * ln_rel.take(deep) - ln_d.take(deep), np.log(zd))
+        lead = np.exp(p.p * lnz - math.log(p.p) - _log_beta(p.p, p.q))
         out[deep] = lead * (1.0 + p.p * (1.0 - p.q) * zd / (p.p + 1.0))
     return out.reshape(np.shape(x)), lower.reshape(np.shape(x))
 
@@ -803,25 +780,27 @@ def ekg2_quantile(u, p: EKG2Params):
 
     Above the median, w = 1 - z is inverted directly from
     I_w(q, p) = 1 - u, so the upper tail keeps its relative precision
-    where z itself would round to 1.
-
-    Unlike the other quantiles it is not taken in blocks: inv_reg_inc_beta
-    answers from a table or from betaincinv depending on how many entries
-    share the call, so blocks could change the bits.
+    where z itself would round to 1.  inv_reg_inc_beta is elementwise, so
+    the quantile is taken in blocks like the others.
     """
     arr, scalar = _asarray(u)
     _check_unit_interval(arr, "ekg2_quantile")
-    out = np.zeros_like(arr)
-    upper = arr > 0.5
-    lower = (arr > 0.0) & ~upper
-    with np.errstate(divide="ignore", over="ignore"):
-        if lower.any():
-            z = inv_reg_inc_beta(arr[lower], p.p, p.q)
-            out[lower] = p.b * np.exp(np.log(z) / p.a - np.log1p(-z) / (2.0 * p.a))
-        if upper.any():
-            w = inv_reg_inc_beta(1.0 - arr[upper], p.q, p.p)
-            out[upper] = p.b * np.exp(np.log1p(-w) / p.a - np.log(w) / (2.0 * p.a))
-    return _restore(out, scalar)
+
+    def block(v):
+        out = np.zeros_like(v)
+        with np.errstate(divide="ignore", over="ignore"):
+            lower = np.flatnonzero((v > 0.0) & (v <= 0.5))
+            if lower.size:
+                z = inv_reg_inc_beta(v.take(lower), p.p, p.q)
+                out[lower] = p.b * np.exp(np.log(z) / p.a - np.log1p(-z) / (2.0 * p.a))
+            del lower
+            upper = np.flatnonzero(v > 0.5)
+            if upper.size:
+                w = inv_reg_inc_beta(1.0 - v.take(upper), p.q, p.p)
+                out[upper] = p.b * np.exp(np.log1p(-w) / p.a - np.log(w) / (2.0 * p.a))
+        return out
+
+    return _restore(_blockwise(block, arr), scalar)
 
 
 def _ekg2_log_terms(arr, p: EKG2Params):
@@ -838,7 +817,7 @@ def _ekg2_log_terms(arr, p: EKG2Params):
     out = (p.a * p.p - 1.0) * ln_rel
     out -= (p.p + 2.0 * p.q) * ln_d
     out -= np.log1p(w)
-    out += math.log(2.0 * p.a / p.b) - _ekg2_log_beta(p)
+    out += math.log(2.0 * p.a / p.b) - _log_beta(p.p, p.q)
     return out, ln_rel, ln_d, w
 
 
@@ -928,34 +907,33 @@ def mixture_pdf(w, p: NetWealthMixtureParams):
     point mass is never folded into the density value.
     """
     arr, scalar = _asarray(w)
-    dens = np.zeros_like(arr)
-    atom = np.zeros_like(arr)
-    neg = arr < 0.0
-    pos = arr > 0.0
-    if np.any(neg):
-        dens[neg] = p.theta1 * kgen_pdf(-arr[neg], p.negative_branch)
-    if np.any(pos):
-        dens[pos] = p.theta3 * kgen_pdf(arr[pos], p.positive_branch)
-    atom[arr == 0.0] = p.theta2
+    flat = arr.reshape(-1)
+    dens = np.zeros_like(flat)
+    atom = np.zeros_like(flat)
+    neg, pos = np.flatnonzero(flat < 0.0), np.flatnonzero(flat > 0.0)
+    if neg.size:
+        dens[neg] = p.theta1 * kgen_pdf(-flat.take(neg), p.negative_branch)
+    if pos.size:
+        dens[pos] = p.theta3 * kgen_pdf(flat.take(pos), p.positive_branch)
+    atom[flat == 0.0] = p.theta2
     if scalar:
-        return float(dens), float(atom)
-    return dens, atom
+        return float(dens[0]), float(atom[0])
+    return dens.reshape(arr.shape), atom.reshape(arr.shape)
 
 
 def mixture_cdf(w, p: NetWealthMixtureParams):
     """Right-continuous mixture CDF with a jump of size theta2 at zero."""
     arr, scalar = _asarray(w)
-    out = np.empty_like(arr)
+    flat = arr.reshape(-1)
+    out = np.empty_like(flat)
     rho = p.rho
-    neg = arr < 0.0
-    pos = arr > 0.0
-    if np.any(neg):
-        out[neg] = p.theta1 * kgen_ccdf(-arr[neg], p.negative_branch)
-    out[arr == 0.0] = rho
-    if np.any(pos):
-        out[pos] = rho + (1.0 - rho) * np.asarray(
-            kgen_cdf(arr[pos], p.positive_branch), dtype=float)
-    return _restore(out, scalar)
+    neg, pos = np.flatnonzero(flat < 0.0), np.flatnonzero(flat > 0.0)
+    if neg.size:
+        out[neg] = p.theta1 * kgen_ccdf(-flat.take(neg), p.negative_branch)
+    out[flat == 0.0] = rho
+    if pos.size:
+        out[pos] = rho + (1.0 - rho) * kgen_cdf(flat.take(pos), p.positive_branch)
+    return _restore(out.reshape(arr.shape), scalar)
 
 
 def mixture_ccdf(w, p: NetWealthMixtureParams):
@@ -999,14 +977,13 @@ def mixture_sample(n, p: NetWealthMixtureParams, seed):
 
     def block(u):
         out = np.zeros(u.size)
-        neg = u < p.theta1
-        pos = u >= rho
-        if np.any(neg):
+        neg, pos = np.flatnonzero(u < p.theta1), np.flatnonzero(u >= rho)
+        if neg.size:
             # written out: kgen_quantile(1 - u/theta1) would round off tail bits
-            un = np.maximum(u[neg], 1e-300)
+            un = np.maximum(u.take(neg), 1e-300)
             out[neg] = -lam * np.log(p.theta1 / un) ** (1.0 / s)
-        if np.any(pos):
-            out[pos] = kgen_quantile((u[pos] - rho) / (1.0 - rho), p.positive_branch)
+        if pos.size:
+            out[pos] = kgen_quantile((u.take(pos) - rho) / (1.0 - rho), p.positive_branch)
         return out
 
     return _blockwise(block, _uniforms(n, seed))

@@ -303,22 +303,21 @@ def _normalized_hessian(values, weights, p: KappaGenParams):
 
 
 def _mixture_logpdf(x, p: NetWealthMixtureParams):
-    values, scalar = _asarray(x)
+    arr, scalar = _asarray(x)
+    values = arr.reshape(-1)
     out = np.empty_like(values)
-    neg = values < 0.0
-    zero = values == 0.0
-    pos = values > 0.0
+    neg, pos = np.flatnonzero(values < 0.0), np.flatnonzero(values > 0.0)
     with np.errstate(divide="ignore"):
-        if np.any(neg):
+        if neg.size:
             out[neg] = math.log(p.theta1) if p.theta1 > 0.0 else -math.inf
             if p.theta1 > 0.0:
-                out[neg] += kgen_logpdf(-values[neg], p.negative_branch)
-        out[zero] = math.log(p.theta2) if p.theta2 > 0.0 else -math.inf
-        if np.any(pos):
+                out[neg] += kgen_logpdf(-values.take(neg), p.negative_branch)
+        out[values == 0.0] = math.log(p.theta2) if p.theta2 > 0.0 else -math.inf
+        if pos.size:
             out[pos] = math.log(p.theta3) if p.theta3 > 0.0 else -math.inf
             if p.theta3 > 0.0:
-                out[pos] += kgen_logpdf(values[pos], p.positive_branch)
-    return _restore(out, scalar)
+                out[pos] += kgen_logpdf(values.take(pos), p.positive_branch)
+    return _restore(out.reshape(arr.shape), scalar)
 
 
 def _mixture_from_flags(shape, scale, theta1, theta2, alpha, beta, kappa):
@@ -723,12 +722,12 @@ def fit_mixture(sample: WeightedSample, config: FitConfig):
     values = sample.values
     weights = sample.weights
     total_w = sample.total_weight
-    neg = values < 0.0
-    zero = values == 0.0
-    pos = values > 0.0
-    w_neg = float(weights[neg].sum())
-    w_zero = float(weights[zero].sum())
-    w_pos = float(weights[pos].sum())
+    neg = np.flatnonzero(values < 0.0)
+    zero = np.flatnonzero(values == 0.0)
+    pos = np.flatnonzero(values > 0.0)
+    w_neg = float(weights.take(neg).sum())
+    w_zero = float(weights.take(zero).sum())
+    w_pos = float(weights.take(pos).sum())
     if w_pos <= 0.0:
         raise DegenerateDataError(
             "mixture fit needs positive observations; positive branch unidentifiable")
@@ -736,7 +735,7 @@ def fit_mixture(sample: WeightedSample, config: FitConfig):
     flags = []
     branches = []
     if w_neg > 0.0:
-        neg_sample = WeightedSample(-values[neg], weights[neg])
+        neg_sample = WeightedSample(-values.take(neg), weights.take(neg))
         if neg_sample.effective_size() < _MIN_EFFECTIVE_BRANCH:
             flags.append("negative branch has fewer than 30 effective observations")
         try:
@@ -751,7 +750,7 @@ def fit_mixture(sample: WeightedSample, config: FitConfig):
         wb_params = WeibullParams(1.0, 1.0)
         flags.append("no negative observations; negative branch fixed at defaults")
 
-    pos_sample = WeightedSample(values[pos], weights[pos])
+    pos_sample = WeightedSample(values.take(pos), weights.take(pos))
     if pos_sample.effective_size() < _MIN_EFFECTIVE_BRANCH:
         flags.append("positive branch has fewer than 30 effective observations")
     branches.append(_fit_transformed("kappagen", pos_sample, config))

@@ -24,6 +24,7 @@ from kappagen import (
     ekg1_pdf,
     ekg1_quantile,
     ekg1_sample,
+    ekg2_ccdf,
     ekg2_cdf,
     ekg2_pdf,
     ekg2_quantile,
@@ -51,12 +52,12 @@ from kappagen import (
     mixture_sample,
     quantile_gini,
 )
-from kappagen import special
+from kappagen import WeightedSample, special
+import kappagen.fitting as kfit
 from kappagen.deformed import _BLOCK, _scaled
 from kappagen.distributions import (
     _ekg1_log_bracket,
     _ekg1_log_t,
-    _ekg2_log_beta,
     ekg1_logpdf,
     ekg2_logpdf,
 )
@@ -727,7 +728,7 @@ class TestEkg2:
         # cancels for p >> q, 2.2e-10 off at (3.3e5, 2.45) and 1e-3 at 1e12
         with mp.workdps(40):
             want = mp.log(mp.beta(mp.mpf(p), mp.mpf(q)))
-            got = _ekg2_log_beta(EKG2Params(1.0, 1.0, p, q))
+            got = special._log_beta(p, q)
             assert abs(got - want) <= 4.0 * np.finfo(float).eps * max(abs(want), 1.0)
 
     def test_sampling_determinism(self):
@@ -845,3 +846,110 @@ class TestMixture:
             if p.theta1 <= u <= p.rho:
                 continue
             assert mixture_cdf(inverse_cdf(u), p) == pytest.approx(u, abs=1e-12)
+
+
+class TestIndexGathers:
+    """The record-length splits on random masks take index gathers
+    (np.flatnonzero with take or index assignment) where they took boolean
+    masks: each output against the boolean-mask formula, byte for byte."""
+
+    @staticmethod
+    def records(shape):
+        rng = np.random.default_rng(21)
+        x = rng.normal(0.0, 3.0, shape)
+        x.flat[rng.random(x.size) < 0.1] = 0.0
+        x.flat[:4] = -0.0, np.inf, -np.inf, 5e-324
+        return x
+
+    @pytest.mark.parametrize("shape", [(3 * _BLOCK + 7,), (3, 1001), ()])
+    def test_mixture_pdf_and_cdf(self, shape):
+        p = FIG_MIXTURE
+        x = self.records(shape) if shape else np.float64(-1.5)
+        arr = np.asarray(x)
+        neg, pos = arr < 0.0, arr > 0.0
+        dens, atom, cdf = np.zeros_like(arr), np.zeros_like(arr), np.empty_like(arr)
+        with np.errstate(over="ignore", under="ignore"):
+            dens[neg] = p.theta1 * kgen_pdf(-arr[neg], p.negative_branch)
+            dens[pos] = p.theta3 * kgen_pdf(arr[pos], p.positive_branch)
+        atom[arr == 0.0] = p.theta2
+        cdf[neg] = p.theta1 * kgen_ccdf(-arr[neg], p.negative_branch)
+        cdf[arr == 0.0] = p.rho
+        cdf[pos] = p.rho + (1.0 - p.rho) * kgen_cdf(arr[pos], p.positive_branch)
+        got_dens, got_atom = mixture_pdf(x, p)
+        assert np.asarray(got_dens).tobytes() == dens.tobytes()
+        assert np.asarray(got_atom).tobytes() == atom.tobytes()
+        assert np.asarray(mixture_cdf(x, p)).tobytes() == cdf.tobytes()
+        assert np.asarray(kfit._mixture_logpdf(x, p)).tobytes() == self.mixture_logpdf(arr, p)
+
+    @staticmethod
+    def mixture_logpdf(values, p):
+        out = np.empty_like(values)
+        neg, zero, pos = values < 0.0, values == 0.0, values > 0.0
+        with np.errstate(divide="ignore"):
+            out[neg] = math.log(p.theta1)
+            out[neg] += kgen_logpdf(-values[neg], p.negative_branch)
+            out[zero] = math.log(p.theta2)
+            out[pos] = math.log(p.theta3)
+            out[pos] += kgen_logpdf(values[pos], p.positive_branch)
+        return out.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3 * _BLOCK + 7,), (3, 1001), ()])
+    def test_ekg2_cdf_and_ccdf(self, shape):
+        p = EKG2Params(2.0, 1.0, 2.0, 1.2)
+        rng = np.random.default_rng(22)
+        x = np.exp(rng.uniform(-400.0, 10.0, shape)) if shape else np.float64(0.7)
+        arr = np.maximum(np.atleast_1d(x), 0.0)
+        y = (arr / p.b) ** p.a
+        ln_d = np.arcsinh(0.5 * y)
+        z, w = -np.expm1(-2.0 * ln_d), np.exp(-2.0 * ln_d)
+        lower = z <= 0.5
+        v = np.empty_like(z)
+        v[lower] = special.reg_inc_beta(z[lower], p.p, p.q)
+        v[~lower] = special.reg_inc_beta(w[~lower], p.q, p.p)
+        deep = lower & ((z < np.finfo(float).tiny) | (v < np.finfo(float).tiny))
+        zd = z[deep]
+        with np.errstate(divide="ignore"):
+            lnz = np.where(zd < np.finfo(float).tiny,
+                           p.a * np.log(arr[deep] / p.b) - ln_d[deep], np.log(zd))
+        lead = np.exp(p.p * lnz - math.log(p.p) - special._log_beta(p.p, p.q))
+        v[deep] = lead * (1.0 + p.p * (1.0 - p.q) * zd / (p.p + 1.0))
+        assert deep.any() or not shape
+        cdf, ccdf = np.where(lower, v, 1.0 - v), np.where(lower, 1.0 - v, v)
+        assert np.asarray(ekg2_cdf(x, p)).tobytes() == cdf.reshape(np.shape(x)).tobytes()
+        assert np.asarray(ekg2_ccdf(x, p)).tobytes() == ccdf.reshape(np.shape(x)).tobytes()
+
+    def test_mixture_sample(self):
+        p = FIG_MIXTURE
+        n = 3 * _BLOCK + 7
+        u = np.random.default_rng(31).random(n)
+        s, lam = p.negative_branch.shape, p.negative_branch.scale
+        want = np.zeros(n)
+        for part in (slice(k, k + _BLOCK) for k in range(0, n, _BLOCK)):
+            v, out = u[part], np.zeros(u[part].size)
+            neg, pos = v < p.theta1, v >= p.rho
+            out[neg] = -lam * np.log(p.theta1 / np.maximum(v[neg], 1e-300)) ** (1.0 / s)
+            out[pos] = kgen_quantile((v[pos] - p.rho) / (1.0 - p.rho), p.positive_branch)
+            want[part] = out
+        assert mixture_sample(n, p, 31).tobytes() == want.tobytes()
+
+    def test_fit_mixture_branch_split(self, monkeypatch):
+        values = np.round(self.records((5000,)), 1)
+        values[values == np.inf] = 3.0
+        values[values == -np.inf] = -3.0
+        weights = np.random.default_rng(23).integers(1, 5, values.size).astype(float)
+        seen = []
+        fit = kfit._fit_transformed
+        monkeypatch.setattr(kfit, "_fit_transformed",
+                            lambda model, sample, config: seen.append(sample)
+                            or fit(model, sample, config))
+        res = kfit.fit_mixture(WeightedSample(values, weights),
+                               kfit.FitConfig(model="mixture", multistart=1, seed=0))
+        neg, pos = values < 0.0, values > 0.0
+        assert [s.values.tobytes() for s in seen] == [(-values[neg]).tobytes(),
+                                                      values[pos].tobytes()]
+        assert [s.weights.tobytes() for s in seen] == [weights[neg].tobytes(),
+                                                       weights[pos].tobytes()]
+        total = weights.sum()
+        assert (res.params.theta1, res.params.theta2, res.params.theta3) == (
+            float(weights[neg].sum()) / total, float(weights[values == 0.0].sum()) / total,
+            float(weights[pos].sum()) / total)

@@ -35,6 +35,15 @@ EULER_GAMMA = np.euler_gamma
 MP_DIGITS = 30
 
 
+@pytest.fixture(autouse=True)
+def _fresh_shape_tables():
+    """Every test builds the incomplete-beta tables it uses afresh, from the
+    functions it may patch, and leaves none of them cached."""
+    special._shape_table.cache_clear()
+    yield
+    special._shape_table.cache_clear()
+
+
 def _mp(fn, *args, **kwargs):
     """Evaluate an mpmath function at double arguments, rounded to double."""
     with mp.workdps(MP_DIGITS):
@@ -232,6 +241,23 @@ class TestInvRegIncBeta:
             assert inv_reg_inc_beta(u, a, b) == pytest.approx(want, rel=1e-12)
 
 
+def test_series_roots_at_a_small_shape_against_mpmath():
+    # at (0.05, 50) most roots below u = 1/2 take the tiny-x series, whose
+    # leading-term root (u a B)^(1/a) carries B's relative error times 1/a
+    # = 20 into z: scipy's beta is 1.1e-14 off there (1000-2000 ulp of z),
+    # _log_beta within its 4 ulp of max(|ln B|, 1)
+    a, b = 0.05, 50.0
+    u = np.random.default_rng(4).uniform(0.0, 0.5, 4000)
+    z = inv_reg_inc_beta(u, a, b)
+    x0 = (u * a * math.exp(special._log_beta(a, b))) ** (1.0 / a)
+    series = np.flatnonzero(x0 * (1.0 + abs(1.0 - b)) < 1e-9)
+    assert series.size > u.size / 2
+    budget = (4.0 * max(abs(special._log_beta(a, b)), 1.0) + 4.0) / a
+    err = np.array([float(abs(z[i] - root) / mp.mpf(np.spacing(float(root))))
+                    for i in series[::70] for root in [_mp_root_near(u[i], a, b, z[i])]])
+    assert err.max() <= budget and err.mean() <= 32.0
+
+
 def _mp_log_root(u, a, b):
     """60-digit root of I_x(a, b) = u, found in ln x from the leading-term root."""
     with mp.workdps(60):
@@ -255,8 +281,9 @@ class TestSubnormalInverse:
         assert inv_reg_inc_beta(np.array([u]), a, b)[0] == inv_reg_inc_beta(u, a, b)
 
     def test_normal_u_keeps_betaincinv_bits(self):
+        # below the table's floor 2^-64 and above 1/2
         a, b = 33.663, 13.526
-        u = np.array([5e-324, 1e-320, np.finfo(float).tiny, 1e-300, 0.3])
+        u = np.array([5e-324, 1e-320, np.finfo(float).tiny, 1e-300, 0.7])
         z = inv_reg_inc_beta(u, a, b)
         assert np.array_equal(z[2:], sc.betaincinv(a, b, u[2:]))
 
@@ -348,10 +375,12 @@ class TestTabulatedInverse:
 
     def test_betainc_runs_on_the_nodes_only(self, monkeypatch):
         # the residual of every entry comes from the quadrature, anchored on
-        # the one betainc call at the n + 1 nodes
+        # the one betainc call at the n + 1 nodes of the fixed grid
         a, b = 2.0, 1.2
         u = np.random.default_rng(12).random(100_000)
-        n = math.ceil((math.log(0.5) - math.log(u[u <= 0.5].min())) / special._NODE_STEP)
+        n = special._TABLE_INTERVALS
+        assert n + 1 == 1399
+        assert special._TABLE_LOW <= math.log(2.0 ** -64) < special._TABLE_LOW + special._NODE_STEP
         sizes = []
         betainc = sc.betainc
         monkeypatch.setattr(special.sc, "betainc",
@@ -360,6 +389,58 @@ class TestTabulatedInverse:
         monkeypatch.undo()
         assert sizes == [n + 1]
         np.testing.assert_allclose(z, sc.betaincinv(a, b, u), rtol=4e-15)
+
+    @pytest.mark.parametrize("a, b", [(2.0, 1.2), (1.2, 2.0), (0.3, 0.4)])
+    def test_a_cached_shape_makes_no_node_call(self, a, b, monkeypatch):
+        # the table is built at the first call of a shape; a second call,
+        # of any size, makes no betainc or betaincinv call at the nodes
+        u = np.random.default_rng(13).uniform(1e-6, 0.5, 20_000)
+        first = inv_reg_inc_beta(u, a, b)
+        scalar = inv_reg_inc_beta(float(u[7]), a, b)
+        calls = []
+        for name in ("betainc", "betaincinv"):
+            real = getattr(sc, name)
+            monkeypatch.setattr(special.sc, name, lambda *args, real=real, name=name:
+                                calls.append((name, np.size(args[2]))) or real(*args))
+        second = inv_reg_inc_beta(u, a, b)
+        assert inv_reg_inc_beta(float(u[7]), a, b) == scalar == first[7]
+        # only the entries that the quadrature or Halley bound sends back
+        assert all(size < 100 for _, size in calls)
+        assert sum(size for _, size in calls) < u.size / 100
+        assert second.tobytes() == first.tobytes()
+        assert special._shape_table.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("a, b, lo, hi", [
+        (50.0, 50.0, -math.inf, -13.7), (0.05, 0.05, -math.inf, -36.0),
+        (0.05, 50.0, -math.inf, -35.1), (11.04, 11.04, -math.inf, -16.9),
+        (10.35, 0.05, -math.inf, -20.7), (43.5, 8.0, -1.7, -0.9), (32.0, 32.0, -10.1, -9.0)])
+    def test_only_the_intervals_of_failing_nodes_are_declined(self, a, b, lo, hi, monkeypatch):
+        # betainc misses some nodes of these shapes by more than the check's
+        # 32 ulp; the intervals next to them take betaincinv, and every other
+        # interval keeps the table
+        table, declined, _ = special._shape_table(a, b)
+        nodes = special._TABLE_LOW + special._NODE_STEP * np.arange(special._TABLE_INTERVALS + 1)
+        off = declined[0::2]  # per interval: both of its columns
+        assert np.array_equal(declined[1::2], off)
+        assert off.any() and not off.all()
+        assert nodes[:-1][off].min() >= lo and nodes[1:][off].max() <= hi
+        rng = np.random.default_rng(14)
+        u = np.concatenate([rng.uniform(0.0, 0.5, 4000),
+                            np.exp(rng.uniform(-64.0 * math.log(2.0), math.log(0.5), 4000))])
+        pos = (np.log(u) - special._TABLE_LOW) / special._NODE_STEP
+        column = np.minimum((2.0 * pos).astype(np.intp), 2 * special._TABLE_INTERVALS - 1)
+        in_range = u >= 2.0 ** -64
+        declined_u = in_range & declined[np.where(in_range, column, 0)]
+        if math.isinf(lo):
+            assert not declined_u[u >= 1e-5].any()
+        z = inv_reg_inc_beta(u, a, b)
+        with monkeypatch.context() as m:
+            m.setattr(special, "_tabulated_inverse", lambda *args: None)
+            ref = inv_reg_inc_beta(u, a, b)  # the series and betaincinv alone
+        np.testing.assert_array_equal(z[declined_u], ref[declined_u])
+        # the others take the table: a Halley step from a tabulated start
+        # rounds differently from betaincinv on a part of them
+        assert (z[in_range & ~declined_u] != ref[in_range & ~declined_u]).mean() > 0.05
 
     @pytest.mark.parametrize("a, b", _TABLE_SHAPES + [(50.0, 0.05)])
     def test_increment_within_its_bound(self, a, b):
@@ -419,6 +500,7 @@ class TestTabulatedInverse:
         rate = special._quadrature_rate
         monkeypatch.setattr(special, "_quadrature_rate",
                             lambda *args: np.full_like(rate(*args), np.inf))
+        special._shape_table.cache_clear()  # rebuilt with the patched rate
         every_betainc = inv_reg_inc_beta(u, a, b)  # the residual of betainc alone
         monkeypatch.setattr(special, "_tabulated_inverse", lambda *args: None)
         table = np.flatnonzero(every_betainc != inv_reg_inc_beta(u, a, b))
@@ -459,19 +541,30 @@ class TestTabulatedInverse:
             assert float(abs(z[i] - root) / mp.mpf(np.spacing(float(root)))) <= 4.0
 
     def test_table_declined_where_betainc_misses_its_nodes(self):
-        # scipy's betainc is off by up to ~2000 ulp at (43.5, 8), and
-        # betaincinv is not; a Halley step on betainc would inherit that
+        # scipy's betainc is off by up to ~2000 ulp at (43.5, 8) near
+        # ln u = -1.3, and betaincinv is not; a Halley step on betainc would
+        # inherit that, so the intervals there take betaincinv
         a, b = 43.5, 8.0
         u = np.random.default_rng(7).uniform(0.0, 0.5, 5000)
-        assert special._tabulated_inverse(u, a, b) is None
-        assert np.array_equal(inv_reg_inc_beta(u, a, b), sc.betaincinv(a, b, u))
+        declined = special._shape_table(a, b)[1]
+        off = declined[(2.0 * (np.log(u) - special._TABLE_LOW) / special._NODE_STEP).astype(np.intp)]
+        assert 0 < off.sum() < u.size / 2
+        assert np.all(np.abs(np.log(u[off]) + 1.3) < 0.4)
+        z = inv_reg_inc_beta(u, a, b)
+        assert np.array_equal(z[off], sc.betaincinv(a, b, u[off]))
+        assert not np.array_equal(z[~off], sc.betaincinv(a, b, u[~off]))
 
     @pytest.mark.parametrize("a, b", [(2.0, 1.2), (1.2, 2.0), (0.3, 0.4), (30.0, 5.0)])
-    def test_scalars_and_small_arrays_keep_betaincinv_bits(self, a, b):
+    def test_scalars_and_small_arrays_keep_the_large_array_bits(self, a, b):
+        # one answer per entry: the table below 1/2 and betaincinv above it,
+        # whatever the size of the call
         u = np.linspace(0.05, 0.95, 91)
-        want = sc.betaincinv(a, b, u)
+        want = inv_reg_inc_beta(np.concatenate([np.random.default_rng(9).random(50_000), u]),
+                                a, b)[-u.size:]
         assert np.array_equal(inv_reg_inc_beta(u, a, b), want)
         assert [inv_reg_inc_beta(v, a, b) for v in u] == want.tolist()
+        assert np.array_equal(want[u > 0.5], sc.betaincinv(a, b, u[u > 0.5]))
+        np.testing.assert_allclose(want, sc.betaincinv(a, b, u), rtol=4e-15)
 
     def test_large_array_matches_betaincinv(self):
         u = np.random.default_rng(5).random(100_000)
