@@ -208,8 +208,8 @@ _TABLE_INTERVALS = math.ceil((_LN_HALF - math.log(_TABLE_FLOOR)) / _NODE_STEP)
 _TABLE_LOW = _LN_HALF - _TABLE_INTERVALS * _NODE_STEP
 # A Halley step cannot beat the error of the betainc values that anchor its
 # residual at the nodes, which reaches ~2000 ulp for some shapes, e.g.
-# (43.5, 8); the table is kept only where betainc reproduces every node to
-# this many ulp of z.
+# (43.5, 8); an interval of the table is kept only where betainc reproduces
+# both its nodes to this many ulp of z.
 _BETAINC_ULPS = 32.0
 # A twentieth of an ulp, relative: the most that the quadrature may add to
 # the residual, and the Halley step to z, before an entry takes betainc or
@@ -328,8 +328,8 @@ def _anchor_corrections(a, b, ln_beta, zn, y, un, i_nodes, rate):
 @functools.lru_cache(maxsize=8)
 def _shape_table(a, b):
     """(table, declined, ln B(a, b)) for _tabulated_inverse at the shape
-    (a, b), built at its first use and cached; None when no interval of the
-    grid is usable.
+    (a, b), built at its first use and cached for the last 8 shapes (179 kB
+    each); None when no interval of the grid is usable.
 
     Fast numerical inversion (Hoermann & Leydold 2003): the nodes, equally
     spaced in ln u from _TABLE_LOW to ln 1/2, take z from betaincinv and the
