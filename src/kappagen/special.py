@@ -415,7 +415,8 @@ def _polish(up, a, b, table, declined, ln_beta):
     expressions written plainly hold 1.75 blocks more at the peak, which
     takes ekg2_sample at 2^18 draws from 2 arrays + 7.4 blocks to 9.1,
     past the 2 arrays + 8 blocks that tests/test_memory.py allows a
-    sampler, and take 9% longer (104.6 against 114.2 ms for 10^6 draws)."""
+    sampler, and take 9% longer (114.2 against 104.6 ms for 10^6 draws, on
+    one thread of a shared two-core x86-64 host)."""
     pos = np.log(up)
     pos -= _TABLE_LOW
     pos /= _NODE_STEP

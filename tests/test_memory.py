@@ -142,11 +142,13 @@ SAMPLERS = {
 
 @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
 def test_a_sampler_holds_its_uniforms_and_draws(sampler):
+    bound = 2 * ARRAY_BYTES + 8 * BLOCK_BYTES
     if sampler == "ekg2_sample":
-        # the incomplete-beta tables of the two halves, (p, q) and (q, p),
-        # which the first call at a shape builds and keeps (179 kB each,
-        # whatever the sample size): built beforehand, as the sample
-        # fixture is for the record passes
-        special._shape_table(2.0, 1.2)
-        special._shape_table(1.2, 2.0)
-    assert peak_bytes(SAMPLERS[sampler]) < 2 * ARRAY_BYTES + 8 * BLOCK_BYTES
+        # its first call at a shape also builds and keeps the incomplete-beta
+        # tables of the two halves, (p, q) and (q, p), of 8 rows of
+        # 2 * _TABLE_INTERVALS floats each, whatever the sample size; the
+        # second call finds them built
+        special._shape_table.cache_clear()
+        tables = 2 * 8 * 8 * (2 * special._TABLE_INTERVALS)
+        assert peak_bytes(SAMPLERS[sampler]) < bound + tables
+    assert peak_bytes(SAMPLERS[sampler]) < bound
